@@ -5,7 +5,8 @@ resolutions to chart files), ``verify`` (the check suites, exit code 0 iff
 everything passes), ``chart`` (chart file to SVG/TSV).  Window flags
 default to max-stem 24 / max-filt 16; the WSTEENROD_MAX_STEM environment
 variable overrides the default window.  Identical flags produce identical
-bytes.
+bytes.  Malformed flags (negative windows or counts, unknown modules) exit
+with code 2 and a usage message.
 """
 
 from __future__ import annotations
@@ -32,20 +33,47 @@ from .svg import render_chart_svg
 from .verify import SUITES, VerifyConfig, run_suites
 
 
-def _default_max_stem() -> int:
-    env = os.environ.get("WSTEENROD_MAX_STEM")
-    if env is not None:
+def _bounded_int(low: int):
+    def parse(text: str) -> int:
         try:
-            return int(env)
+            value = int(text)
         except ValueError:
-            raise SystemExit(f"WSTEENROD_MAX_STEM must be an integer, got {env!r}")
-    return 24
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_nonnegative = _bounded_int(0)
+
+
+def _default_max_stem(parser: argparse.ArgumentParser) -> int:
+    env = os.environ.get("WSTEENROD_MAX_STEM")
+    if env is None:
+        return 24
+    try:
+        return _nonnegative(env)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"WSTEENROD_MAX_STEM {exc}")
+
+
+def _module_spec(text: str) -> tuple[str, int | None]:
+    """``sphere``, ``wbp``, ``kw:N`` or ``wbp:N`` as (kind, N or None)."""
+    if text in ("sphere", "wbp"):
+        return text, None
+    kind, sep, n = text.partition(":")
+    if sep and kind in ("kw", "wbp") and n.isdigit():
+        return kind, int(n)
+    raise argparse.ArgumentTypeError(
+        f"unknown module {text!r}; use sphere, kw:N, wbp or wbp:N with N >= 0"
+    )
 
 
 def _add_window_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-stem", type=int, default=None, help="stem window (default 24)")
-    p.add_argument("--max-filt", type=int, default=16, help="filtration bound (default 16)")
-    p.add_argument("--threads", type=int, default=1, help="worker threads; never changes results")
+    p.add_argument("--max-stem", type=_nonnegative, default=None, help="stem window (default 24)")
+    p.add_argument("--max-filt", type=_nonnegative, default=16, help="filtration bound (default 16)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,8 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_conj.add_argument("a")
 
     p_pst = algsub.add_parser("pst", help="the operation dual to xi_t^(2^s)")
-    p_pst.add_argument("--s", type=int, default=0)
-    p_pst.add_argument("--t", type=int, required=True)
+    p_pst.add_argument("--s", type=_nonnegative, default=0)
+    p_pst.add_argument("--t", type=_bounded_int(1), required=True)
 
     p_pair = algsub.add_parser("pair", help="pairing of an operation with a dual element")
     p_pair.add_argument("a")
@@ -87,12 +115,13 @@ def build_parser() -> argparse.ArgumentParser:
     res.add_argument(
         "--module",
         required=True,
+        type=_module_spec,
         help="sphere | kw:N | wbp | wbp:N",
     )
     res.add_argument("--out", default=None, help="output chart JSON path (default stdout)")
     res.add_argument(
         "--max-gens",
-        type=int,
+        type=_nonnegative,
         default=None,
         help="resource bound per bidegree; exceeding it yields a flagged partial file",
     )
@@ -114,24 +143,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_module(name: str, algebra: MilnorAlgebra, chart_stem: int):
-    if name == "sphere":
+def _resolve_module(spec: tuple[str, int | None], algebra: MilnorAlgebra, chart_stem: int):
+    kind, n = spec
+    if kind == "sphere":
         return TrivialModule(algebra), "sphere"
-    if name == "wbp":
+    if spec == ("wbp", None):
         ts = ExteriorProfile.cofinite().resolve(chart_stem)
         return quotient_by_exterior(ExteriorProfile.of(*ts), algebra), "wbp"
-    if name.startswith("kw:"):
-        n = int(name.split(":", 1)[1])
-        if n < 0:
-            raise SystemExit(f"bad module {name!r}")
+    if kind == "kw":
         return quotient_by_exterior(ExteriorProfile.of(n + 1), algebra), f"kw:{n}"
-    if name.startswith("wbp:"):
-        n = int(name.split(":", 1)[1])
-        if n < 0:
-            raise SystemExit(f"bad module {name!r}")
-        ts = tuple(range(1, n + 2))
-        return quotient_by_exterior(ExteriorProfile.of(*ts), algebra), f"wbp:{n}"
-    raise SystemExit(f"unknown module {name!r}; use sphere, kw:N, wbp or wbp:N")
+    ts = tuple(range(1, n + 2))
+    return quotient_by_exterior(ExteriorProfile.of(*ts), algebra), f"wbp:{n}"
 
 
 def _write(path: str | None, text: str) -> None:
@@ -143,8 +165,7 @@ def _write(path: str | None, text: str) -> None:
 
 
 def cmd_algebra(args) -> int:
-    max_stem = args.max_stem if args.max_stem is not None else _default_max_stem()
-    alg = MilnorAlgebra(max_stem)
+    alg = MilnorAlgebra(args.max_stem)
     if args.subcommand == "basis":
         d = BiDegree(args.stem, args.weight)
         alg.require(d)
@@ -178,7 +199,7 @@ def cmd_algebra(args) -> int:
 
 
 def cmd_resolve(args) -> int:
-    max_stem = args.max_stem if args.max_stem is not None else _default_max_stem()
+    max_stem = args.max_stem
     alg = MilnorAlgebra(max_stem + 2)
     module, name = _resolve_module(args.module, alg, max_stem)
     try:
@@ -187,7 +208,6 @@ def cmd_resolve(args) -> int:
             max_stem,
             args.max_filt,
             max_gens_per_bidegree=args.max_gens,
-            threads=args.threads,
         )
         chart.module = name
         _write(args.out, chart_file_dumps(chart))
@@ -199,8 +219,8 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    max_stem = args.max_stem if args.max_stem is not None else _default_max_stem()
-    config = VerifyConfig(max_stem=max_stem, max_filt=args.max_filt, threads=args.threads)
+    max_stem = args.max_stem
+    config = VerifyConfig(max_stem=max_stem, max_filt=args.max_filt)
     names = [s.strip() for s in args.suite.split(",") if s.strip()]
     try:
         reports, ok = run_suites(names, config)
@@ -251,6 +271,8 @@ def cmd_chart(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "max_stem", 0) is None:
+        args.max_stem = _default_max_stem(parser)
     try:
         if args.command == "algebra":
             return cmd_algebra(args)

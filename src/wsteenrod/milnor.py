@@ -21,9 +21,11 @@ factors, so the whole algebra is concentrated in Chow degrees >= 0 and all
 recursions (antipode, minimality arguments) terminate.
 
 Bases, coproducts and antipodes are intrinsic to a bidegree and cached at
-module level; a MilnorAlgebra instance adds a stem window, guards against
-leaving it, and caches multiplication tables.  All cached data is immutable
-once built.
+module level.  Coproduct terms are interned: equal monomials across all
+cached coproducts are one shared object.  A MilnorAlgebra instance adds a
+stem window, guards against leaving it, and caches multiplication tables,
+building every (left, right) split of a target bidegree in one pass over
+its coproducts.  All cached data is immutable once built.
 """
 
 from __future__ import annotations
@@ -317,9 +319,17 @@ def _delta_tau(i: int) -> list[tuple[DualMonomial, DualMonomial]]:
     return terms
 
 
+# one shared object per distinct monomial held by the coproduct cache
+_CANON: dict[DualMonomial, DualMonomial] = {}
+
+
 @lru_cache(maxsize=None)
 def coproduct_monomial(m: DualMonomial) -> tuple[tuple[DualMonomial, DualMonomial], ...]:
-    """The full coproduct of a monomial as an F2 set of tensor pairs."""
+    """The full coproduct of a monomial as an F2 set of tensor pairs.
+
+    Terms are sorted, and their factors are interned, so equal monomials
+    in any two cached coproducts are the same object.
+    """
     acc: dict[tuple[DualMonomial, DualMonomial], int] = {(UNIT_MONOMIAL, UNIT_MONOMIAL): 1}
     factors = []
     for j, e in enumerate(m.r, start=1):
@@ -340,7 +350,8 @@ def coproduct_monomial(m: DualMonomial) -> tuple[tuple[DualMonomial, DualMonomia
                 key = (left, right)
                 nxt[key] = nxt.get(key, 0) ^ 1
         acc = {k: 1 for k, v in nxt.items() if v}
-    return tuple(sorted(acc))
+    canon = _CANON.setdefault
+    return tuple((canon(l, l), canon(r, r)) for l, r in sorted(acc))
 
 
 @lru_cache(maxsize=None)
@@ -446,8 +457,9 @@ def steenrod_element(duals: Iterable[DualMonomial], degree: BiDegree | None = No
 class MilnorAlgebra:
     """The algebra of operations, enumerated for stems up to max_stem.
 
-    Basis tables and multiplication tables are built lazily and frozen;
-    after that every method is a pure read and may be called concurrently.
+    Basis tables and multiplication tables are built lazily and frozen.
+    The first table requested at a target bidegree d builds the tables of
+    every split d = d1 + d2 in one pass over the coproducts of basis(d).
     """
 
     def __init__(self, max_stem: int = 24):
@@ -455,6 +467,7 @@ class MilnorAlgebra:
             raise ValueError("max_stem must be >= 0")
         self.max_stem = max_stem
         self._tables: dict[tuple[BiDegree, BiDegree], tuple[tuple[tuple[int, int], ...], ...]] = {}
+        self._split_targets: set[BiDegree] = set()
         self._rmul: dict[tuple[BiDegree, BiDegree, int], BitMatrix] = {}
         self._antipode: dict[BiDegree, BitMatrix] = {}
 
@@ -543,18 +556,40 @@ class MilnorAlgebra:
         table = self._tables.get(key)
         if table is None:
             d = self.require(d1 + d2)
-            idx1 = basis_index(d1)
-            idx2 = basis_index(d2)
-            rows = []
-            for m in bidegree_basis(d):
-                pairs = []
-                for left, right in coproduct_monomial(m):
-                    if left.degree == d1:
-                        pairs.append((idx1[left], idx2[right]))
-                rows.append(tuple(pairs))
-            table = tuple(rows)
-            self._tables[key] = table
+            if d not in self._split_targets:
+                self._split_tables(d)
+            table = self._tables.get(key)
+            if table is None:
+                # no coproduct term of d splits as (d1, d2)
+                table = ((),) * self.dim(d)
+                self._tables[key] = table
         return table
+
+    def _split_tables(self, d: BiDegree) -> None:
+        """Store the table of every split of d that some coproduct term has.
+
+        Terms are grouped by the bidegree of their left factor; each row
+        keeps the coproduct's sorted term order.
+        """
+        n = self.dim(d)
+        rows: dict[BiDegree, list[list[tuple[int, int]]]] = {}
+        # left factor -> (rows of its split, its index in basis(ld), the
+        # index of basis(d - ld)); the degree is computed once per factor
+        seen: dict[DualMonomial, tuple[list, int, dict[DualMonomial, int]]] = {}
+        for mi, m in enumerate(bidegree_basis(d)):
+            for left, right in coproduct_monomial(m):
+                entry = seen.get(left)
+                if entry is None:
+                    ld = left.degree
+                    split = rows.get(ld)
+                    if split is None:
+                        split = rows[ld] = [[] for _ in range(n)]
+                    entry = seen[left] = (split, basis_index(ld)[left], basis_index(d - ld))
+                split, i, idx2 = entry
+                split[mi].append((i, idx2[right]))
+        for ld, split in rows.items():
+            self._tables[(ld, d - ld)] = tuple(map(tuple, split))
+        self._split_targets.add(d)
 
     def product(self, a: SteenrodElement, b: SteenrodElement) -> SteenrodElement:
         d = self.require(a.degree + b.degree)

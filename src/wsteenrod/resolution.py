@@ -17,20 +17,21 @@ up to max_stem at every filtration up to max_filt.  Algebra coefficients
 then stay within max_stem + 2, which the backing algebra window must
 cover.
 
-Distinct weights of one (filtration, internal stem) cell are independent
-(the algebra is trivial in stem zero), so they may be solved concurrently;
-appending generators stays serialized in weight order either way.
+Cells run one at a time, in a fixed order, so the resolution is
+deterministic.  Each generator's image is split into its target blocks once,
+on first use: the target's layout at the generator's bidegree is final by
+then, because the target generators there come from the cell one filtration
+lower at the same internal degree, which runs first.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .charts import ExtChart
 from .gf2 import BitMatrix, BitVector, Subspace, kernel as gf2_kernel, rank
-from .milnor import BiDegree, MilnorAlgebra, SteenrodElement, bidegree_dim
+from .milnor import ZERO_DEGREE, BiDegree, MilnorAlgebra, SteenrodElement, bidegree_dim
 from .modules import GradedModule, InvariantViolation
 
 
@@ -90,6 +91,9 @@ class ModuleMap:
     source: FreeModule
     target: "FreeModule | GradedModule"
     images: list[int] = field(default_factory=list)
+    _split: dict[int, list[tuple[int, SteenrodElement]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def set_image(self, g: Generator, bits: int) -> None:
         while len(self.images) < g.index:
@@ -98,23 +102,31 @@ class ModuleMap:
             self.images.append(bits)
         else:
             self.images[g.index] = bits
+        self._split.pop(g.index, None)
+
+    def _components(self, g: Generator) -> list[tuple[int, SteenrodElement]]:
+        """The nonzero (target generator index, coefficient) blocks of image(g)."""
+        comps = self._split.get(g.index)
+        if comps is None:
+            bits = self.images[g.index]
+            comps = []
+            for h, n, offset in self.target.layout(g.degree):
+                comp = (bits >> offset) & ((1 << n) - 1)
+                if comp:
+                    comps.append((h.index, SteenrodElement(g.degree - h.degree, comp)))
+            self._split[g.index] = comps
+        return comps
 
     def _free_block(
         self, g: Generator, d: BiDegree, out_offsets: dict[int, int], ncols: int
     ) -> list[int]:
         """Rows x -> x . image(g) over the coefficient basis at d - |g|."""
-        target: FreeModule = self.target
         src_deg = d - g.degree
-        bits = self.images[g.index]
         rows = [0] * bidegree_dim(src_deg)
-        for h, n, offset in target.layout(g.degree):
-            comp = (bits >> offset) & ((1 << n) - 1)
-            if comp == 0:
-                continue
-            out_offset = out_offsets.get(h.index)
+        for h_index, el in self._components(g):
+            out_offset = out_offsets.get(h_index)
             if out_offset is None:
                 continue
-            el = SteenrodElement(g.degree - h.degree, comp)
             block = self.algebra.right_mult_matrix(src_deg, el)
             for i, r in enumerate(block.rows):
                 rows[i] ^= r << out_offset
@@ -192,11 +204,10 @@ class Resolution:
         """No differential entry pairs nonzero against the unit."""
         for s in range(1, len(self.maps)):
             m = self.maps[s]
-            target: FreeModule = m.target
             for g in m.source.generators:
-                bits = m.images[g.index]
-                for h, n, offset in target.layout(g.degree):
-                    if h.degree == g.degree and (bits >> offset) & ((1 << n) - 1):
+                for h_index, el in m._components(g):
+                    if el.degree == ZERO_DEGREE:
+                        h = m.target.generators[h_index]
                         raise InvariantViolation(
                             f"unit coefficient in d at filtration {s}: {g} -> {h}"
                         )
@@ -217,7 +228,7 @@ class Resolution:
                     raise InvariantViolation(f"augmentation not surjective at {d}")
         for s in range(len(self.maps) - 1):
             for t in range(s, self.max_stem + s + 1):
-                for w in self._weights(s, t):
+                for w in _candidate_weights(self.frees[s], self.module, t, False):
                     d = BiDegree(t, w)
                     n = self.frees[s].dim(d)
                     if n == 0:
@@ -233,18 +244,10 @@ class Resolution:
                             f"{r_out}+{r_in}+{born} != {n}"
                         )
 
-    def _weights(self, s: int, t: int) -> list[int]:
-        ws: set[int] = set()
-        for g in self.frees[s].generators:
-            span = t - g.degree.stem
-            if span < 0:
-                continue
-            for w in range(g.degree.weight, g.degree.weight + span // 2 + 1):
-                ws.add(w)
-        return sorted(ws)
-
 
 def _candidate_weights(free: FreeModule, module: GradedModule, t: int, use_module: bool) -> list[int]:
+    """The weights w at internal stem t where free, or with use_module also
+    the module, can be nonzero: the cells worth visiting at that stem."""
     ws: set[int] = set()
     for g in free.generators:
         span = t - g.degree.stem
@@ -264,7 +267,6 @@ def minimal_resolution(
     max_stem: int,
     max_filt: int,
     max_gens_per_bidegree: int | None = None,
-    threads: int = 1,
 ) -> tuple[Resolution, ExtChart]:
     """Resolve a bounded-below module; returns the resolution and its chart.
 
@@ -283,8 +285,6 @@ def minimal_resolution(
     res.maps = [ModuleMap(algebra, res.frees[0], module)]
     for s in range(1, max_filt + 1):
         res.maps.append(ModuleMap(algebra, res.frees[s], res.frees[s - 1]))
-
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
 
     def solve_cell(s: int, d: BiDegree):
         """Kernel of d_s at d, reduced mod the image of d_{s+1} so far."""
@@ -319,52 +319,33 @@ def minimal_resolution(
                 )
         return new
 
-    def run(jobs, worker):
-        if pool is None or len(jobs) <= 1:
-            return [(j, worker(*j)) for j in jobs]
-        results = list(pool.map(lambda j: worker(*j), jobs))
-        return list(zip(jobs, results))
+    def add_generators(s: int, d: BiDegree, new: list[BitVector], t: int) -> None:
+        if max_gens_per_bidegree is not None and len(new) > max_gens_per_bidegree:
+            # internal degrees below t are done, which closes chart stems
+            # through t - 1 - max_filt at every filtration; the chart and
+            # the reported bound are clamped alike
+            completed = max(t - 1 - max_filt, -1)
+            raise PartialResultError(
+                f"more than {max_gens_per_bidegree} generators at filtration {s}, {d}",
+                res.chart().restricted(completed),
+                completed,
+            )
+        for v in new:
+            g = res.frees[s].add_generator(d)
+            res.maps[s].set_image(g, v.bits)
 
-    try:
-        for t in range(0, max_stem + max_filt + 1):
-            # new generators of F_0 where the module is not yet covered
-            if t <= max_stem:
-                jobs = [
-                    (BiDegree(t, w),)
-                    for w in _candidate_weights(res.frees[0], module, t, True)
-                ]
-                for (d,), new in run(jobs, cover_cell):
-                    if max_gens_per_bidegree is not None and len(new) > max_gens_per_bidegree:
-                        raise PartialResultError(
-                            f"more than {max_gens_per_bidegree} generators at "
-                            f"filtration 0, {d}",
-                            res.chart().restricted(max(t - 1 - max_filt, -1)),
-                            t - 1 - max_filt,
-                        )
-                    for v in new:
-                        g = res.frees[0].add_generator(d)
-                        res.maps[0].set_image(g, v.bits)
-            # kernels feeding new generators of F_{s+1}
-            s_lo = max(0, t - (max_stem + 1))
-            s_hi = min(max_filt - 1, t - 1)
-            for s in range(s_lo, s_hi + 1):
-                jobs = [
-                    (s, BiDegree(t, w))
-                    for w in _candidate_weights(res.frees[s], module, t, False)
-                ]
-                for (s_, d), new in run(jobs, solve_cell):
-                    if max_gens_per_bidegree is not None and len(new) > max_gens_per_bidegree:
-                        raise PartialResultError(
-                            f"more than {max_gens_per_bidegree} generators at "
-                            f"filtration {s_ + 1}, {d}",
-                            res.chart().restricted(max(t - 1 - max_filt, -1)),
-                            t - 1 - max_filt,
-                        )
-                    for v in new:
-                        g = res.frees[s_ + 1].add_generator(d)
-                        res.maps[s_ + 1].set_image(g, v.bits)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for t in range(0, max_stem + max_filt + 1):
+        # new generators of F_0 where the module is not yet covered
+        if t <= max_stem:
+            for w in _candidate_weights(res.frees[0], module, t, True):
+                d = BiDegree(t, w)
+                add_generators(0, d, cover_cell(d), t)
+        # kernels feeding new generators of F_{s+1}
+        s_lo = max(0, t - (max_stem + 1))
+        s_hi = min(max_filt - 1, t - 1)
+        for s in range(s_lo, s_hi + 1):
+            for w in _candidate_weights(res.frees[s], module, t, False):
+                d = BiDegree(t, w)
+                add_generators(s + 1, d, solve_cell(s, d), t)
 
     return res, res.chart()

@@ -51,7 +51,6 @@ from .towers import (
 class VerifyConfig:
     max_stem: int = 24
     max_filt: int = 16
-    threads: int = 1
     seed: int = 20170927
 
 
@@ -342,9 +341,7 @@ def suite_charts(config: VerifyConfig) -> list[VerificationReport]:
         alg = MilnorAlgebra(chart_stem + 2)
         module = quotient_by_exterior(ExteriorProfile.of(n + 1), alg)
         max_filt = chart_stem // max(w_stem(n), 1) + 1
-        _, chart = minimal_resolution(
-            module, chart_stem, max_filt, threads=config.threads
-        )
+        _, chart = minimal_resolution(module, chart_stem, max_filt)
         oracle = koszul_chart((n + 1,), chart_stem)
         diff = compare_charts(chart, oracle, chart_stem, max_filt)
         r = _report(

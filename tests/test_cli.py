@@ -149,7 +149,7 @@ def test_resolve_partial_flag(tmp_path, capsys):
     assert code == 0
     data = json.loads(out.read_text())
     assert data.get("partial") is True
-    assert "completed_stem" in data
+    assert data["completed_stem"] == data["max_stem"] == -1
 
 
 def test_chart_roundtrip_and_outputs(tmp_path, capsys):
@@ -229,3 +229,38 @@ def test_env_window(monkeypatch, capsys):
     code, out, err = run(capsys, "algebra", "mul", "P(2)", "P(2)")
     assert code == 2
     assert "window" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["resolve", "--module", "kw:x"],
+        ["resolve", "--module", "wbp:x"],
+        ["resolve", "--module", "kw:-1"],
+        ["resolve", "--module", "nope"],
+        ["resolve", "--module", "sphere", "--max-stem", "-3"],
+        ["resolve", "--module", "sphere", "--max-filt", "-1"],
+        ["resolve", "--module", "sphere", "--max-gens", "-1"],
+        ["verify", "--max-stem", "-3"],
+        ["verify", "--max-filt", "-2"],
+        ["algebra", "--max-stem", "-3", "pst", "--t", "1"],
+        ["algebra", "pst", "--t", "0"],
+        ["algebra", "pst", "--s", "-1", "--t", "1"],
+    ],
+)
+def test_hostile_flags_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["-2", "x"])
+def test_hostile_env_window_exit_2(monkeypatch, capsys, value):
+    monkeypatch.setenv("WSTEENROD_MAX_STEM", value)
+    with pytest.raises(SystemExit) as exc:
+        main(["algebra", "pst", "--t", "1"])
+    assert exc.value.code == 2
+    assert "WSTEENROD_MAX_STEM" in capsys.readouterr().err

@@ -1,10 +1,15 @@
 import random
 
 from wsteenrod.milnor import (
+    ZERO_DEGREE,
     BiDegree,
+    MilnorAlgebra,
     SteenrodElement,
+    basis_index,
     bidegree_basis,
+    coproduct_monomial,
     dual_element,
+    enumerate_window_monomials,
     monomial,
     pst_degree,
     tau_monomial,
@@ -165,3 +170,44 @@ def test_conjugate_antihomomorphism(alg16):
         assert alg16.conjugate(alg16.product(a, b)) == alg16.product(
             alg16.conjugate(b), alg16.conjugate(a)
         )
+
+
+def _direct_table(d1, d2):
+    """mult_table by its definition: coproduct terms with left factor in d1."""
+    idx1, idx2 = basis_index(d1), basis_index(d2)
+    return tuple(
+        tuple(
+            (idx1[left], idx2[right])
+            for left, right in coproduct_monomial(m)
+            if left.degree == d1
+        )
+        for m in bidegree_basis(d1 + d2)
+    )
+
+
+def test_mult_table_split_build_matches_definition():
+    alg = MilnorAlgebra(16)
+    targets = list(alg.bidegrees(12))
+    for d in targets:
+        alg.mult_table(ZERO_DEGREE, d)
+    # the first request at each target filled in its other splits too
+    assert len(alg._tables) > len(targets)
+    empty = 0
+    for d in targets:
+        for s in range(d.stem + 1):
+            for w in range(d.weight + 1):
+                d1 = BiDegree(s, w)
+                table = alg.mult_table(d1, d - d1)
+                assert table == _direct_table(d1, d - d1), (d1, d)
+                empty += not any(table)
+    assert empty  # splits without coproduct terms are covered too
+
+
+def test_coproduct_monomials_interned():
+    canonical = {}
+    for m in enumerate_window_monomials(12):
+        terms = coproduct_monomial(m)
+        assert terms == coproduct_monomial.__wrapped__(m)
+        for pair in terms:
+            for factor in pair:
+                assert canonical.setdefault(factor, factor) is factor

@@ -99,6 +99,8 @@ def chart_file_loads(text: str) -> ExtChart:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ChartFormatError(f"not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ChartFormatError("top level must be a JSON object")
     for fieldname in ("format_version", "module", "max_stem", "classes"):
         if fieldname not in data:
             raise ChartFormatError(f"missing field {fieldname!r}")
@@ -110,7 +112,10 @@ def chart_file_loads(text: str) -> ExtChart:
         for key in ("s", "stem", "weight", "mult"):
             if not isinstance(entry, dict) or key not in entry:
                 raise ChartFormatError(f"class entry missing field {key!r}")
-    return ExtChart.from_json_dict(data)
+    try:
+        return ExtChart.from_json_dict(data)
+    except (TypeError, ValueError) as exc:
+        raise ChartFormatError(f"non-integer field: {exc}") from None
 
 
 def _monomial_chart(

@@ -5,8 +5,9 @@ resolutions to chart files), ``verify`` (the check suites, exit code 0 iff
 everything passes), ``chart`` (chart file to SVG/TSV).  Window flags
 default to max-stem 24 / max-filt 16; the WSTEENROD_MAX_STEM environment
 variable overrides the default window.  Identical flags produce identical
-bytes.  Malformed flags (negative windows or counts, unknown modules) exit
-with code 2 and a usage message.
+bytes.  Malformed flags (negative windows or counts, unknown modules or
+suites) exit with code 2 and a usage message; an unreadable or malformed
+``chart --in`` file exits with code 2 and a message on stderr.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .milnor import BiDegree, MilnorAlgebra, WindowError, bidegree_basis
 from .modules import ExteriorProfile, InvariantViolation, quotient_by_exterior, TrivialModule
 from .resolution import PartialResultError, minimal_resolution
 from .svg import render_chart_svg
-from .verify import SUITES, VerifyConfig, run_suites
+from .verify import SUITES, VerifyConfig, run_suites, suite_names
 
 
 def _bounded_int(low: int):
@@ -69,6 +70,16 @@ def _module_spec(text: str) -> tuple[str, int | None]:
     raise argparse.ArgumentTypeError(
         f"unknown module {text!r}; use sphere, kw:N, wbp or wbp:N with N >= 0"
     )
+
+
+def _suite_list(text: str) -> list[str]:
+    """Comma-separated suite names, each checked before any suite runs."""
+    names = [s.strip() for s in text.split(",") if s.strip()]
+    try:
+        suite_names(names)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return names
 
 
 def _add_window_flags(p: argparse.ArgumentParser) -> None:
@@ -131,6 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--suite",
         default="all",
+        type=_suite_list,
         help="|".join(sorted(SUITES)) + "|all (comma separated)",
     )
     ver.add_argument("--out", default=None, help="write the JSON report here")
@@ -221,11 +233,8 @@ def cmd_resolve(args) -> int:
 def cmd_verify(args) -> int:
     max_stem = args.max_stem
     config = VerifyConfig(max_stem=max_stem, max_filt=args.max_filt)
-    names = [s.strip() for s in args.suite.split(",") if s.strip()]
-    try:
-        reports, ok = run_suites(names, config)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+    names = args.suite
+    reports, ok = run_suites(names, config)
     payload = {
         "max_stem": max_stem,
         "suites": names,
@@ -249,10 +258,12 @@ def cmd_chart(args) -> int:
     try:
         with open(args.infile, encoding="utf-8") as fh:
             chart = chart_file_loads(fh.read())
-    except FileNotFoundError:
-        raise SystemExit(f"no such file: {args.infile}")
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"cannot read chart file {args.infile}: {exc}", file=sys.stderr)
+        return 2
     except ChartFormatError as exc:
-        raise SystemExit(f"bad chart file: {exc}")
+        print(f"bad chart file: {exc}", file=sys.stderr)
+        return 2
     wrote = False
     if args.svg:
         _write(args.svg, render_chart_svg(chart))

@@ -2,8 +2,23 @@
 
 Vectors are fixed-length bit strings packed into Python integers (bit j is
 coordinate j), so vector addition is a single XOR and all arithmetic is
-exact.  Row reduction always picks the lowest eligible column and then the
-lowest row, which makes every derived basis reproducible across runs.
+exact.
+
+Every elimination goes through one routine, ``_insert``.  It keeps a
+reduced row echelon basis as a list of rows sorted by pivot column, where a
+row's pivot is its lowest set bit and no other row has that bit.  A new
+vector is first reduced: each basis row whose pivot bit it carries is added
+to it.  If the remainder is nonzero, its lowest bit becomes a new pivot,
+that column is cleared from the rows with smaller pivots, and the remainder
+is inserted in pivot order.  ``rref``, ``rank``, ``kernel``, ``solve`` and
+``Subspace.extend`` are loops of it, and ``Subspace.reduce`` is its first
+half.
+
+The output is canonical.  A subspace has exactly one reduced row echelon
+basis, and a vector exactly one remainder modulo it (the element of its
+coset that vanishes at every pivot).  So echelon rows, pivots and
+remainders depend only on the span of the rows fed in, not on their order,
+which makes every derived basis reproducible across runs.
 
 Everything here is immutable after construction and safe to share between
 threads.
@@ -11,6 +26,7 @@ threads.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
@@ -45,16 +61,6 @@ class BitVector:
             bits ^= 1 << j
         return cls(length, bits)
 
-    @classmethod
-    def from_bits_list(cls, values: Iterable[int]) -> "BitVector":
-        bits = 0
-        n = 0
-        for v in values:
-            if v & 1:
-                bits |= 1 << n
-            n += 1
-        return cls(n, bits)
-
     def __len__(self) -> int:
         return self.length
 
@@ -80,9 +86,6 @@ class BitVector:
 
     def support(self) -> tuple[int, ...]:
         return tuple(j for j in range(self.length) if (self.bits >> j) & 1)
-
-    def to01(self) -> str:
-        return "".join(str((self.bits >> j) & 1) for j in range(self.length))
 
     def __eq__(self, other) -> bool:
         return (
@@ -198,11 +201,6 @@ class BitMatrix:
             cols.append(bits)
         return BitMatrix(self.nrows, cols)
 
-    def stack(self, other: "BitMatrix") -> "BitMatrix":
-        if self.ncols != other.ncols:
-            raise DimensionMismatch(f"{self.ncols} vs {other.ncols} columns")
-        return BitMatrix(self.ncols, self.rows + other.rows)
-
     def is_zero(self) -> bool:
         return not any(self.rows)
 
@@ -226,30 +224,46 @@ class RrefResult(NamedTuple):
     rank: int
 
 
-def _rref_rows(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
+def _reduce(rows: Iterable[int], pivots: Iterable[int], v: int) -> int:
+    """The remainder of v modulo a reduced echelon basis: v plus every row
+    whose pivot bit v carries."""
+    for r, p in zip(rows, pivots):
+        if (v >> p) & 1:
+            v ^= r
+    return v
+
+
+def _insert(rows: list[int], pivots: list[int], v: int, ncols: int) -> int:
+    """Reduce v against the reduced echelon basis (rows, pivots) and, if the
+    remainder has a bit below ncols, insert it; returns the remainder.
+
+    The rows are sorted by pivot.  Bits at or above ncols are carried along
+    (``solve`` records row combinations there) but never become pivots.
+    """
+    v = _reduce(rows, pivots, v)
+    low = v & _mask(ncols)
+    if low:
+        p = (low & -low).bit_length() - 1
+        k = bisect(pivots, p)
+        # rows with a larger pivot have no bit below it
+        for i in range(k):
+            if (rows[i] >> p) & 1:
+                rows[i] ^= v
+        rows.insert(k, v)
+        pivots.insert(k, p)
+    return v
+
+
+def _rref_rows(rows: Iterable[int], ncols: int) -> tuple[list[int], list[int]]:
+    """The reduced row echelon basis of the rows' span: (nonzero rows in
+    pivot order, pivot columns)."""
+    ech: list[int] = []
     pivots: list[int] = []
-    pivot_row = 0
-    nrows = len(rows)
-    for col in range(ncols):
-        bit = 1 << col
-        src = -1
-        for i in range(pivot_row, nrows):
-            if rows[i] & bit:
-                src = i
-                break
-        if src < 0:
-            continue
-        rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
-        prow = rows[pivot_row]
-        for i in range(nrows):
-            if i != pivot_row and rows[i] & bit:
-                rows[i] ^= prow
-        pivots.append(col)
-        pivot_row += 1
-        if pivot_row == nrows:
+    for v in rows:
+        if len(pivots) == ncols:
             break
-    return rows, pivots
+        _insert(ech, pivots, v, ncols)
+    return ech, pivots
 
 
 def rref(m: BitMatrix) -> RrefResult:
@@ -258,12 +272,13 @@ def rref(m: BitMatrix) -> RrefResult:
     Returns a matrix of the same shape (zero rows kept at the bottom), the
     pivot columns in increasing order, and the rank.
     """
-    rows, pivots = _rref_rows(list(m.rows), m.ncols)
-    return RrefResult(BitMatrix(m.ncols, rows), tuple(pivots), len(pivots))
+    ech, pivots = _rref_rows(m.rows, m.ncols)
+    rk = len(pivots)
+    return RrefResult(BitMatrix(m.ncols, ech + [0] * (m.nrows - rk)), tuple(pivots), rk)
 
 
 def rank(m: BitMatrix) -> int:
-    _, pivots = _rref_rows(list(m.rows), m.ncols)
+    _, pivots = _rref_rows(m.rows, m.ncols)
     return len(pivots)
 
 
@@ -277,14 +292,12 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[BitVector]) -> "Subspace":
-        m = BitMatrix.from_vectors(ambient_dim, vectors)
-        ech, pivots, rk = rref(m)
-        return cls(ambient_dim, BitMatrix(ambient_dim, ech.rows[:rk]), pivots)
+        return cls.from_matrix_rows(BitMatrix.from_vectors(ambient_dim, vectors))
 
     @classmethod
     def from_matrix_rows(cls, m: BitMatrix) -> "Subspace":
-        ech, pivots, rk = rref(m)
-        return cls(m.ncols, BitMatrix(m.ncols, ech.rows[:rk]), pivots)
+        ech, pivots = _rref_rows(m.rows, m.ncols)
+        return cls(m.ncols, BitMatrix(m.ncols, ech), tuple(pivots))
 
     @property
     def dim(self) -> int:
@@ -294,11 +307,24 @@ class Subspace:
         """Subtract basis rows until all pivot coordinates vanish."""
         if v.length != self.ambient_dim:
             raise DimensionMismatch(f"length {v.length} vs ambient {self.ambient_dim}")
-        bits = v.bits
-        for i, p in enumerate(self.pivots):
-            if (bits >> p) & 1:
-                bits ^= self.basis.rows[i]
-        return BitVector(self.ambient_dim, bits)
+        return BitVector(self.ambient_dim, _reduce(self.basis.rows, self.pivots, v.bits))
+
+    def extend(self, vectors: Iterable[int]) -> tuple["Subspace", list[int]]:
+        """Add bit rows one at a time.
+
+        Each row is reduced modulo this space and the rows kept before it;
+        returns the enlarged space and the nonzero remainders, in order.
+        """
+        n = self.ambient_dim
+        rows, pivots = list(self.basis.rows), list(self.pivots)
+        kept = []
+        for v in vectors:
+            if v < 0 or v >> n:
+                raise DimensionMismatch(f"row 0x{v:x} overflows ambient {n}")
+            r = _insert(rows, pivots, v, n)
+            if r:
+                kept.append(r)
+        return Subspace(n, BitMatrix(n, rows), tuple(pivots)), kept
 
     def __contains__(self, v: BitVector) -> bool:
         return self.reduce(v).is_zero()
@@ -306,15 +332,15 @@ class Subspace:
 
 def kernel(m: BitMatrix) -> Subspace:
     """Right kernel of ``m``: the space of v with m . v = 0."""
-    ech, pivots, rk = rref(m)
+    ech, pivots = _rref_rows(m.rows, m.ncols)
     pivot_set = set(pivots)
     vectors = []
     for f in range(m.ncols):
         if f in pivot_set:
             continue
         bits = 1 << f
-        for i, p in enumerate(pivots):
-            if (ech.rows[i] >> f) & 1:
+        for r, p in zip(ech, pivots):
+            if (r >> f) & 1:
                 bits |= 1 << p
         vectors.append(bits)
     return Subspace.from_matrix_rows(BitMatrix(m.ncols, vectors))
@@ -324,40 +350,20 @@ def solve(m: BitMatrix, b: BitVector) -> BitVector | None:
     """Express ``b`` over the rows of ``m``.
 
     Returns x with x . m = b (length = number of rows), or None when b is
-    not in the row space.  Raises DimensionMismatch if the lengths differ.
+    not in the row space.  x only uses rows that are independent of the rows
+    before them, which makes it unique.  Raises DimensionMismatch if the
+    lengths differ.
     """
     if b.length != m.ncols:
         raise DimensionMismatch(f"rhs length {b.length} vs {m.ncols} columns")
     n = m.ncols
-    # Augment each row with its identity coordinate above bit n.
-    rows = [m.rows[i] | (1 << (n + i)) for i in range(m.nrows)]
-    pivots: list[int] = []
-    pivot_row = 0
-    for col in range(n):
-        bit = 1 << col
-        src = -1
-        for i in range(pivot_row, len(rows)):
-            if rows[i] & bit:
-                src = i
-                break
-        if src < 0:
-            continue
-        rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
-        prow = rows[pivot_row]
-        for i in range(len(rows)):
-            if i != pivot_row and rows[i] & bit:
-                rows[i] ^= prow
-        pivots.append(col)
-        pivot_row += 1
-    acc = b.bits
-    combo = 0
-    for i, p in enumerate(pivots):
-        if (acc >> p) & 1:
-            acc ^= rows[i] & _mask(n)
-            combo ^= rows[i] >> n
-    if acc:
+    # each row carries its identity coordinate above bit n, so every echelon
+    # row records the input rows it sums
+    ech, pivots = _rref_rows((r | 1 << (n + i) for i, r in enumerate(m.rows)), n)
+    rem = _reduce(ech, pivots, b.bits)
+    if rem & _mask(n):
         return None
-    return BitVector(m.nrows, combo)
+    return BitVector(m.nrows, rem >> n)
 
 
 def quotient(

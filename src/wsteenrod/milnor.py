@@ -490,9 +490,6 @@ class MilnorAlgebra:
 
     # -- dual side ------------------------------------------------------
 
-    def dual_basis(self, d: BiDegree) -> tuple[DualMonomial, ...]:
-        return bidegree_basis(self.require(d))
-
     def dim(self, d: BiDegree) -> int:
         return len(bidegree_basis(BiDegree(*d)))
 
@@ -629,9 +626,6 @@ class MilnorAlgebra:
                 if (a.bits >> i) & 1:
                     rows[j] ^= 1 << m
         return BitMatrix(len(table), rows)
-
-    def multiply_element_by(self, x: BitVector, d1: BiDegree, b: SteenrodElement) -> BitVector:
-        return self.right_mult_matrix(d1, b).vec_mul(x)
 
     # -- fast structure-constant paths for the generators P_t ------------
     #

@@ -81,9 +81,6 @@ class GradedModule:
                 if self.dim(d):
                     yield d
 
-    def dims_table(self, max_stem: int | None = None) -> dict[BiDegree, int]:
-        return {d: self.dim(d) for d in self.support(max_stem)}
-
 
 class AlgebraModule(GradedModule):
     """The algebra as a left module over itself."""
@@ -349,14 +346,6 @@ class TensorModule(GradedModule):
                             acc ^= 1 << target_pos[(dl + d1, li, rj)]
             rows.append(acc)
         return BitMatrix(len(target_layout), rows)
-
-    def support(self, max_stem: int | None = None) -> Iterator[BiDegree]:
-        top = self.window if max_stem is None else min(max_stem, self.window)
-        for s in range(top + 1):
-            for w in range(s // 2 + 1):
-                d = BiDegree(s, w)
-                if self.dim(d):
-                    yield d
 
 
 def tensor_diagonal(left: GradedModule, right: GradedModule) -> TensorModule:

@@ -2,11 +2,15 @@
 
 The resolver walks internal degrees in increasing order and, inside one
 degree, filtrations bottom up.  At each cell it assembles the differential
-matrix from cached right-multiplication blocks, takes the kernel, reduces
-it against the image of the next differential so far, and appends one new
-free generator per unreached kernel vector, with that vector as its image.
-Generators are therefore exactly the Ext classes (no invertible entries
-ever appear, which the suite re-checks).
+matrix from cached right-multiplication blocks and takes its kernel.  The
+echelon basis of the image of the next differential so far is then
+extended by the kernel basis one vector at a time (``Subspace.extend``):
+each vector that is not yet reached, reduced modulo the image and the
+vectors kept before it, becomes the image of one new free generator.  The
+cells of filtration 0 do the same with the unit vectors of the module,
+against the image of the augmentation.  Generators are therefore exactly
+the Ext classes (no invertible entries ever appear, which the suite
+re-checks).
 
 Cells are processed while chart stem = internal stem - filtration stays
 at most max_stem + 1.  A kernel vector never has a unit coefficient on a
@@ -27,7 +31,7 @@ lower at the same internal degree, which runs first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .charts import ExtChart
 from .gf2 import BitMatrix, BitVector, Subspace, kernel as gf2_kernel, rank
@@ -158,9 +162,6 @@ class ModuleMap:
                 rows.extend(block.rows)
         return BitMatrix(ncols, rows)
 
-    def apply(self, d: BiDegree, v: BitVector) -> BitVector:
-        return self.matrix(d).vec_mul(v)
-
 
 @dataclass
 class Resolution:
@@ -181,9 +182,6 @@ class Resolution:
                 if stem <= self.max_stem:
                     chart.add(g.filtration, stem, g.degree.weight)
         return chart
-
-    def differential_matrix(self, s: int, d: BiDegree) -> BitMatrix:
-        return self.maps[s].matrix(d)
 
     # -- invariant checks -------------------------------------------------
 
@@ -262,6 +260,12 @@ def _candidate_weights(free: FreeModule, module: GradedModule, t: int, use_modul
     return sorted(ws)
 
 
+def _unreached(image: BitMatrix, vectors: Iterable[int]) -> list[int]:
+    """The vectors outside the row space of ``image``, each reduced modulo
+    that space and the vectors kept before it: one new generator each."""
+    return Subspace.from_matrix_rows(image).extend(vectors)[1]
+
+
 def minimal_resolution(
     module: GradedModule,
     max_stem: int,
@@ -274,6 +278,8 @@ def minimal_resolution(
     max_stem).  Raises PartialResultError carrying the completed sub-window
     if a cell needs more than max_gens_per_bidegree new generators.
     """
+    if max_stem < 0 or max_filt < 0:
+        raise ValueError(f"negative window: max_stem {max_stem}, max_filt {max_filt}")
     algebra = module.algebra
     if algebra.max_stem < max_stem + 2:
         raise ValueError(
@@ -286,40 +292,7 @@ def minimal_resolution(
     for s in range(1, max_filt + 1):
         res.maps.append(ModuleMap(algebra, res.frees[s], res.frees[s - 1]))
 
-    def solve_cell(s: int, d: BiDegree):
-        """Kernel of d_s at d, reduced mod the image of d_{s+1} so far."""
-        mat = res.maps[s].matrix(d)
-        # rows are the source basis, so the kernel of the map is the left
-        # kernel of the matrix
-        ker = gf2_kernel(mat.transpose())
-        img = res.maps[s + 1].matrix(d)
-        span = Subspace.from_matrix_rows(img)
-        new = []
-        for i in range(ker.basis.nrows):
-            v = span.reduce(ker.basis.row(i))
-            if not v.is_zero():
-                new.append(v)
-                span = Subspace.from_matrix_rows(
-                    span.basis.stack(BitMatrix(span.ambient_dim, (v.bits,)))
-                )
-        return new
-
-    def cover_cell(d: BiDegree):
-        """Module coordinates at d not hit by the augmentation so far."""
-        mat = res.maps[0].matrix(d)
-        span = Subspace.from_matrix_rows(mat)
-        n = module.dim(d)
-        new = []
-        for c in range(n):
-            v = span.reduce(BitVector(n, 1 << c))
-            if not v.is_zero():
-                new.append(v)
-                span = Subspace.from_matrix_rows(
-                    span.basis.stack(BitMatrix(n, (v.bits,)))
-                )
-        return new
-
-    def add_generators(s: int, d: BiDegree, new: list[BitVector], t: int) -> None:
+    def add_generators(s: int, d: BiDegree, new: list[int], t: int) -> None:
         if max_gens_per_bidegree is not None and len(new) > max_gens_per_bidegree:
             # internal degrees below t are done, which closes chart stems
             # through t - 1 - max_filt at every filtration; the chart and
@@ -330,22 +303,27 @@ def minimal_resolution(
                 res.chart().restricted(completed),
                 completed,
             )
-        for v in new:
+        for bits in new:
             g = res.frees[s].add_generator(d)
-            res.maps[s].set_image(g, v.bits)
+            res.maps[s].set_image(g, bits)
 
     for t in range(0, max_stem + max_filt + 1):
         # new generators of F_0 where the module is not yet covered
         if t <= max_stem:
             for w in _candidate_weights(res.frees[0], module, t, True):
                 d = BiDegree(t, w)
-                add_generators(0, d, cover_cell(d), t)
+                units = (1 << c for c in range(module.dim(d)))
+                add_generators(0, d, _unreached(res.maps[0].matrix(d), units), t)
         # kernels feeding new generators of F_{s+1}
         s_lo = max(0, t - (max_stem + 1))
         s_hi = min(max_filt - 1, t - 1)
         for s in range(s_lo, s_hi + 1):
             for w in _candidate_weights(res.frees[s], module, t, False):
                 d = BiDegree(t, w)
-                add_generators(s + 1, d, solve_cell(s, d), t)
+                # rows are the source basis, so the kernel of d_s is the
+                # left kernel of its matrix
+                ker = gf2_kernel(res.maps[s].matrix(d).transpose())
+                new = _unreached(res.maps[s + 1].matrix(d), ker.basis.rows)
+                add_generators(s + 1, d, new, t)
 
     return res, res.chart()

@@ -40,8 +40,13 @@ from .modules import (
 class VerificationReport:
     check: str
     params: dict
-    verdict: bool
+    verdict: bool = True
     witnesses: list = field(default_factory=list)
+
+    def fail(self, witness) -> None:
+        """Mark the check failed, with one more witness."""
+        self.verdict = False
+        self.witnesses.append(witness)
 
     def to_json(self) -> dict:
         return {
@@ -50,11 +55,6 @@ class VerificationReport:
             "verdict": "pass" if self.verdict else "fail",
             "witnesses": self.witnesses,
         }
-
-
-def _fail(report: VerificationReport, witness) -> None:
-    report.verdict = False
-    report.witnesses.append(witness)
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +84,6 @@ class KwComplex:
 
     def coefficient_degree(self, q: int, d: BiDegree) -> BiDegree:
         return BiDegree(*d) - self.generator_degree(q)
-
-    def term_dim(self, q: int, d: BiDegree) -> int:
-        if not 0 <= q <= self.m:
-            return 0
-        return bidegree_dim(self.coefficient_degree(q, d))
 
     def _pt_matrix(self, x: BiDegree) -> BitMatrix:
         return self.algebra.right_pt_matrix(self.n + 1, x)
@@ -188,16 +183,14 @@ def kw_chow_check(algebra: MilnorAlgebra, n: int, m: int) -> VerificationReport:
     computation at coefficient degree |P_{n+1}|.
     """
     cx = KwComplex(algebra, n, m)
-    report = VerificationReport(
-        "kw_chow", {"n": n, "m": m, "window": algebra.max_stem}, True
-    )
+    report = VerificationReport("kw_chow", {"n": n, "m": m, "window": algebra.max_stem})
     for mono in enumerate_window_monomials(algebra.max_stem):
         deg = mono.degree
         if deg.chow < 0 or deg.weight < 0:
-            _fail(report, {"monomial": repr(mono), "chow": deg.chow, "weight": deg.weight})
+            report.fail({"monomial": repr(mono), "chow": deg.chow, "weight": deg.weight})
     if m == 0:
         if bidegree_dim(BiDegree(0, 0)) != 1:
-            _fail(report, {"missing": "unit at (0,0)"})
+            report.fail({"missing": "unit at (0,0)"})
         else:
             report.witnesses.append(
                 {"sharp_at": {"stem": 0, "weight": 0}, "chow": 0, "dim": 1}
@@ -211,8 +204,7 @@ def kw_chow_check(algebra: MilnorAlgebra, n: int, m: int) -> VerificationReport:
         witness_total = cx.r + cx.generator_degree(m)
         h = cx.homology_dim(m, witness_total)
         if h < 1 or witness_total.chow != -m:
-            _fail(
-                report,
+            report.fail(
                 {
                     "sharp_at": {"stem": witness_total.stem, "weight": witness_total.weight},
                     "chow": witness_total.chow,
@@ -498,9 +490,7 @@ def wbp_complex_check(
     """
     cx = WbpComplex(algebra, i_max, max_stem)
     window = cx.max_stem
-    report = VerificationReport(
-        "wbp_complex", {"i_max": i_max, "window": window}, True
-    )
+    report = VerificationReport("wbp_complex", {"i_max": i_max, "window": window})
 
     for i in range(2, i_max + 1):
         for seq in cx.layers[i].basis:
@@ -508,14 +498,14 @@ def wbp_complex_check(
             once = cx.differential_matrix(i - 1, d).vec_mul(v)
             twice = cx.differential_matrix(i - 2, d).vec_mul(once)
             if not twice.is_zero():
-                _fail(report, {"dd_nonzero_at": seq.label()})
+                report.fail({"dd_nonzero_at": seq.label()})
 
     for i in range(1, i_max + 1):
         degs = cx.layers[i].degrees()
         if degs:
             low = min(deg.stem for deg in degs) - (i - 1)
             if low < 5 * i + 1:
-                _fail(report, {"layer": i, "connectivity": low, "bound": 5 * i + 1})
+                report.fail({"layer": i, "connectivity": low, "bound": 5 * i + 1})
 
     full = quotient_by_exterior(ExteriorProfile.cofinite(), algebra)
     for d in algebra.bidegrees(window):
@@ -528,8 +518,7 @@ def wbp_complex_check(
 
         h0 = cx.dim(0, d) - rank(mat(0))
         if h0 != full.dim(d):
-            _fail(
-                report,
+            report.fail(
                 {
                     "position": 0,
                     "stem": d.stem,
@@ -544,17 +533,10 @@ def wbp_complex_check(
                 continue
             h = n - rank(mat(p - 1)) - rank(mat(p))
             if h:
-                _fail(
-                    report,
-                    {"position": p, "stem": d.stem, "weight": d.weight, "dim": h},
-                )
+                report.fail({"position": p, "stem": d.stem, "weight": d.weight, "dim": h})
     if not report.verdict:
         raise InvariantViolation(f"wbp_complex_check failed: {report.witnesses[:5]}")
     return report
-
-
-def _doubled(seq: SequenceR) -> tuple[int, ...]:
-    return tuple(2 * e for e in seq.exps)
 
 
 def wbp_differential_check(
@@ -580,7 +562,6 @@ def wbp_differential_check(
     report = VerificationReport(
         "wbp_differential",
         {"i_max": i_max, "window": window},
-        True,
     )
     p1 = algebra.pst(0, 1)
 
@@ -601,10 +582,10 @@ def wbp_differential_check(
             if not quotient.projection_matrix(pj.degree + p1.degree).vec_mul(
                 algebra.product(p1, pj).coeffs()
             ).is_zero():
-                _fail(report, {"identity": "P1.Pj nonzero in quotient", "j": j})
+                report.fail({"identity": "P1.Pj nonzero in quotient", "j": j})
         factored = algebra.product(p1, conj_doubled(_delta_tuple(j - 1)))
         if project(pj) != project(factored):
-            _fail(report, {"identity": "P_j = P_1.c(P^{2D_{j-1}})", "j": j})
+            report.fail({"identity": "P_j = P_1.c(P^{2D_{j-1}})", "j": j})
         j += 1
     report.params["covered_j"] = covered
 
@@ -622,7 +603,7 @@ def wbp_differential_check(
             )
             acc_bits ^= project(term)[1]
         if project(lhs_el)[1] != acc_bits:
-            _fail(report, {"identity": "summed conjugation relation", "R": seq.exps})
+            report.fail({"identity": "summed conjugation relation", "R": seq.exps})
         checked_sequences += 1
     report.params["sequences_checked"] = checked_sequences
 
@@ -634,7 +615,7 @@ def wbp_differential_check(
                 if project(pj) != project(
                     algebra.product(p1, conj_doubled(_delta_tuple(j - 1)))
                 ):
-                    _fail(report, {"generator": seq.label(), "component": j})
+                    report.fail({"generator": seq.label(), "component": j})
     report.params["convention"] = (
         "doubled exponents c(P^{2 Delta_{j-1}}) hold; undoubled variants are "
         "rejected by bidegree mismatch"
@@ -702,18 +683,14 @@ def smash_chow_check(
     report = VerificationReport(
         "smash_chow",
         {"n": n, "power": power, "window": window, "module": module.name},
-        True,
     )
     if module.dim(BiDegree(0, 0)) != 1:
-        _fail(report, {"dim_at_origin": module.dim(BiDegree(0, 0))})
+        report.fail({"dim_at_origin": module.dim(BiDegree(0, 0))})
     for s in range(window + 1):
         for w in range(s // 2 + 1, s + 1):
             d = BiDegree(s, w)
             if module.dim(d):
-                _fail(
-                    report,
-                    {"stem": s, "weight": w, "chow": d.chow, "dim": module.dim(d)},
-                )
+                report.fail({"stem": s, "weight": w, "chow": d.chow, "dim": module.dim(d)})
     if not report.verdict:
         raise InvariantViolation(f"smash_chow_check failed: {report.witnesses}")
     return report

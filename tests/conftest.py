@@ -1,4 +1,9 @@
 import pytest
+from hypothesis import settings
+
+# the same examples on every run, and nothing written to a local database
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 from wsteenrod import MilnorAlgebra, algebra
 

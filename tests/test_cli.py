@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -207,9 +211,34 @@ def test_chart_empty_svg(tmp_path, capsys):
 def test_chart_schema_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"module": "x"}')
-    with pytest.raises(SystemExit) as exc:
-        run(capsys, "chart", "--in", str(bad))
-    assert "format_version" in str(exc.value)
+    code, out, err = run(capsys, "chart", "--in", str(bad))
+    assert code == 2
+    assert "format_version" in err
+
+
+NON_INTEGER_CLASS = json.dumps(
+    {
+        "format_version": 1,
+        "module": "x",
+        "max_stem": 2,
+        "classes": [{"s": "a", "stem": 0, "weight": 0, "mult": 1}],
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [None, "{not json", "[1, 2]", "null", NON_INTEGER_CLASS],
+    ids=["missing", "not-json", "list", "null", "non-integer"],
+)
+def test_chart_bad_input_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "in.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run(capsys, "chart", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert "chart file" in err
 
 
 def test_verify_small_suite(capsys):
@@ -220,8 +249,37 @@ def test_verify_small_suite(capsys):
 
 
 def test_verify_unknown_suite(capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         run(capsys, "verify", "--suite", "nope")
+    assert exc.value.code == 2
+    assert "unknown suite 'nope'" in capsys.readouterr().err
+
+
+def test_verify_checks_every_suite_first(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "verify", "--suite", "pst,nope")
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "pst_exteriority" not in captured.out
+    assert "unknown suite 'nope'" in captured.err
+
+
+@pytest.mark.parametrize("max_stem", range(7))
+def test_verify_small_windows(max_stem):
+    # in a child process, so that a sampling loop that never ends fails the
+    # test by its timeout instead of hanging the run
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wsteenrod.cli", "verify", "--max-stem", str(max_stem)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.endswith("verdict: pass\n")
 
 
 def test_env_window(monkeypatch, capsys):

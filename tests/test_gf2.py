@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from wsteenrod.gf2 import (
     BitMatrix,
@@ -113,6 +114,12 @@ def test_solve_roundtrip_random():
         assert m.vec_mul(x) == b
 
 
+def test_solve_uses_earliest_rows():
+    # rows 0 and 2 are equal; x picks row 0, which comes first
+    m = M([[0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1], [1, 0, 0, 0]])
+    assert solve(m, BitVector.from_support(4, [1])) == BitVector.from_support(5, [0])
+
+
 def test_solve_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         solve(M([[1, 1]]), BitVector(3, 0))
@@ -175,3 +182,158 @@ def test_vec_mul_and_transpose():
     v = BitVector.from_support(2, [0, 1])
     assert m.vec_mul(v) == BitVector.from_support(3, [0, 1])
     assert m.transpose().transpose() == m
+
+
+# -- the insertion routine against the column-pivot elimination it replaced --
+
+
+def column_pivot_rref(rows, ncols):
+    """Column-by-column elimination: the pivot of each column is the lowest
+    remaining row that has it, swapped up and cleared from every other row."""
+    rows = list(rows)
+    pivots = []
+    pivot_row = 0
+    for col in range(ncols):
+        bit = 1 << col
+        src = next((i for i in range(pivot_row, len(rows)) if rows[i] & bit), -1)
+        if src < 0:
+            continue
+        rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
+        for i in range(len(rows)):
+            if i != pivot_row and rows[i] & bit:
+                rows[i] ^= rows[pivot_row]
+        pivots.append(col)
+        pivot_row += 1
+        if pivot_row == len(rows):
+            break
+    return rows, pivots
+
+
+def extend_by_rebuild(span, vectors):
+    """Reduce each vector, then re-eliminate the whole basis with it added."""
+    kept = []
+    for bits in vectors:
+        v = span.reduce(BitVector(span.ambient_dim, bits))
+        if not v.is_zero():
+            kept.append(v.bits)
+            span = Subspace.from_matrix_rows(
+                BitMatrix(span.ambient_dim, span.basis.rows + (v.bits,))
+            )
+    return span, kept
+
+
+def random_matrix(rng, nrows, ncols, rank_cap=None):
+    """Random rows, or random sums of rank_cap random rows when given."""
+    if rank_cap is None:
+        return BitMatrix(ncols, (rng.getrandbits(ncols) for _ in range(nrows)))
+    gens = [rng.getrandbits(ncols) for _ in range(rank_cap)]
+    rows = []
+    for _ in range(nrows):
+        acc = 0
+        for g in gens:
+            if rng.getrandbits(1):
+                acc ^= g
+        rows.append(acc)
+    return BitMatrix(ncols, rows)
+
+
+def test_rref_matches_column_pivot_oracle():
+    rng = random.Random(2024)
+    for trial in range(400):
+        nrows = rng.randrange(0, 40)
+        ncols = rng.choice((0, 1, 3, 8, 17, 64, 130))
+        cap = rng.choice((None, 1, 3, 7)) if trial % 2 else None
+        m = random_matrix(rng, nrows, ncols, cap)
+        rows, pivots = column_pivot_rref(m.rows, m.ncols)
+        assert rref(m) == (BitMatrix(ncols, rows), tuple(pivots), len(pivots))
+
+
+def test_extend_matches_reduce_and_rebuild():
+    rng = random.Random(7)
+    for _ in range(200):
+        ncols = rng.randrange(0, 24)
+        span = Subspace.from_matrix_rows(random_matrix(rng, rng.randrange(0, 10), ncols, 4))
+        vectors = random_matrix(rng, rng.randrange(0, 12), ncols, rng.choice((None, 5))).rows
+        assert span.extend(vectors) == extend_by_rebuild(span, vectors)
+
+
+def test_extend_units_and_overflow():
+    span = Subspace.from_vectors(3, [BitVector.from_support(3, [0, 1])])
+    bigger, kept = span.extend([1, 2, 4])
+    # e0 leaves e1 modulo e0 + e1, which then absorbs e1; e2 is new
+    assert kept == [0b010, 0b100]
+    assert bigger.dim == 3
+    with pytest.raises(DimensionMismatch):
+        span.extend([8])
+
+
+# -- properties --------------------------------------------------------------
+
+
+@st.composite
+def matrices(draw, max_rows=9, max_cols=10):
+    ncols = draw(st.integers(0, max_cols))
+    rows = draw(st.lists(st.integers(0, (1 << ncols) - 1), max_size=max_rows))
+    return BitMatrix(ncols, rows)
+
+
+@st.composite
+def matrix_and_vector(draw):
+    m = draw(matrices())
+    if draw(st.booleans()):
+        b = m.vec_mul(BitVector(m.nrows, draw(st.integers(0, (1 << m.nrows) - 1))))
+    else:
+        b = BitVector(m.ncols, draw(st.integers(0, (1 << m.ncols) - 1)))
+    return m, b
+
+
+def in_row_space(m, v):
+    return rank(BitMatrix(m.ncols, m.rows + (v.bits,))) == rank(m)
+
+
+@given(matrices())
+def test_property_rref_matches_oracle(m):
+    rows, pivots = column_pivot_rref(m.rows, m.ncols)
+    assert rref(m) == (BitMatrix(m.ncols, rows), tuple(pivots), len(pivots))
+
+
+@given(matrices())
+def test_property_rank_nullity(m):
+    assert rank(m) + kernel(m).dim == m.ncols
+
+
+@given(matrices())
+def test_property_rows_reduce_to_zero(m):
+    span = Subspace.from_matrix_rows(m)
+    for i in range(m.nrows):
+        assert span.reduce(m.row(i)).is_zero()
+
+
+@given(matrix_and_vector())
+def test_property_solve(mb):
+    m, b = mb
+    x = solve(m, b)
+    assert (x is None) == (not in_row_space(m, b))
+    if x is not None:
+        assert m.vec_mul(x) == b
+        # x only uses rows independent of the rows before them
+        for i in x.support():
+            assert rank(BitMatrix(m.ncols, m.rows[: i + 1])) > rank(BitMatrix(m.ncols, m.rows[:i]))
+
+
+@given(matrix_and_vector())
+def test_property_quotient_projection(mb):
+    m, v = mb
+    s = Subspace.from_matrix_rows(m)
+    reps, project = quotient(m.ncols, s)
+    p = project(v)
+    assert project(p) == p
+    assert p.is_zero() == in_row_space(m, v)
+    assert all(j in reps for j in p.support())
+
+
+@given(matrices(), matrices())
+def test_property_extend(a, b):
+    span = Subspace.from_matrix_rows(a)
+    vectors = [r & ((1 << a.ncols) - 1) for r in b.rows]
+    assert span.extend(vectors) == extend_by_rebuild(span, vectors)

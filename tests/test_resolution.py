@@ -75,6 +75,12 @@ def test_window_validation(alg16):
         minimal_resolution(TrivialModule(alg16), 16, 4)
 
 
+@pytest.mark.parametrize("max_stem, max_filt", [(-1, 4), (8, -1)])
+def test_negative_window_rejected(alg16, max_stem, max_filt):
+    with pytest.raises(ValueError, match="negative window"):
+        minimal_resolution(TrivialModule(alg16), max_stem, max_filt)
+
+
 def test_partial_result(alg16):
     with pytest.raises(PartialResultError) as exc:
         minimal_resolution(TrivialModule(alg16), 12, 8, max_gens_per_bidegree=0)

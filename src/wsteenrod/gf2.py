@@ -192,13 +192,14 @@ class BitMatrix:
         return BitMatrix(other.ncols, out)
 
     def transpose(self) -> "BitMatrix":
-        cols = []
-        for j in range(self.ncols):
-            bits = 0
-            for i, r in enumerate(self.rows):
-                if (r >> j) & 1:
-                    bits |= 1 << i
-            cols.append(bits)
+        """Columns as rows; walks the set bits only, peeling each row's lowest."""
+        cols = [0] * self.ncols
+        for i, r in enumerate(self.rows):
+            bit = 1 << i
+            while r:
+                low = r & -r
+                cols[low.bit_length() - 1] |= bit
+                r ^= low
         return BitMatrix(self.nrows, cols)
 
     def is_zero(self) -> bool:

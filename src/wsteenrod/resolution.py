@@ -1,9 +1,9 @@
 """Minimal free resolutions over the motivic Steenrod algebra.
 
 The resolver walks internal degrees in increasing order and, inside one
-degree, filtrations bottom up.  At each cell it assembles the differential
-matrix from cached right-multiplication blocks and takes its kernel.  The
-echelon basis of the image of the next differential so far is then
+degree, filtrations bottom up.  At each cell (s, d) it takes the kernel of
+d_s and assembles one matrix, that of d_{s+1} at d, from cached
+right-multiplication blocks.  The echelon basis of its image is then
 extended by the kernel basis one vector at a time (``Subspace.extend``):
 each vector that is not yet reached, reduced modulo the image and the
 vectors kept before it, becomes the image of one new free generator.  The
@@ -11,6 +11,14 @@ cells of filtration 0 do the same with the unit vectors of the module,
 against the image of the augmentation.  Generators are therefore exactly
 the Ext classes (no invertible entries ever appear, which the suite
 re-checks).
+
+No matrix is assembled twice.  The generators born at (s + 1, d) are the
+last blocks of F_{s+1} at d, and each block is one row equal to the
+generator's image, so the cell appends those rows to the d_{s+1} it just
+built and hands the result up to cell (s + 1, d) as its d_s; the cover
+step does the same for d_0.  Only a cell with no cell below it at d
+assembles its d_s.  The carried matrices are kept per internal degree and
+dropped when it is done.
 
 Cells are processed while chart stem = internal stem - filtration stays
 at most max_stem + 1.  A kernel vector never has a unit coefficient on a
@@ -67,12 +75,21 @@ class FreeModule:
         return g
 
     def layout(self, d: BiDegree) -> list[tuple[Generator, int, int]]:
-        """(generator, coefficient dim, bit offset) blocks at bidegree d."""
-        d = BiDegree(*d)
+        """(generator, coefficient dim, bit offset) blocks at bidegree d.
+
+        A generator whose offset d - |g| has negative weight or negative
+        Chow degree has no coefficients at d; it is skipped before the
+        basis lookup.
+        """
+        t, w = d
         out = []
         offset = 0
         for g in self.generators:
-            n = bidegree_dim(d - g.degree)
+            gt, gw = g.degree
+            dw = w - gw
+            if dw < 0 or t - gt < 2 * dw:
+                continue
+            n = bidegree_dim(BiDegree(t - gt, dw))
             if n:
                 out.append((g, n, offset))
                 offset += n
@@ -122,7 +139,7 @@ class ModuleMap:
         return comps
 
     def _free_block(
-        self, g: Generator, d: BiDegree, out_offsets: dict[int, int], ncols: int
+        self, g: Generator, d: BiDegree, out_offsets: dict[int, int]
     ) -> list[int]:
         """Rows x -> x . image(g) over the coefficient basis at d - |g|."""
         src_deg = d - g.degree
@@ -144,17 +161,19 @@ class ModuleMap:
         ideal.
         """
         d = BiDegree(*d)
-        ncols = self.target.dim(d)
         free_target = isinstance(self.target, FreeModule)
-        out_offsets = (
-            {h.index: off for h, _, off in self.target.layout(d)} if free_target else {}
-        )
+        if free_target:
+            out_layout = self.target.layout(d)
+            out_offsets = {h.index: off for h, _, off in out_layout}
+            ncols = out_layout[-1][2] + out_layout[-1][1] if out_layout else 0
+        else:
+            ncols = self.target.dim(d)
         rows: list[int] = []
         for g, n, _ in self.source.layout(d):
             if exclude_units and g.degree == d:
                 continue
             if free_target:
-                rows.extend(self._free_block(g, d, out_offsets, ncols))
+                rows.extend(self._free_block(g, d, out_offsets))
             else:
                 block = self.target.generator_action_matrix(
                     d - g.degree, g.degree, self.images[g.index]
@@ -266,6 +285,13 @@ def _unreached(image: BitMatrix, vectors: Iterable[int]) -> list[int]:
     return Subspace.from_matrix_rows(image).extend(vectors)[1]
 
 
+def _with_rows(m: BitMatrix, images: list[int]) -> BitMatrix:
+    """The matrix of a map at d after generators born at d were added with
+    these images: their unit blocks are the last rows, and the row of a
+    unit block is the image itself."""
+    return BitMatrix(m.ncols, m.rows + tuple(images)) if images else m
+
+
 def minimal_resolution(
     module: GradedModule,
     max_stem: int,
@@ -308,22 +334,32 @@ def minimal_resolution(
             res.maps[s].set_image(g, bits)
 
     for t in range(0, max_stem + max_filt + 1):
+        # (s, w) -> the full matrix of d_s at (t, w), left by the cell below
+        carried: dict[tuple[int, int], BitMatrix] = {}
         # new generators of F_0 where the module is not yet covered
         if t <= max_stem:
             for w in _candidate_weights(res.frees[0], module, t, True):
                 d = BiDegree(t, w)
+                d0 = res.maps[0].matrix(d)
                 units = (1 << c for c in range(module.dim(d)))
-                add_generators(0, d, _unreached(res.maps[0].matrix(d), units), t)
+                new = _unreached(d0, units)
+                add_generators(0, d, new, t)
+                carried[0, w] = _with_rows(d0, new)
         # kernels feeding new generators of F_{s+1}
         s_lo = max(0, t - (max_stem + 1))
         s_hi = min(max_filt - 1, t - 1)
         for s in range(s_lo, s_hi + 1):
             for w in _candidate_weights(res.frees[s], module, t, False):
                 d = BiDegree(t, w)
+                d_s = carried.pop((s, w), None)
+                if d_s is None:
+                    d_s = res.maps[s].matrix(d)
                 # rows are the source basis, so the kernel of d_s is the
                 # left kernel of its matrix
-                ker = gf2_kernel(res.maps[s].matrix(d).transpose())
-                new = _unreached(res.maps[s + 1].matrix(d), ker.basis.rows)
+                ker = gf2_kernel(d_s.transpose())
+                d_next = res.maps[s + 1].matrix(d)
+                new = _unreached(d_next, ker.basis.rows)
                 add_generators(s + 1, d, new, t)
+                carried[s + 1, w] = _with_rows(d_next, new)
 
     return res, res.chart()

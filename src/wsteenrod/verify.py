@@ -342,7 +342,7 @@ def suite_charts(config: VerifyConfig) -> list[VerificationReport]:
     for n in (0, 1):
         alg = MilnorAlgebra(chart_stem + 2)
         module = quotient_by_exterior(ExteriorProfile.of(n + 1), alg)
-        max_filt = chart_stem // max(w_stem(n), 1) + 1
+        max_filt = min(chart_stem // max(w_stem(n), 1) + 1, config.max_filt)
         _, chart = minimal_resolution(module, chart_stem, max_filt)
         oracle = koszul_chart((n + 1,), chart_stem)
         diff = compare_charts(chart, oracle, chart_stem, max_filt)

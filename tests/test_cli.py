@@ -264,6 +264,19 @@ def test_verify_checks_every_suite_first(capsys):
     assert "unknown suite 'nope'" in captured.err
 
 
+@pytest.mark.parametrize("max_filt, expected", [(0, [0, 0]), (1, [1, 1]), (16, [13, 3])])
+def test_verify_max_filt_caps_charts(capsys, max_filt, expected):
+    # the change-of-rings bounds are 13 (n = 0) and 3 (n = 1) at chart stem 12
+    code, out, _ = run(
+        capsys, "verify", "--suite", "charts", "--max-stem", "14", "--max-filt", str(max_filt)
+    )
+    assert code == 0
+    params = [json.loads(line.split(" ", 2)[2]) for line in out.splitlines()[:-1]]
+    assert [p["n"] for p in params] == [0, 1]
+    assert [p["max_filt"] for p in params] == expected
+    assert out.endswith("verdict: pass\n")
+
+
 @pytest.mark.parametrize("max_stem", range(7))
 def test_verify_small_windows(max_stem):
     # in a child process, so that a sampling loop that never ends fails the

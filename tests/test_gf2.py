@@ -267,6 +267,18 @@ def test_extend_units_and_overflow():
         span.extend([8])
 
 
+def double_loop_transpose(m):
+    """The transpose by testing every (row, column) pair."""
+    cols = []
+    for j in range(m.ncols):
+        bits = 0
+        for i, r in enumerate(m.rows):
+            if (r >> j) & 1:
+                bits |= 1 << i
+        cols.append(bits)
+    return BitMatrix(m.nrows, cols)
+
+
 # -- properties --------------------------------------------------------------
 
 
@@ -337,3 +349,24 @@ def test_property_extend(a, b):
     span = Subspace.from_matrix_rows(a)
     vectors = [r & ((1 << a.ncols) - 1) for r in b.rows]
     assert span.extend(vectors) == extend_by_rebuild(span, vectors)
+
+
+@given(matrices(max_rows=40, max_cols=70))
+def test_property_transpose_matches_double_loop(m):
+    assert m.transpose() == double_loop_transpose(m)
+
+
+@given(matrices(max_rows=40, max_cols=70))
+def test_property_double_transpose_is_identity(m):
+    t = m.transpose()
+    assert (t.nrows, t.ncols) == (m.ncols, m.nrows)
+    assert t.transpose() == m
+
+
+@given(st.integers(0, 12))
+def test_property_transpose_empty_shapes(n):
+    for m in (BitMatrix.zero(0, n), BitMatrix.zero(n, 0)):
+        t = m.transpose()
+        assert (t.nrows, t.ncols) == (m.ncols, m.nrows)
+        assert t == double_loop_transpose(m)
+        assert t.transpose() == m

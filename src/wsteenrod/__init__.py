@@ -43,7 +43,6 @@ from .modules import (
 from .resolution import FreeModule, ModuleMap, PartialResultError, Resolution, minimal_resolution
 from .towers import (
     KwComplex,
-    ObstructionReport,
     SequenceR,
     VerificationReport,
     WbpComplex,
@@ -78,7 +77,6 @@ __all__ = [
     "MargolisReport",
     "MilnorAlgebra",
     "ModuleMap",
-    "ObstructionReport",
     "PartialResultError",
     "QuotientModule",
     "Resolution",

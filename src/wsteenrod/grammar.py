@@ -5,7 +5,9 @@ with either factor omissible, e.g. ``Q(0)``, ``P(2,1)``, ``Q(1,2)P(4)``; the
 unit is ``1`` and the zero element ``0``.  Dual elements are sums of
 monomial terms written with ``t<i>`` and ``x<j>`` factors, e.g.
 ``t0 t2 x1^2 x3``.  Whitespace never matters.  All terms of an element must
-share one bidegree.
+share one bidegree.  An index or exponent that cannot fit the window is
+rejected before any degree is computed, and so is a number longer than
+any window can use.
 """
 
 from __future__ import annotations
@@ -18,9 +20,12 @@ from .milnor import (
     DualMonomial,
     MilnorAlgebra,
     SteenrodElement,
+    WindowError,
     ZERO_DEGREE,
     basis_index,
     monomial,
+    tau_degree,
+    xi_degree,
 )
 
 
@@ -33,6 +38,24 @@ _TOKEN = re.compile(
     r"|(?P<letter>[QP])|(?P<lpar>\()|(?P<rpar>\))|(?P<comma>,)"
     r"|(?P<int>\d+)|(?P<junk>\S))"
 )
+
+
+# more digits than any computable window can use; int() refuses much longer runs
+_MAX_DIGITS = 100
+
+
+def _int(digits: str, pos: int) -> int:
+    if len(digits) > _MAX_DIGITS:
+        raise GrammarError(f"number too long at position {pos}")
+    return int(digits)
+
+
+def _require_fits(unit, index: int, exponent: int, max_stem: int, what: str, pos: int) -> None:
+    """Raise WindowError unless exponent copies of unit(index) (xi_degree or
+    tau_degree) fit the window.  Both units have stem above their index, so
+    an index past the window is rejected before 2**index is computed."""
+    if index > max_stem or exponent * unit(index).stem > max_stem:
+        raise WindowError(f"{what} at position {pos} exceeds window stem<={max_stem}")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -83,7 +106,7 @@ def _parse_int_list(tokens, i, what):
                 raise GrammarError(f"trailing ',' before ')' at position {pos}")
             return values, i + 1
         if expect_value and kind == "int":
-            values.append(int(value))
+            values.append(_int(value, pos))
             expect_value = False
         elif not expect_value and kind == "comma":
             expect_value = True
@@ -93,7 +116,7 @@ def _parse_int_list(tokens, i, what):
     raise GrammarError(f"unclosed '(' in {what}")
 
 
-def _steenrod_term(tokens) -> DualMonomial:
+def _steenrod_term(tokens, max_stem: int) -> DualMonomial:
     if len(tokens) == 1 and tokens[0][0] == "int" and tokens[0][1] == "1":
         return monomial()
     i = 0
@@ -111,6 +134,8 @@ def _steenrod_term(tokens) -> DualMonomial:
                 raise GrammarError(f"repeated index in Q(...) at position {pos}")
             if any(v < 0 for v in eps):
                 raise GrammarError(f"negative index in Q(...) at position {pos}")
+            for v in eps:
+                _require_fits(tau_degree, v, 1, max_stem, "Q(...)", pos)
         elif kind == "letter" and value == "P":
             if seen_p:
                 raise GrammarError(f"unexpected token 'P' at position {pos}")
@@ -118,12 +143,15 @@ def _steenrod_term(tokens) -> DualMonomial:
             r, i = _parse_int_list(tokens, i + 1, "P")
             if any(v < 0 for v in r):
                 raise GrammarError(f"negative exponent in P(...) at position {pos}")
+            for j, e in enumerate(r, start=1):
+                if e:
+                    _require_fits(xi_degree, j, e, max_stem, "P(...)", pos)
         else:
             raise GrammarError(f"unexpected token {value!r} at position {pos}")
     return monomial(eps, r)
 
 
-def _dual_term(tokens) -> DualMonomial:
+def _dual_term(tokens, max_stem: int) -> DualMonomial:
     if len(tokens) == 1 and tokens[0][0] == "int" and tokens[0][1] == "1":
         return monomial()
     eps: list[int] = []
@@ -132,15 +160,16 @@ def _dual_term(tokens) -> DualMonomial:
     while i < len(tokens):
         kind, value, pos = tokens[i]
         if kind == "tgen":
-            idx = int(value[1:])
+            idx = _int(value[1:], pos)
             if idx in eps:
                 raise GrammarError(f"repeated exterior factor {value!r} at position {pos}")
             if i + 1 < len(tokens) and tokens[i + 1][0] == "caret":
                 raise GrammarError(f"exponent on exterior factor {value!r} at position {pos}")
+            _require_fits(tau_degree, idx, 1, max_stem, "t factor", pos)
             eps.append(idx)
             i += 1
         elif kind == "xgen":
-            idx = int(value[1:])
+            idx = _int(value[1:], pos)
             if idx < 1:
                 raise GrammarError(f"bad generator {value!r} at position {pos}")
             e = 1
@@ -148,10 +177,11 @@ def _dual_term(tokens) -> DualMonomial:
             if i < len(tokens) and tokens[i][0] == "caret":
                 if i + 1 >= len(tokens) or tokens[i + 1][0] != "int":
                     raise GrammarError(f"missing exponent after '^' at position {tokens[i][2]}")
-                e = int(tokens[i + 1][1])
+                e = _int(tokens[i + 1][1], tokens[i + 1][2])
                 if e < 1:
                     raise GrammarError(f"bad exponent {e} at position {tokens[i + 1][2]}")
                 i += 2
+            _require_fits(xi_degree, idx, e, max_stem, "x factor", pos)
             exps[idx] = exps.get(idx, 0) + e
         else:
             raise GrammarError(f"unexpected token {value!r} at position {pos}")
@@ -180,7 +210,7 @@ def parse_steenrod(text: str, algebra: MilnorAlgebra) -> SteenrodElement:
     tokens = _tokenize(text)
     if len(tokens) == 1 and tokens[0][0] == "int" and tokens[0][1] == "0":
         return SteenrodElement(ZERO_DEGREE, 0)
-    monomials = [_steenrod_term(t) for t in _split_terms(tokens)]
+    monomials = [_steenrod_term(t, algebra.max_stem) for t in _split_terms(tokens)]
     degree, bits = _assemble(monomials, algebra)
     return SteenrodElement(degree, bits)
 
@@ -189,7 +219,7 @@ def parse_dual(text: str, algebra: MilnorAlgebra) -> DualElement:
     tokens = _tokenize(text)
     if len(tokens) == 1 and tokens[0][0] == "int" and tokens[0][1] == "0":
         return DualElement(ZERO_DEGREE, 0)
-    monomials = [_dual_term(t) for t in _split_terms(tokens)]
+    monomials = [_dual_term(t, algebra.max_stem) for t in _split_terms(tokens)]
     degree, bits = _assemble(monomials, algebra)
     return DualElement(degree, bits)
 

@@ -727,6 +727,9 @@ class MilnorAlgebra:
         """The operation P^s_t, dual to xi_t^(2^s); pst(0, t) is P_t."""
         if s < 0 or t < 1:
             raise ValueError(f"need s >= 0 and t >= 1, got ({s}, {t})")
+        # 2**s > s and |xi_t| > t, so an s or t past the window never fits
+        if s > self.max_stem or t > self.max_stem or pst_degree(s, t).stem > self.max_stem:
+            raise WindowError(f"P^{s}_{t} exceeds window stem<={self.max_stem}")
         return self.from_dual_monomial(xi_monomial(t, 2**s))
 
     def pt(self, t: int) -> SteenrodElement:

@@ -96,8 +96,7 @@ class FreeModule:
         return out
 
     def dim(self, d: BiDegree) -> int:
-        d = BiDegree(*d)
-        return sum(bidegree_dim(d - g.degree) for g in self.generators)
+        return sum(n for _, n, _ in self.layout(d))
 
 
 @dataclass

@@ -8,9 +8,10 @@ complex (A mod right P_1 multiples) tensor V_i, where V_i has one basis
 sequence per monomial in P_2, P_3, ... of length i and the differential
 peels one index at a time.
 
-Every check returns a report object serializing to
-{"check", "params", "verdict", "witnesses"}; failed checks raise
-InvariantViolation carrying the witnesses instead of returning quietly.
+Every check returns a VerificationReport serializing to
+{"check", "params", "verdict", "witnesses"}; a failed check returns
+verdict False with its witnesses and never raises.  Only bad arguments
+(a window too small for the check, m < 1) raise ValueError.
 """
 
 from __future__ import annotations
@@ -28,12 +29,7 @@ from .milnor import (
     enumerate_window_monomials,
     xi_degree,
 )
-from .modules import (
-    ExteriorProfile,
-    InvariantViolation,
-    quotient_by_exterior,
-    tensor_power,
-)
+from .modules import ExteriorProfile, quotient_by_exterior, tensor_power
 
 
 @dataclass
@@ -191,71 +187,29 @@ def kw_chow_check(algebra: MilnorAlgebra, n: int, m: int) -> VerificationReport:
     if m == 0:
         if bidegree_dim(BiDegree(0, 0)) != 1:
             report.fail({"missing": "unit at (0,0)"})
-        else:
-            report.witnesses.append(
-                {"sharp_at": {"stem": 0, "weight": 0}, "chow": 0, "dim": 1}
-            )
+            return report
+        total, h = BiDegree(0, 0), 1
     else:
         if 2 * cx.r.stem > algebra.max_stem:
             raise ValueError(
                 f"window {algebra.max_stem} too small for the sharpness kernel "
                 f"at stem {2 * cx.r.stem}"
             )
-        witness_total = cx.r + cx.generator_degree(m)
-        h = cx.homology_dim(m, witness_total)
-        if h < 1 or witness_total.chow != -m:
-            report.fail(
-                {
-                    "sharp_at": {"stem": witness_total.stem, "weight": witness_total.weight},
-                    "chow": witness_total.chow,
-                    "dim": h,
-                },
-            )
-        else:
-            report.witnesses.append(
-                {
-                    "sharp_at": {"stem": witness_total.stem, "weight": witness_total.weight},
-                    "chow": witness_total.chow,
-                    "dim": h,
-                }
-            )
-    if not report.verdict:
-        raise InvariantViolation(f"kw_chow_check failed: {report.witnesses}")
+        total = cx.r + cx.generator_degree(m)
+        h = cx.homology_dim(m, total)
+    witness = {
+        "sharp_at": {"stem": total.stem, "weight": total.weight},
+        "chow": total.chow,
+        "dim": h,
+    }
+    if h < 1 or total.chow != -m:
+        report.fail(witness)
+    else:
+        report.witnesses.append(witness)
     return report
 
 
-@dataclass
-class ObstructionReport:
-    """Vanishing verdicts for attaching the next stage of a kw tower."""
-
-    n: int
-    m: int
-    square_zero: bool
-    existence: list[dict] = field(default_factory=list)
-    uniqueness: list[dict] = field(default_factory=list)
-
-    @property
-    def verdict(self) -> bool:
-        return (
-            self.square_zero
-            and all(w["dim"] == 0 for w in self.existence)
-            and all(w["dim"] == 0 for w in self.uniqueness)
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "check": "k_invariant",
-            "params": {"n": self.n, "m": self.m},
-            "verdict": "pass" if self.verdict else "fail",
-            "witnesses": [
-                {"square_zero": self.square_zero},
-                {"existence": self.existence},
-                {"uniqueness": self.uniqueness},
-            ],
-        }
-
-
-def k_invariant_check(algebra: MilnorAlgebra, n: int, m: int) -> ObstructionReport:
+def k_invariant_check(algebra: MilnorAlgebra, n: int, m: int) -> VerificationReport:
     """The two obstruction groups for stage m + 1 of the kw_n tower.
 
     Existence needs the homology of the m-1 truncation to vanish at
@@ -269,39 +223,24 @@ def k_invariant_check(algebra: MilnorAlgebra, n: int, m: int) -> ObstructionRepo
         raise ValueError("need m >= 1")
     cx = KwComplex(algebra, n, m)
     p = algebra.pst(0, n + 1)
-    square = algebra.product(p, p)
-    report = ObstructionReport(n, m, square.is_zero())
+    square_zero = algebra.product(p, p).is_zero()
 
-    def chain_dims(top_q: int, d: BiDegree) -> int:
-        total = 0
-        for q in range(top_q + 1):
-            total += bidegree_dim(cx.coefficient_degree(q, d))
-        return total
+    def obstruction(top_q: int, target: BiDegree) -> dict:
+        dim = sum(bidegree_dim(cx.coefficient_degree(q, target)) for q in range(top_q + 1))
+        return {"stem": target.stem, "weight": target.weight, "chow": target.chow, "dim": dim}
 
-    for target in (
-        cx.r.times(m + 1) - BiDegree(m, 0),
-        cx.r.times(m + 2) - BiDegree(m, 0),
-    ):
-        report.existence.append(
-            {
-                "stem": target.stem,
-                "weight": target.weight,
-                "chow": target.chow,
-                "dim": chain_dims(m - 1, target),
-            }
-        )
-    target = cx.r.times(m + 2) - BiDegree(m + 1, 0)
-    report.uniqueness.append(
-        {
-            "stem": target.stem,
-            "weight": target.weight,
-            "chow": target.chow,
-            "dim": chain_dims(m, target),
-        }
+    existence = [
+        obstruction(m - 1, cx.r.times(m + 1) - BiDegree(m, 0)),
+        obstruction(m - 1, cx.r.times(m + 2) - BiDegree(m, 0)),
+    ]
+    uniqueness = [obstruction(m, cx.r.times(m + 2) - BiDegree(m + 1, 0))]
+    verdict = square_zero and all(w["dim"] == 0 for w in existence + uniqueness)
+    return VerificationReport(
+        "k_invariant",
+        {"n": n, "m": m},
+        verdict,
+        [{"square_zero": square_zero}, {"existence": existence}, {"uniqueness": uniqueness}],
     )
-    if not report.verdict:
-        raise InvariantViolation(f"k_invariant_check({n},{m}) failed: {report.to_json()}")
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +473,6 @@ def wbp_complex_check(
             h = n - rank(mat(p - 1)) - rank(mat(p))
             if h:
                 report.fail({"position": p, "stem": d.stem, "weight": d.weight, "dim": h})
-    if not report.verdict:
-        raise InvariantViolation(f"wbp_complex_check failed: {report.witnesses[:5]}")
     return report
 
 
@@ -620,8 +557,6 @@ def wbp_differential_check(
         "doubled exponents c(P^{2 Delta_{j-1}}) hold; undoubled variants are "
         "rejected by bidegree mismatch"
     )
-    if not report.verdict:
-        raise InvariantViolation(f"wbp_differential_check failed: {report.witnesses}")
     return report
 
 
@@ -691,8 +626,6 @@ def smash_chow_check(
             d = BiDegree(s, w)
             if module.dim(d):
                 report.fail({"stem": s, "weight": w, "chow": d.chow, "dim": module.dim(d)})
-    if not report.verdict:
-        raise InvariantViolation(f"smash_chow_check failed: {report.witnesses}")
     return report
 
 

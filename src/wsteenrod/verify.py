@@ -31,7 +31,6 @@ from .milnor import (
 from .modules import (
     AlgebraModule,
     ExteriorProfile,
-    InvariantViolation,
     margolis,
     quotient_by_exterior,
 )
@@ -248,17 +247,6 @@ def suite_margolis(config: VerifyConfig) -> list[VerificationReport]:
 # kw and wbp suites
 
 
-def _guarded(fn, check: str, params: dict) -> VerificationReport:
-    """Run a check that raises on failure, converting to a failed report."""
-    try:
-        result = fn()
-    except InvariantViolation as exc:
-        return VerificationReport(check, params, False, [str(exc)])
-    if isinstance(result, VerificationReport):
-        return result
-    return VerificationReport(check, params, result.verdict, result.to_json()["witnesses"])
-
-
 def suite_kw(config: VerifyConfig) -> list[VerificationReport]:
     alg = MilnorAlgebra(config.max_stem)
     out = []
@@ -278,21 +266,9 @@ def suite_kw(config: VerifyConfig) -> list[VerificationReport]:
                 r.fail({"degree": interior, "stem": d.stem, "weight": d.weight, "dim": v})
         out.append(r)
         for m in (0, 1, 2, 3, 4):
-            out.append(
-                _guarded(
-                    lambda n=n, m=m: kw_chow_check(alg, n, m),
-                    "kw_chow",
-                    {"n": n, "m": m},
-                )
-            )
+            out.append(kw_chow_check(alg, n, m))
             if m >= 1:
-                out.append(
-                    _guarded(
-                        lambda n=n, m=m: k_invariant_check(alg, n, m),
-                        "k_invariant",
-                        {"n": n, "m": m},
-                    )
-                )
+                out.append(k_invariant_check(alg, n, m))
         n += 1
     return out
 
@@ -302,29 +278,11 @@ def suite_wbp(config: VerifyConfig) -> list[VerificationReport]:
     out = []
     # the differential identities are about P_1, which must fit the window
     if xi_degree(1).stem <= config.max_stem:
-        out.append(
-            _guarded(
-                lambda: wbp_differential_check(alg, i_max=2),
-                "wbp_differential",
-                {"window": config.max_stem},
-            )
-        )
-    out.append(
-        _guarded(
-            lambda: wbp_complex_check(alg, i_max=3),
-            "wbp_complex",
-            {"window": config.max_stem},
-        )
-    )
+        out.append(wbp_differential_check(alg, i_max=2))
+    out.append(wbp_complex_check(alg, i_max=3))
     for n in (0, 1):
         if xi_degree(n + 1).stem * 2 <= config.max_stem:
-            out.append(
-                _guarded(
-                    lambda n=n: smash_chow_check(alg, n, 2, min(config.max_stem, 14)),
-                    "smash_chow",
-                    {"n": n, "power": 2},
-                )
-            )
+            out.append(smash_chow_check(alg, n, 2, min(config.max_stem, 14)))
     return out
 
 

@@ -143,7 +143,7 @@ def test_criterion_07_kw_tower_checks():
                 assert rep.verdict, (n, m)
             for m in (1, 2, 3, 4):
                 rep = k_invariant_check(alg, n, m)
-                assert rep.verdict and rep.square_zero, (n, m)
+                assert rep.verdict and rep.witnesses[0] == {"square_zero": True}, (n, m)
 
 
 def test_criterion_08_wbp_complex():

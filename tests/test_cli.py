@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from wsteenrod.cli import main
+from wsteenrod.towers import KwComplex
 
 
 def run(capsys, *argv):
@@ -277,19 +278,41 @@ def test_verify_max_filt_caps_charts(capsys, max_filt, expected):
     assert out.endswith("verdict: pass\n")
 
 
-@pytest.mark.parametrize("max_stem", range(7))
-def test_verify_small_windows(max_stem):
-    # in a child process, so that a sampling loop that never ends fails the
-    # test by its timeout instead of hanging the run
+def test_verify_failed_check_lists_witnesses(tmp_path, capsys, monkeypatch):
+    # a failing tower check reaches --out as its report, witnesses and all
+    monkeypatch.setattr(KwComplex, "homology_dim", lambda self, q, d: 0)
+    path = tmp_path / "kw.json"
+    code, out, _ = run(
+        capsys, "verify", "--suite", "kw", "--max-stem", "12", "--out", str(path)
+    )
+    assert code == 1
+    assert out.endswith("verdict: fail\n")
+    reports = json.loads(path.read_text())["reports"]
+    assert {
+        "check": "kw_chow",
+        "params": {"n": 0, "m": 1, "window": 12},
+        "verdict": "fail",
+        "witnesses": [{"sharp_at": {"stem": 3, "weight": 2}, "chow": -1, "dim": 0}],
+    } in reports
+
+
+def run_child(argv, timeout):
+    """The CLI in a child process, so that a loop that never ends fails the
+    test by its timeout instead of hanging the run."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "wsteenrod.cli", "verify", "--max-stem", str(max_stem)],
+    return subprocess.run(
+        [sys.executable, "-m", "wsteenrod.cli", *argv],
         capture_output=True,
         text=True,
         env=env,
-        timeout=60,
+        timeout=timeout,
     )
+
+
+@pytest.mark.parametrize("max_stem", range(7))
+def test_verify_small_windows(max_stem):
+    proc = run_child(["verify", "--max-stem", str(max_stem)], timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout.endswith("verdict: pass\n")
@@ -326,6 +349,30 @@ def test_hostile_flags_exit_2(capsys, argv):
     err = capsys.readouterr().err
     assert "error: argument" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mul", "Q(1000000)", "1"],
+        ["pair", "1", "t100000000"],
+        ["pst", "--s", "100000000", "--t", "1"],
+        ["pst", "--t", "1000"],
+        ["mul", "P(" + "9" * 5000 + ")", "1"],
+        ["antipode", "x1^" + "9" * 5000],
+        ["antipode", "x1000000"],
+        ["antipode", "x1^" + "9" * 100],
+    ],
+)
+def test_hostile_elements_exit_2(argv):
+    # indices and exponents far outside the window, and numbers too long to
+    # convert, are rejected before any degree is computed
+    proc = run_child(["algebra", *argv], timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(("parse error:", "window error:"))
+    assert len(proc.stderr) < 100
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("value", ["-2", "x"])

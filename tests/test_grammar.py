@@ -76,7 +76,7 @@ def test_format_sorts_canonically(alg16):
 def test_roundtrip_random(alg16):
     import random
 
-    from wsteenrod.milnor import SteenrodElement
+    from wsteenrod.milnor import ZERO_DEGREE, DualElement, SteenrodElement
 
     rng = random.Random(4)
     degrees = [d for d in alg16.bidegrees(12)]
@@ -86,3 +86,14 @@ def test_roundtrip_random(alg16):
         if el.is_zero():
             continue
         assert parse_steenrod(format_steenrod(el), alg16) == el
+    for _ in range(60):
+        d = rng.choice(degrees)
+        x = DualElement(d, rng.getrandbits(alg16.dim(d)))
+        if x.is_zero():
+            continue
+        assert parse_dual(format_dual(x), alg16) == x
+    # zero is spelled "0" and parses to the zero bidegree
+    zero = SteenrodElement(ZERO_DEGREE, 0)
+    assert parse_steenrod(format_steenrod(zero), alg16) == zero
+    dual_zero = DualElement(ZERO_DEGREE, 0)
+    assert parse_dual(format_dual(dual_zero), alg16) == dual_zero

@@ -1,7 +1,7 @@
 import pytest
 
 from wsteenrod.milnor import BiDegree, MilnorAlgebra, xi_degree
-from wsteenrod.modules import ExteriorProfile, InvariantViolation, quotient_by_exterior
+from wsteenrod.modules import ExteriorProfile, quotient_by_exterior
 from wsteenrod.towers import (
     KwComplex,
     SequenceR,
@@ -55,6 +55,15 @@ def test_kw_chow_check_passes(alg16):
             assert rep.witnesses[-1]["chow"] == -m
 
 
+def test_kw_chow_failure_is_a_report(alg16, monkeypatch):
+    # with the sharpness class gone the check returns its witness, no raise
+    monkeypatch.setattr(KwComplex, "homology_dim", lambda self, q, d: 0)
+    rep = kw_chow_check(alg16, 0, 1)
+    assert not rep.verdict
+    assert rep.witnesses == [{"sharp_at": {"stem": 3, "weight": 2}, "chow": -1, "dim": 0}]
+    assert rep.to_json()["verdict"] == "fail"
+
+
 def test_kw_chow_window_guard(alg16):
     with pytest.raises(ValueError, match="window"):
         kw_chow_check(alg16, 2, 1)  # needs products at stem 28
@@ -63,14 +72,16 @@ def test_kw_chow_window_guard(alg16):
 def test_k_invariant_check(alg16):
     rep = k_invariant_check(alg16, 0, 1)
     assert rep.verdict
-    assert rep.square_zero
+    assert rep.check == "k_invariant"
+    assert rep.params == {"n": 0, "m": 1}
+    square, existence, uniqueness = rep.witnesses
+    assert square == {"square_zero": True}
+    existence, uniqueness = existence["existence"], uniqueness["uniqueness"]
     # the existence bidegrees are (m+1)r - (m,0) and (m+2)r - (m,0)
-    assert [(w["stem"], w["weight"]) for w in rep.existence] == [(3, 2), (5, 3)]
-    assert all(w["chow"] == -1 for w in rep.existence)
-    assert all(w["dim"] == 0 for w in rep.existence)
-    assert [(w["stem"], w["weight"], w["chow"]) for w in rep.uniqueness] == [
-        (4, 3, -2)
-    ]
+    assert [(w["stem"], w["weight"]) for w in existence] == [(3, 2), (5, 3)]
+    assert all(w["chow"] == -1 for w in existence)
+    assert all(w["dim"] == 0 for w in existence)
+    assert [(w["stem"], w["weight"], w["chow"]) for w in uniqueness] == [(4, 3, -2)]
 
 
 def test_k_invariant_large_m_beyond_window(alg30):

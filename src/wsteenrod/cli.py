@@ -4,10 +4,12 @@ Subcommands: ``algebra`` (element arithmetic), ``resolve`` (minimal
 resolutions to chart files), ``verify`` (the check suites, exit code 0 iff
 everything passes), ``chart`` (chart file to SVG/TSV).  Window flags
 default to max-stem 24 / max-filt 16; the WSTEENROD_MAX_STEM environment
-variable overrides the default window.  Identical flags produce identical
-bytes.  Malformed flags (negative windows or counts, unknown modules or
-suites) exit with code 2 and a usage message; an unreadable or malformed
-``chart --in`` file exits with code 2 and a message on stderr.
+variable overrides the default window.  A stem window, from the flag or the
+variable, is at most MAX_STEM (255).  Identical flags produce identical
+bytes.  Malformed flags (negative windows or counts, stem windows above
+MAX_STEM, unknown modules or suites) exit with code 2 and a usage message;
+an unreadable or malformed ``chart --in`` file exits with code 2 and a
+message on stderr.
 """
 
 from __future__ import annotations
@@ -34,7 +36,13 @@ from .svg import render_chart_svg
 from .verify import SUITES, VerifyConfig, run_suites, suite_names
 
 
-def _bounded_int(low: int):
+# The largest stem window accepted.  Its worst single bidegree enumerates
+# in well under a second, while windows far beyond it would spend minutes
+# or more listing bases before any output.
+MAX_STEM = 255
+
+
+def _bounded_int(low: int, high: int | None = None):
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -42,12 +50,15 @@ def _bounded_int(low: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
 
     return parse
 
 
 _nonnegative = _bounded_int(0)
+_stem_window = _bounded_int(0, MAX_STEM)
 
 
 def _default_max_stem(parser: argparse.ArgumentParser) -> int:
@@ -55,7 +66,7 @@ def _default_max_stem(parser: argparse.ArgumentParser) -> int:
     if env is None:
         return 24
     try:
-        return _nonnegative(env)
+        return _stem_window(env)
     except argparse.ArgumentTypeError as exc:
         parser.error(f"WSTEENROD_MAX_STEM {exc}")
 
@@ -83,7 +94,12 @@ def _suite_list(text: str) -> list[str]:
 
 
 def _add_window_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-stem", type=_nonnegative, default=None, help="stem window (default 24)")
+    p.add_argument(
+        "--max-stem",
+        type=_stem_window,
+        default=None,
+        help=f"stem window (default 24, at most {MAX_STEM})",
+    )
     p.add_argument("--max-filt", type=_nonnegative, default=16, help="filtration bound (default 16)")
 
 

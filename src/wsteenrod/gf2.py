@@ -4,15 +4,16 @@ Vectors are fixed-length bit strings packed into Python integers (bit j is
 coordinate j), so vector addition is a single XOR and all arithmetic is
 exact.
 
-Every elimination goes through one routine, ``_insert``.  It keeps a
-reduced row echelon basis as a list of rows sorted by pivot column, where a
-row's pivot is its lowest set bit and no other row has that bit.  A new
-vector is first reduced: each basis row whose pivot bit it carries is added
-to it.  If the remainder is nonzero, its lowest bit becomes a new pivot,
-that column is cleared from the rows with smaller pivots, and the remainder
-is inserted in pivot order.  ``rref``, ``rank``, ``kernel``, ``solve`` and
-``Subspace.extend`` are loops of it, and ``Subspace.reduce`` is its first
-half.
+Every elimination goes through one routine, ``_Echelon.insert``.  It keeps
+a reduced row echelon basis keyed by pivot bit, where a row's pivot is its
+lowest set bit and no other row has that bit.  A new vector is first
+reduced: each basis row whose pivot bit it carries is added to it, and
+since no row carries another row's pivot, only those rows are visited.  If
+the remainder is nonzero, its lowest bit becomes a new pivot, that column
+is cleared from the other rows, and the remainder joins the basis.
+``rref``, ``rank``, ``solve``, ``image_and_left_kernel`` (and ``kernel``
+through it) and ``Subspace.extend`` are loops of it, and
+``Subspace.reduce`` does its first half against a finished basis.
 
 The output is canonical.  A subspace has exactly one reduced row echelon
 basis, and a vector exactly one remainder modulo it (the element of its
@@ -26,7 +27,6 @@ threads.
 
 from __future__ import annotations
 
-from bisect import bisect
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
@@ -126,21 +126,6 @@ class BitMatrix:
         return cls(ncols, (v.bits for v in vecs))
 
     @classmethod
-    def from_entries(cls, entries: list[list[int]], ncols: int | None = None) -> "BitMatrix":
-        if ncols is None:
-            ncols = len(entries[0]) if entries else 0
-        rows = []
-        for row in entries:
-            if len(row) != ncols:
-                raise DimensionMismatch("ragged rows")
-            bits = 0
-            for j, v in enumerate(row):
-                if v & 1:
-                    bits |= 1 << j
-            rows.append(bits)
-        return cls(ncols, rows)
-
-    @classmethod
     def identity(cls, n: int) -> "BitMatrix":
         return cls(n, (1 << i for i in range(n)))
 
@@ -234,37 +219,55 @@ def _reduce(rows: Iterable[int], pivots: Iterable[int], v: int) -> int:
     return v
 
 
-def _insert(rows: list[int], pivots: list[int], v: int, ncols: int) -> int:
-    """Reduce v against the reduced echelon basis (rows, pivots) and, if the
-    remainder has a bit below ncols, insert it; returns the remainder.
+class _Echelon:
+    """A reduced echelon basis being built: rows keyed by their pivot bit.
 
-    The rows are sorted by pivot.  Bits at or above ncols are carried along
-    (``solve`` records row combinations there) but never become pivots.
+    Bits at or above ncols are carried along (``solve`` and
+    ``image_and_left_kernel`` record row combinations there) but never
+    become pivots.
     """
-    v = _reduce(rows, pivots, v)
-    low = v & _mask(ncols)
-    if low:
-        p = (low & -low).bit_length() - 1
-        k = bisect(pivots, p)
-        # rows with a larger pivot have no bit below it
-        for i in range(k):
-            if (rows[i] >> p) & 1:
-                rows[i] ^= v
-        rows.insert(k, v)
-        pivots.insert(k, p)
-    return v
+
+    __slots__ = ("rows", "pivot_mask", "low_mask")
+
+    def __init__(self, ncols: int, rows: Iterable[int] = (), pivots: Iterable[int] = ()):
+        self.rows = {1 << p: r for r, p in zip(rows, pivots)}
+        self.pivot_mask = sum(self.rows)
+        self.low_mask = _mask(ncols)
+
+    def insert(self, v: int) -> int:
+        """Reduce v and, if the remainder has a bit below ncols, add it to
+        the basis; returns the remainder."""
+        rows = self.rows
+        carried = v & self.pivot_mask
+        while carried:
+            b = carried & -carried
+            v ^= rows[b]
+            carried ^= b
+        low = v & self.low_mask
+        if low:
+            b = low & -low
+            for k, r in rows.items():
+                if r & b:
+                    rows[k] = r ^ v
+            rows[b] = v
+            self.pivot_mask |= b
+        return v
+
+    def basis(self) -> tuple[list[int], list[int]]:
+        """(rows in pivot order, pivot columns)."""
+        keys = sorted(self.rows)
+        return [self.rows[k] for k in keys], [k.bit_length() - 1 for k in keys]
 
 
 def _rref_rows(rows: Iterable[int], ncols: int) -> tuple[list[int], list[int]]:
     """The reduced row echelon basis of the rows' span: (nonzero rows in
     pivot order, pivot columns)."""
-    ech: list[int] = []
-    pivots: list[int] = []
+    ech = _Echelon(ncols)
     for v in rows:
-        if len(pivots) == ncols:
+        if len(ech.rows) == ncols:
             break
-        _insert(ech, pivots, v, ncols)
-    return ech, pivots
+        ech.insert(v)
+    return ech.basis()
 
 
 def rref(m: BitMatrix) -> RrefResult:
@@ -317,34 +320,48 @@ class Subspace:
         returns the enlarged space and the nonzero remainders, in order.
         """
         n = self.ambient_dim
-        rows, pivots = list(self.basis.rows), list(self.pivots)
+        ech = _Echelon(n, self.basis.rows, self.pivots)
         kept = []
         for v in vectors:
             if v < 0 or v >> n:
                 raise DimensionMismatch(f"row 0x{v:x} overflows ambient {n}")
-            r = _insert(rows, pivots, v, n)
+            r = ech.insert(v)
             if r:
                 kept.append(r)
+        rows, pivots = ech.basis()
         return Subspace(n, BitMatrix(n, rows), tuple(pivots)), kept
 
     def __contains__(self, v: BitVector) -> bool:
         return self.reduce(v).is_zero()
 
 
+def image_and_left_kernel(m: BitMatrix) -> tuple[Subspace, Subspace]:
+    """The row space of ``m`` and its left kernel (the x with x . m = 0),
+    both in reduced row echelon form, from one elimination of [m | I].
+
+    Row i enters as r_i with the unit coordinate i carried above bit ncols,
+    so every echelon row records the input rows it sums.  A row whose part
+    below ncols reduces to zero is a relation: its upper bits are a kernel
+    vector.  Those vectors are independent (row i's has top bit i), and one
+    more pass over them alone brings them to their canonical basis.
+    """
+    n = m.ncols
+    low = _mask(n)
+    ech = _Echelon(n)
+    relations = []
+    for i, r in enumerate(m.rows):
+        v = ech.insert(r | 1 << (n + i))
+        if not v & low:
+            relations.append(v >> n)
+    rows, pivots = ech.basis()
+    image = Subspace(n, BitMatrix(n, [r & low for r in rows]), tuple(pivots))
+    ker, ker_pivots = _rref_rows(relations, m.nrows)
+    return image, Subspace(m.nrows, BitMatrix(m.nrows, ker), tuple(ker_pivots))
+
+
 def kernel(m: BitMatrix) -> Subspace:
     """Right kernel of ``m``: the space of v with m . v = 0."""
-    ech, pivots = _rref_rows(m.rows, m.ncols)
-    pivot_set = set(pivots)
-    vectors = []
-    for f in range(m.ncols):
-        if f in pivot_set:
-            continue
-        bits = 1 << f
-        for r, p in zip(ech, pivots):
-            if (r >> f) & 1:
-                bits |= 1 << p
-        vectors.append(bits)
-    return Subspace.from_matrix_rows(BitMatrix(m.ncols, vectors))
+    return image_and_left_kernel(m.transpose())[1]
 
 
 def solve(m: BitMatrix, b: BitVector) -> BitVector | None:

@@ -493,23 +493,6 @@ class MilnorAlgebra:
     def dim(self, d: BiDegree) -> int:
         return len(bidegree_basis(BiDegree(*d)))
 
-    def dual_product(self, a: DualElement, b: DualElement) -> DualElement:
-        d = self.require(a.degree + b.degree)
-        index = basis_index(d)
-        abasis = bidegree_basis(a.degree)
-        bbasis = bidegree_basis(b.degree)
-        bits = 0
-        for i in range(len(abasis)):
-            if not (a.bits >> i) & 1:
-                continue
-            for j in range(len(bbasis)):
-                if not (b.bits >> j) & 1:
-                    continue
-                m = multiply_monomials(abasis[i], bbasis[j])
-                if m is not None:
-                    bits ^= 1 << index[m]
-        return DualElement(d, bits)
-
     def coproduct(self, m: DualMonomial) -> tuple[tuple[DualMonomial, DualMonomial], ...]:
         return coproduct_monomial(m)
 

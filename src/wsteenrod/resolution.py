@@ -1,24 +1,28 @@
 """Minimal free resolutions over the motivic Steenrod algebra.
 
 The resolver walks internal degrees in increasing order and, inside one
-degree, filtrations bottom up.  At each cell (s, d) it takes the kernel of
+degree, filtrations bottom up.  At each cell (s, d) it has the kernel of
 d_s and assembles one matrix, that of d_{s+1} at d, from cached
-right-multiplication blocks.  The echelon basis of its image is then
-extended by the kernel basis one vector at a time (``Subspace.extend``):
-each vector that is not yet reached, reduced modulo the image and the
-vectors kept before it, becomes the image of one new free generator.  The
-cells of filtration 0 do the same with the unit vectors of the module,
-against the image of the augmentation.  Generators are therefore exactly
-the Ext classes (no invertible entries ever appear, which the suite
-re-checks).
+right-multiplication blocks.  One elimination of that matrix beside an
+identity block (``gf2.image_and_left_kernel``) gives both the echelon basis
+of its image and its left kernel.  The image is extended by the kernel of
+d_s one vector at a time (``Subspace.extend``): each vector that is not yet
+reached, reduced modulo the image and the vectors kept before it, becomes
+the image of one new free generator.  The cells of filtration 0 do the same
+with the unit vectors of the module, against the image of the
+augmentation.  Generators are therefore exactly the Ext classes (no
+invertible entries ever appear, which the suite re-checks).
 
-No matrix is assembled twice.  The generators born at (s + 1, d) are the
-last blocks of F_{s+1} at d, and each block is one row equal to the
-generator's image, so the cell appends those rows to the d_{s+1} it just
-built and hands the result up to cell (s + 1, d) as its d_s; the cover
-step does the same for d_0.  Only a cell with no cell below it at d
-assembles its d_s.  The carried matrices are kept per internal degree and
-dropped when it is done.
+Kernels, not matrices, are carried up.  The left kernel of d_{s+1} found at
+(s, d) is the kernel of d_{s+1} that cell (s + 1, d) needs: the generators
+born at (s + 1, d) are the last rows of the full matrix, and their images
+are independent modulo the rest, so they add no relation.  The cover step
+carries the kernel of d_0 the same way.  Only a cell with no cell below it
+at d, which happens at the lower edge of the stem triangle, assembles its
+d_s and takes the kernel afresh (``gf2.kernel`` of the transpose).  So no
+matrix is assembled twice, and each cell runs one elimination of its own
+matrix.  The carried kernels are kept per internal degree and dropped when
+it is done.
 
 Cells are processed while chart stem = internal stem - filtration stays
 at most max_stem + 1.  A kernel vector never has a unit coefficient on a
@@ -39,10 +43,10 @@ lower at the same internal degree, which runs first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .charts import ExtChart
-from .gf2 import BitMatrix, BitVector, Subspace, kernel as gf2_kernel, rank
+from .gf2 import BitMatrix, BitVector, image_and_left_kernel, kernel as gf2_kernel, rank
 from .milnor import ZERO_DEGREE, BiDegree, MilnorAlgebra, SteenrodElement, bidegree_dim
 from .modules import GradedModule, InvariantViolation
 
@@ -278,19 +282,6 @@ def _candidate_weights(free: FreeModule, module: GradedModule, t: int, use_modul
     return sorted(ws)
 
 
-def _unreached(image: BitMatrix, vectors: Iterable[int]) -> list[int]:
-    """The vectors outside the row space of ``image``, each reduced modulo
-    that space and the vectors kept before it: one new generator each."""
-    return Subspace.from_matrix_rows(image).extend(vectors)[1]
-
-
-def _with_rows(m: BitMatrix, images: list[int]) -> BitMatrix:
-    """The matrix of a map at d after generators born at d were added with
-    these images: their unit blocks are the last rows, and the row of a
-    unit block is the image itself."""
-    return BitMatrix(m.ncols, m.rows + tuple(images)) if images else m
-
-
 def minimal_resolution(
     module: GradedModule,
     max_stem: int,
@@ -333,32 +324,29 @@ def minimal_resolution(
             res.maps[s].set_image(g, bits)
 
     for t in range(0, max_stem + max_filt + 1):
-        # (s, w) -> the full matrix of d_s at (t, w), left by the cell below
-        carried: dict[tuple[int, int], BitMatrix] = {}
+        # (s, w) -> the kernel basis of d_s at (t, w), left by the cell below
+        carried: dict[tuple[int, int], tuple[int, ...]] = {}
         # new generators of F_0 where the module is not yet covered
         if t <= max_stem:
             for w in _candidate_weights(res.frees[0], module, t, True):
                 d = BiDegree(t, w)
-                d0 = res.maps[0].matrix(d)
+                image, ker = image_and_left_kernel(res.maps[0].matrix(d))
                 units = (1 << c for c in range(module.dim(d)))
-                new = _unreached(d0, units)
-                add_generators(0, d, new, t)
-                carried[0, w] = _with_rows(d0, new)
+                add_generators(0, d, image.extend(units)[1], t)
+                carried[0, w] = ker.basis.rows
         # kernels feeding new generators of F_{s+1}
         s_lo = max(0, t - (max_stem + 1))
         s_hi = min(max_filt - 1, t - 1)
         for s in range(s_lo, s_hi + 1):
             for w in _candidate_weights(res.frees[s], module, t, False):
                 d = BiDegree(t, w)
-                d_s = carried.pop((s, w), None)
-                if d_s is None:
-                    d_s = res.maps[s].matrix(d)
-                # rows are the source basis, so the kernel of d_s is the
-                # left kernel of its matrix
-                ker = gf2_kernel(d_s.transpose())
-                d_next = res.maps[s + 1].matrix(d)
-                new = _unreached(d_next, ker.basis.rows)
-                add_generators(s + 1, d, new, t)
-                carried[s + 1, w] = _with_rows(d_next, new)
+                ker_rows = carried.pop((s, w), None)
+                if ker_rows is None:
+                    # rows are the source basis, so the kernel of d_s is the
+                    # left kernel of its matrix
+                    ker_rows = gf2_kernel(res.maps[s].matrix(d).transpose()).basis.rows
+                image, ker = image_and_left_kernel(res.maps[s + 1].matrix(d))
+                add_generators(s + 1, d, image.extend(ker_rows)[1], t)
+                carried[s + 1, w] = ker.basis.rows
 
     return res, res.chart()

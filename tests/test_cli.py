@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from wsteenrod.cli import main
+from wsteenrod.cli import MAX_STEM, main
 from wsteenrod.towers import KwComplex
 
 
@@ -375,7 +375,30 @@ def test_hostile_elements_exit_2(argv):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("value", ["-2", "x"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["algebra", "--max-stem", "100000", "mul", "Q(15)", "1"],
+        ["resolve", "--module", "sphere", "--max-stem", "1" + "0" * 20, "--max-filt", "1"],
+        ["verify", "--max-stem", "256"],
+    ],
+)
+def test_hostile_window_exit_2(argv):
+    # a stem window above the maximum is refused before any table is built
+    proc = run_child(argv, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"--max-stem: must be <= {MAX_STEM}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_largest_window_accepted(capsys):
+    code, out, _ = run(capsys, "algebra", "--max-stem", str(MAX_STEM), "pst", "--t", "1")
+    assert code == 0
+    assert out == "P(1)\n"
+
+
+@pytest.mark.parametrize("value", ["-2", "x", "256", "1" + "0" * 20])
 def test_hostile_env_window_exit_2(monkeypatch, capsys, value):
     monkeypatch.setenv("WSTEENROD_MAX_STEM", value)
     with pytest.raises(SystemExit) as exc:

@@ -8,6 +8,7 @@ from wsteenrod.gf2 import (
     BitVector,
     DimensionMismatch,
     Subspace,
+    image_and_left_kernel,
     kernel,
     quotient,
     rank,
@@ -16,8 +17,11 @@ from wsteenrod.gf2 import (
 )
 
 
-def M(entries, ncols=None):
-    return BitMatrix.from_entries(entries, ncols)
+def M(entries):
+    """A matrix from rows of 0/1 entries, entry j of a row being bit j."""
+    ncols = len(entries[0]) if entries else 0
+    assert all(len(row) == ncols for row in entries)
+    return BitMatrix(ncols, (sum(v << j for j, v in enumerate(row)) for row in entries))
 
 
 def test_rref_identity():
@@ -279,6 +283,11 @@ def double_loop_transpose(m):
     return BitMatrix(m.nrows, cols)
 
 
+def left_kernel_by_search(m):
+    """Every x with x . m = 0, by trying all 2^nrows combinations."""
+    return [x for x in range(1 << m.nrows) if m.vec_mul(BitVector(m.nrows, x)).is_zero()]
+
+
 # -- properties --------------------------------------------------------------
 
 
@@ -312,6 +321,34 @@ def test_property_rref_matches_oracle(m):
 @given(matrices())
 def test_property_rank_nullity(m):
     assert rank(m) + kernel(m).dim == m.ncols
+
+
+@given(matrices(max_rows=14))
+def test_property_left_kernel_annihilates(m):
+    _, ker = image_and_left_kernel(m)
+    assert ker.ambient_dim == m.nrows
+    for i in range(ker.dim):
+        assert m.vec_mul(ker.basis.row(i)).is_zero()
+
+
+@given(matrices(max_rows=14))
+def test_property_image_rank_plus_left_kernel_dim(m):
+    image, ker = image_and_left_kernel(m)
+    assert image.dim == rank(m)
+    assert image.dim + ker.dim == m.nrows
+
+
+@given(matrices(max_rows=14))
+def test_property_image_is_row_space(m):
+    assert image_and_left_kernel(m)[0] == Subspace.from_matrix_rows(m)
+
+
+@given(matrices(max_rows=14))
+def test_property_left_kernel_is_kernel_of_transpose(m):
+    # both canonical reduced echelon bases of one space, so equal row for row
+    _, ker = image_and_left_kernel(m)
+    assert ker == kernel(m.transpose())
+    assert ker == Subspace.from_matrix_rows(BitMatrix(m.nrows, left_kernel_by_search(m)))
 
 
 @given(matrices())

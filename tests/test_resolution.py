@@ -1,7 +1,11 @@
+import hashlib
+import sys
+from pathlib import Path
+
 import pytest
 
-from wsteenrod.charts import compare_charts, koszul_chart
-from wsteenrod.gf2 import kernel
+from wsteenrod.charts import chart_file_dumps, compare_charts, koszul_chart
+from wsteenrod.gf2 import Subspace, kernel
 from wsteenrod.milnor import BiDegree, MilnorAlgebra
 from wsteenrod.modules import (
     AlgebraModule,
@@ -9,15 +13,16 @@ from wsteenrod.modules import (
     TrivialModule,
     quotient_by_exterior,
 )
-from wsteenrod import resolution
 from wsteenrod.resolution import (
     FreeModule,
     ModuleMap,
     PartialResultError,
     _candidate_weights,
-    _unreached,
     minimal_resolution,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from workloads import REFERENCE_SHA256  # noqa: E402
 
 
 def test_sphere_ext0(alg16):
@@ -109,38 +114,40 @@ def test_wbp_truncated_small(alg24):
     assert chart.mult(2, 6, 4) == 1  # w_0 w_1
 
 
-# -- the carried d_s against a resolver that assembles every matrix afresh --
+# -- the carried kernels against a resolver that assembles every matrix afresh --
 
 
 def reference_resolution(module, max_stem, max_filt):
     """The resolver loop with no carry: every cell builds d_s and d_{s+1}
-    from the generators, so nothing depends on rows appended by hand.
+    from the generators and takes the kernel of d_s afresh.
 
-    Also returns the matrix each cell took the kernel of, in cell order.
+    Also returns, in cell order, the (ambient dim, vectors) each cell
+    extended the image by: the module's unit vectors at a cover step, the
+    kernel basis of d_s at a cell (s, d).
     """
-    eliminated = []
+    extended = []
     alg = module.algebra
     frees = [FreeModule(s) for s in range(max_filt + 1)]
     maps = [ModuleMap(alg, frees[0], module)]
     maps += [ModuleMap(alg, frees[s], frees[s - 1]) for s in range(1, max_filt + 1)]
 
-    def add(s, d, images):
-        for bits in images:
+    def add(s, d, image, vectors):
+        extended.append((image.ncols, tuple(vectors)))
+        for bits in Subspace.from_matrix_rows(image).extend(vectors)[1]:
             maps[s].set_image(frees[s].add_generator(d), bits)
 
     for t in range(max_stem + max_filt + 1):
         if t <= max_stem:
             for w in _candidate_weights(frees[0], module, t, True):
                 d = BiDegree(t, w)
-                units = (1 << c for c in range(module.dim(d)))
-                add(0, d, _unreached(maps[0].matrix(d), units))
+                units = [1 << c for c in range(module.dim(d))]
+                add(0, d, maps[0].matrix(d), units)
         for s in range(max(0, t - max_stem - 1), min(max_filt - 1, t - 1) + 1):
             for w in _candidate_weights(frees[s], module, t, False):
                 d = BiDegree(t, w)
-                eliminated.append(maps[s].matrix(d).transpose())
-                ker = kernel(eliminated[-1])
-                add(s + 1, d, _unreached(maps[s + 1].matrix(d), ker.basis.rows))
-    return frees, maps, eliminated
+                ker = kernel(maps[s].matrix(d).transpose())
+                add(s + 1, d, maps[s + 1].matrix(d), ker.basis.rows)
+    return frees, maps, extended
 
 
 def _carry_cases(alg):
@@ -156,20 +163,22 @@ def _carry_cases(alg):
 @pytest.mark.parametrize("case", ["sphere", "wbp", "kw:1", "algebra"])
 def test_carried_matrices_match_fresh_assembly(alg24, monkeypatch, case):
     module, max_stem, max_filt = _carry_cases(alg24)[case]
-    eliminated = []
+    extended = []
+    original = Subspace.extend
 
-    def recording_kernel(m):
-        eliminated.append(m)
-        return kernel(m)
+    def recording_extend(self, vectors):
+        vectors = tuple(vectors)
+        extended.append((self.ambient_dim, vectors))
+        return original(self, vectors)
 
-    monkeypatch.setattr(resolution, "gf2_kernel", recording_kernel)
+    monkeypatch.setattr(Subspace, "extend", recording_extend)
     res, _ = minimal_resolution(module, max_stem, max_filt)
     monkeypatch.undo()
     frees, maps, fresh = reference_resolution(module, max_stem, max_filt)
     assert frees[0].generators
-    # every cell took the kernel of the full d_s, newborn rows included,
-    # though those rows never meet the kernel (minimality)
-    assert eliminated == fresh
+    # every cell extended by the canonical kernel basis of the full d_s,
+    # newborn rows included, whether carried up or taken afresh
+    assert extended == fresh
     for s in range(max_filt + 1):
         assert res.frees[s].generators == frees[s].generators, s
         assert res.maps[s].images == maps[s].images, s
@@ -190,7 +199,11 @@ def test_each_matrix_assembled_once(alg24, monkeypatch):
 
 
 def test_sphere_invariants_larger_window():
-    res, _ = minimal_resolution(TrivialModule(MilnorAlgebra(34)), 32, 20)
+    res, chart = minimal_resolution(TrivialModule(MilnorAlgebra(34)), 32, 20)
     res.verify_dd_zero()
     res.verify_minimal()
     res.verify_exact()
+    # the same window as the benchmark's sphere-32 workload, byte for byte
+    chart.module = "sphere"
+    digest = hashlib.sha256(chart_file_dumps(chart).encode("utf-8")).hexdigest()
+    assert digest == REFERENCE_SHA256["sphere-32"]

@@ -11,10 +11,12 @@ with |xi_n| = (2^{n+1}-2, 2^n-1) and |tau_n| = (2^{n+1}-1, 2^n-1) in
     D(tau_n) = tau_n (x) 1 + sum_i xi_{n-i}^{2^i} (x) tau_i,
 
 extended multiplicatively.  Operations are the linear functionals dual to
-this monomial basis; their product is the transpose of the coproduct, with
-the fixed convention that the LEFT operand pairs against the LEFT tensor
-factor:  <a.b, m> = sum <a, m_(1)> <b, m_(2)>.  Under this convention
-"x . P" is precomposition with P, the form used by tower differentials.
+this monomial basis; their product is dual to the coproduct, with the fixed
+convention that the LEFT operand pairs against the LEFT tensor factor:
+<a.b, m> = sum <a, m_(1)> <b, m_(2)>.  Under this convention "x . P" is
+precomposition with P, the form used by tower differentials.  Products are
+computed by Milnor's matrix formula with tau parts (milnor_product), one
+pair of basis functionals at a time, never by transposing coproducts.
 
 The Chow degree stem - 2*weight of a monomial equals its number of tau
 factors, so the whole algebra is concentrated in Chow degrees >= 0 and all
@@ -23,9 +25,9 @@ recursions (antipode, minimality arguments) terminate.
 Bases, coproducts and antipodes are intrinsic to a bidegree and cached at
 module level.  Coproduct terms are interned: equal monomials across all
 cached coproducts are one shared object.  A MilnorAlgebra instance adds a
-stem window, guards against leaving it, and caches multiplication tables,
-building every (left, right) split of a target bidegree in one pass over
-its coproducts.  All cached data is immutable once built.
+stem window, guards against leaving it, and caches right-multiplication
+matrices; a product reads only the basis products it needs, so no whole
+multiplication table is built.  All cached data is immutable once built.
 """
 
 from __future__ import annotations
@@ -377,6 +379,116 @@ def antipode_monomial(m: DualMonomial) -> tuple[DualMonomial, ...]:
 
 
 # ---------------------------------------------------------------------------
+# the product of two basis functionals
+
+
+def _xi_products(
+    eps: tuple[int, ...], r: tuple[int, ...], s: tuple[int, ...], out: dict[DualMonomial, int]
+) -> None:
+    """Toggle in out each tau_eps xi^T whose D(xi^T) holds xi^r (x) xi^s oddly.
+
+    D(xi^T) picks, for each diagonal n, a split of T_n into entries x_ij
+    (i + j = n) that put xi_i^(2^j x_ij) on the left and xi_j^(x_ij) on the
+    right, with multinomial coefficient T_n! / prod x_ij!.  So xi^r (x) xi^s
+    arises once per Milnor matrix with sum_j 2^j x_ij = r_i (row i >= 1) and
+    sum_i x_ij = s_j (column j >= 1), and the coefficient is odd exactly when
+    the entries of every diagonal have disjoint binary digits; T_n is then
+    their bitwise union.  The free entries are i, j >= 1, filled row by row;
+    x_i0 and x_0j take what is left of r_i and s_j.  A diagonal is dropped
+    the moment a new entry shares a digit with it.
+    """
+    rows, cols = len(r), len(s)
+    if not rows or not cols:
+        m = DualMonomial(eps, r or s)
+        out[m] = out.get(m, 0) ^ 1
+        return
+    diag = [0] * (rows + cols + 1)
+    rem_s = list(s)
+
+    def cell(i: int, j: int, rem_r: int) -> None:
+        if j > cols:
+            # row i is complete: x_i0 is what r_i has left
+            if rem_r & diag[i]:
+                return
+            diag[i] |= rem_r
+            if i < rows:
+                cell(i + 1, 1, r[i])
+            elif not any(rem_s[k - 1] & diag[k] for k in range(1, cols + 1)):
+                t = diag[1:]
+                for k in range(cols):
+                    t[k] |= rem_s[k]
+                m = DualMonomial(eps, _trim(t))
+                out[m] = out.get(m, 0) ^ 1
+            diag[i] ^= rem_r
+            return
+        n = i + j
+        seen = diag[n]
+        for v in range(min(rem_r >> j, rem_s[j - 1]) + 1):
+            if v & seen:
+                continue
+            diag[n] = seen | v
+            rem_s[j - 1] -= v
+            cell(i, j + 1, rem_r - (v << j))
+            rem_s[j - 1] += v
+        diag[n] = seen
+
+    cell(1, 1, r[0])
+
+
+def _tau_moves(
+    eps: tuple[int, ...], r: tuple[int, ...], ks: tuple[int, ...]
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Place the right factor's tau_k (k in ks) on taus of the result.
+
+    D(tau_n) = tau_n (x) 1 + sum_k xi_{n-k}^(2^k) (x) tau_k, so each tau_k
+    on the right comes from its own tau_n, n >= k, that is not already a
+    left tau.  For n > k it leaves xi_{n-k}^(2^k) on the left, which is
+    taken out of the left exponents r.  Yields the result's taus and what
+    is left of r, once per placement.
+    """
+    if not ks:
+        yield eps, r
+        return
+    k, rest = ks[0], ks[1:]
+    if k not in eps:
+        yield from _tau_moves(tuple(sorted(eps + (k,))), r, rest)
+    step = 1 << k
+    for i, e in enumerate(r, start=1):
+        if e >= step and k + i not in eps:
+            left = list(r)
+            left[i - 1] -= step
+            yield from _tau_moves(tuple(sorted(eps + (k + i,))), _trim(left), rest)
+
+
+def milnor_product(m1: DualMonomial, m2: DualMonomial) -> tuple[DualMonomial, ...]:
+    """The monomials whose coproduct holds m1 (x) m2 an odd number of times.
+
+    This is the product of the functionals dual to m1 and m2, left operand
+    on the left factor, by Milnor's matrix formula: mod tau the dual is the
+    odd-primary dual at p = 2, so every sign is trivial.  The taus of m2
+    are placed first, then the xi parts are matched.  Sorted output.
+    """
+    out: dict[DualMonomial, int] = {}
+    for eps, r in _tau_moves(m1.eps, m1.r, m2.eps):
+        _xi_products(eps, r, m2.r, out)
+    return tuple(sorted(m for m, odd in out.items() if odd))
+
+
+def _product_bits(
+    index: dict[DualMonomial, int],
+    lefts: Iterable[DualMonomial],
+    rights: tuple[DualMonomial, ...],
+) -> int:
+    """The sum of the products of lefts by rights, as bits over index."""
+    bits = 0
+    for m1 in lefts:
+        for m2 in rights:
+            for m in milnor_product(m1, m2):
+                bits ^= 1 << index[m]
+    return bits
+
+
+# ---------------------------------------------------------------------------
 # elements
 
 
@@ -457,17 +569,15 @@ def steenrod_element(duals: Iterable[DualMonomial], degree: BiDegree | None = No
 class MilnorAlgebra:
     """The algebra of operations, enumerated for stems up to max_stem.
 
-    Basis tables and multiplication tables are built lazily and frozen.
-    The first table requested at a target bidegree d builds the tables of
-    every split d = d1 + d2 in one pass over the coproducts of basis(d).
+    Products, and the left and right multiplication matrices, add up
+    milnor_product over the support of the fixed operand(s) only; right
+    multiplication matrices are cached, keyed by their operand.
     """
 
     def __init__(self, max_stem: int = 24):
         if max_stem < 0:
             raise ValueError("max_stem must be >= 0")
         self.max_stem = max_stem
-        self._tables: dict[tuple[BiDegree, BiDegree], tuple[tuple[tuple[int, int], ...], ...]] = {}
-        self._split_targets: set[BiDegree] = set()
         self._rmul: dict[tuple[BiDegree, BiDegree, int], BitMatrix] = {}
         self._antipode: dict[BiDegree, BitMatrix] = {}
 
@@ -525,62 +635,25 @@ class MilnorAlgebra:
         return (a.bits & x.bits).bit_count() & 1
 
     def mult_table(self, d1: BiDegree, d2: BiDegree) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Structure constants of the product at (d1, d2).
+        """Structure constants of the product at (d1, d2), built afresh.
 
         Entry m lists the (i, j) with basis(d1)[i] (x) basis(d2)[j] occurring
-        in the coproduct of the m-th monomial of d1 + d2.
+        in the coproduct of the m-th monomial of d1 + d2.  Products never
+        read this view; it is the whole table at once, for inspection.
         """
         d1 = BiDegree(*d1)
         d2 = BiDegree(*d2)
-        key = (d1, d2)
-        table = self._tables.get(key)
-        if table is None:
-            d = self.require(d1 + d2)
-            if d not in self._split_targets:
-                self._split_tables(d)
-            table = self._tables.get(key)
-            if table is None:
-                # no coproduct term of d splits as (d1, d2)
-                table = ((),) * self.dim(d)
-                self._tables[key] = table
-        return table
-
-    def _split_tables(self, d: BiDegree) -> None:
-        """Store the table of every split of d that some coproduct term has.
-
-        Terms are grouped by the bidegree of their left factor; each row
-        keeps the coproduct's sorted term order.
-        """
-        n = self.dim(d)
-        rows: dict[BiDegree, list[list[tuple[int, int]]]] = {}
-        # left factor -> (rows of its split, its index in basis(ld), the
-        # index of basis(d - ld)); the degree is computed once per factor
-        seen: dict[DualMonomial, tuple[list, int, dict[DualMonomial, int]]] = {}
-        for mi, m in enumerate(bidegree_basis(d)):
-            for left, right in coproduct_monomial(m):
-                entry = seen.get(left)
-                if entry is None:
-                    ld = left.degree
-                    split = rows.get(ld)
-                    if split is None:
-                        split = rows[ld] = [[] for _ in range(n)]
-                    entry = seen[left] = (split, basis_index(ld)[left], basis_index(d - ld))
-                split, i, idx2 = entry
-                split[mi].append((i, idx2[right]))
-        for ld, split in rows.items():
-            self._tables[(ld, d - ld)] = tuple(map(tuple, split))
-        self._split_targets.add(d)
+        index = basis_index(self.require(d1 + d2))
+        rows: list[list[tuple[int, int]]] = [[] for _ in index]
+        for i, m1 in enumerate(bidegree_basis(d1)):
+            for j, m2 in enumerate(bidegree_basis(d2)):
+                for m in milnor_product(m1, m2):
+                    rows[index[m]].append((i, j))
+        return tuple(map(tuple, rows))
 
     def product(self, a: SteenrodElement, b: SteenrodElement) -> SteenrodElement:
         d = self.require(a.degree + b.degree)
-        table = self.mult_table(a.degree, b.degree)
-        bits = 0
-        for m, pairs in enumerate(table):
-            c = 0
-            for i, j in pairs:
-                c ^= (a.bits >> i) & (b.bits >> j) & 1
-            if c:
-                bits |= 1 << m
+        bits = _product_bits(basis_index(d), a.dual_monomials(), b.dual_monomials())
         return SteenrodElement(d, bits)
 
     def right_mult_matrix(self, d1: BiDegree, b: SteenrodElement) -> BitMatrix:
@@ -589,26 +662,20 @@ class MilnorAlgebra:
         key = (d1, b.degree, b.bits)
         mat = self._rmul.get(key)
         if mat is None:
-            table = self.mult_table(d1, b.degree)
-            rows = [0] * self.dim(d1)
-            for m, pairs in enumerate(table):
-                for i, j in pairs:
-                    if (b.bits >> j) & 1:
-                        rows[i] ^= 1 << m
-            mat = BitMatrix(len(table), rows)
+            index = basis_index(self.require(d1 + b.degree))
+            right = b.dual_monomials()
+            rows = [_product_bits(index, (m1,), right) for m1 in bidegree_basis(d1)]
+            mat = BitMatrix(len(index), rows)
             self._rmul[key] = mat
         return mat
 
     def left_mult_matrix(self, a: SteenrodElement, d2: BiDegree) -> BitMatrix:
         """Matrix of x -> a . x on basis functionals at d2."""
         d2 = BiDegree(*d2)
-        table = self.mult_table(a.degree, d2)
-        rows = [0] * self.dim(d2)
-        for m, pairs in enumerate(table):
-            for i, j in pairs:
-                if (a.bits >> i) & 1:
-                    rows[j] ^= 1 << m
-        return BitMatrix(len(table), rows)
+        index = basis_index(self.require(a.degree + d2))
+        left = a.dual_monomials()
+        rows = [_product_bits(index, left, (m2,)) for m2 in bidegree_basis(d2)]
+        return BitMatrix(len(index), rows)
 
     # -- fast structure-constant paths for the generators P_t ------------
     #

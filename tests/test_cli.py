@@ -392,6 +392,22 @@ def test_hostile_window_exit_2(argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["--max-stem", "127", "mul", "Q(6)", "1"], "Q(6)\n"),
+        (["--max-stem", "255", "mul", "Q(7)", "1"], "Q(7)\n"),
+        (["--max-stem", "255", "mul", "Q(6)", "Q(5)"], "Q(5,6)\n"),
+    ],
+)
+def test_single_product_at_large_degree(argv, expected):
+    # one product costs its own terms, not a table of its whole bidegree
+    proc = run_child(["algebra", *argv], timeout=10)
+    assert proc.returncode == 0
+    assert proc.stdout == expected
+    assert proc.stderr == ""
+
+
 def test_largest_window_accepted(capsys):
     code, out, _ = run(capsys, "algebra", "--max-stem", str(MAX_STEM), "pst", "--t", "1")
     assert code == 0

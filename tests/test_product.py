@@ -1,7 +1,9 @@
 import random
 
+from hypothesis import example, given
+from hypothesis import strategies as st
+
 from wsteenrod.milnor import (
-    ZERO_DEGREE,
     BiDegree,
     MilnorAlgebra,
     SteenrodElement,
@@ -10,6 +12,7 @@ from wsteenrod.milnor import (
     coproduct_monomial,
     dual_element,
     enumerate_window_monomials,
+    milnor_product,
     monomial,
     pst_degree,
     tau_monomial,
@@ -186,12 +189,9 @@ def _direct_table(d1, d2):
 
 
 def test_mult_table_split_build_matches_definition():
+    # every split of every target up to stem 12, against the coproduct
     alg = MilnorAlgebra(16)
     targets = list(alg.bidegrees(12))
-    for d in targets:
-        alg.mult_table(ZERO_DEGREE, d)
-    # the first request at each target filled in its other splits too
-    assert len(alg._tables) > len(targets)
     empty = 0
     for d in targets:
         for s in range(d.stem + 1):
@@ -211,3 +211,32 @@ def test_coproduct_monomials_interned():
         for pair in terms:
             for factor in pair:
                 assert canonical.setdefault(factor, factor) is factor
+
+
+ORACLE_STEM = 28
+# window monomials by stem, so a right factor can be drawn that fits
+_BY_STEM = sorted(enumerate_window_monomials(ORACLE_STEM), key=lambda m: m.degree.stem)
+
+
+def _fitting(m1):
+    room = ORACLE_STEM - m1.degree.stem
+    return [m for m in _BY_STEM if m.degree.stem <= room]
+
+
+@given(
+    st.sampled_from(_BY_STEM).flatmap(
+        lambda m1: st.tuples(st.just(m1), st.sampled_from(_fitting(m1)))
+    )
+)
+@example((monomial([1], [1]), monomial([0], [0, 1])))
+@example((monomial([0], [2, 1]), monomial([1], [1])))
+@example((xi_monomial(1, 4), tau_monomial(2)))
+def test_milnor_product_is_transposed_coproduct(pair):
+    # <a.b, m> = sum <a, m_(1)> <b, m_(2)>, read off the coproduct itself
+    m1, m2 = pair
+    want = tuple(
+        m
+        for m in bidegree_basis(m1.degree + m2.degree)
+        if (m1, m2) in coproduct_monomial(m)
+    )
+    assert milnor_product(m1, m2) == want

@@ -207,3 +207,13 @@ def test_sphere_invariants_larger_window():
     chart.module = "sphere"
     digest = hashlib.sha256(chart_file_dumps(chart).encode("utf-8")).hexdigest()
     assert digest == REFERENCE_SHA256["sphere-32"]
+
+
+def test_wbp_chart_bytes_larger_window():
+    # the benchmark's wbp-36 workload, byte for byte: the quotient path
+    alg = MilnorAlgebra(38)
+    wbp = ExteriorProfile.of(*ExteriorProfile.cofinite().resolve(36))
+    _, chart = minimal_resolution(quotient_by_exterior(wbp, alg), 36, 36)
+    chart.module = "wbp"
+    digest = hashlib.sha256(chart_file_dumps(chart).encode("utf-8")).hexdigest()
+    assert digest == REFERENCE_SHA256["wbp-36"]

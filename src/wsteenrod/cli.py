@@ -162,6 +162,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="|".join(sorted(SUITES)) + "|all (comma separated)",
     )
     ver.add_argument("--out", default=None, help="write the JSON report here")
+    ver.add_argument(
+        "--progress",
+        action="store_true",
+        help="print one JSON line per suite on stderr: its name, seconds and verdicts",
+    )
 
     cha = sub.add_parser("chart", help="render a chart file")
     cha.add_argument("--in", dest="infile", required=True)
@@ -250,7 +255,11 @@ def cmd_verify(args) -> int:
     max_stem = args.max_stem
     config = VerifyConfig(max_stem=max_stem, max_filt=args.max_filt)
     names = args.suite
-    reports, ok = run_suites(names, config)
+    progress = None
+    if args.progress:
+        def progress(info: dict) -> None:
+            print(json.dumps(info), file=sys.stderr, flush=True)
+    reports, ok = run_suites(names, config, progress)
     payload = {
         "max_stem": max_stem,
         "suites": names,

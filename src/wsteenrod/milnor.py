@@ -19,8 +19,10 @@ computed by Milnor's matrix formula with tau parts (milnor_product), one
 pair of basis functionals at a time, never by transposing coproducts.
 
 The Chow degree stem - 2*weight of a monomial equals its number of tau
-factors, so the whole algebra is concentrated in Chow degrees >= 0 and all
-recursions (antipode, minimality arguments) terminate.
+factors, so the whole algebra is concentrated in Chow degrees >= 0 and
+minimality arguments terminate.  The antipode is an algebra map (the dual
+is commutative), computed from its values on the generators without
+reading any coproduct.
 
 Bases, coproducts and antipodes are intrinsic to a bidegree and cached at
 module level.  Coproduct terms are interned: equal monomials across all
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 from typing import Iterable, Iterator, NamedTuple
 
 from .gf2 import BitMatrix, BitVector
@@ -146,19 +149,21 @@ def tau_monomial(i: int) -> DualMonomial:
 
 def multiply_monomials(a: DualMonomial, b: DualMonomial) -> DualMonomial | None:
     """Product in the dual algebra; None when a tau factor repeats."""
-    if a.is_unit:
+    ea, ra = a
+    eb, rb = b
+    if not (ea or ra):
         return b
-    if b.is_unit:
+    if not (eb or rb):
         return a
-    if set(a.eps) & set(b.eps):
+    if not ea or not eb:
+        eps = ea or eb
+    elif set(ea).isdisjoint(eb):
+        eps = tuple(sorted(ea + eb))
+    else:
         return None
-    eps = tuple(sorted(a.eps + b.eps))
-    n = max(len(a.r), len(b.r))
-    r = tuple(
-        (a.r[i] if i < len(a.r) else 0) + (b.r[i] if i < len(b.r) else 0)
-        for i in range(n)
-    )
-    return DualMonomial(eps, r)
+    if len(ra) < len(rb):
+        ra, rb = rb, ra
+    return DualMonomial(eps, tuple(map(add, ra, rb)) + ra[len(rb):])
 
 
 # ---------------------------------------------------------------------------
@@ -356,26 +361,60 @@ def coproduct_monomial(m: DualMonomial) -> tuple[tuple[DualMonomial, DualMonomia
     return tuple((canon(l, l), canon(r, r)) for l, r in sorted(acc))
 
 
+def _sum_of_products(
+    pairs: Iterable[tuple[Iterable[DualMonomial], Iterable[DualMonomial]]]
+) -> tuple[DualMonomial, ...]:
+    """sum over (xs, ys) of (sum xs) . (sum ys) in the dual algebra, sorted."""
+    acc: dict[DualMonomial, int] = {}
+    for xs, ys in pairs:
+        for x in xs:
+            for y in ys:
+                t = multiply_monomials(x, y)
+                if t is not None:
+                    acc[t] = acc.get(t, 0) ^ 1
+    return tuple(sorted(t for t, odd in acc.items() if odd))
+
+
 @lru_cache(maxsize=None)
 def antipode_monomial(m: DualMonomial) -> tuple[DualMonomial, ...]:
-    """Antipode on a monomial, by the connected-Hopf-algebra recursion.
+    """Antipode on a monomial, as an algebra map; sorted terms.
 
-    c(1) = 1 and c(m) = m + sum m_(1) . c(m_(2)) over the coproduct terms
-    with both factors nonunit; those right factors have strictly smaller
-    stem, so the recursion terminates.
+    The dual is commutative, so S(m) = S(one factor) . S(the rest).  On
+    generators the antipode axiom gives
+
+        S(xi_n)  = xi_n  + sum_{0<i<n} xi_{n-i}^(2^i) S(xi_i),
+        S(tau_n) = tau_n + sum_{0<=k<n} xi_{n-k}^(2^k) S(tau_k),
+
+    and squaring is additive mod 2, so S(xi_j^(2e)) is S(xi_j^e) with its
+    exponents doubled.  No coproduct is read, which keeps the antipode
+    axiom in the Hopf suite an independent check.
     """
     if m.is_unit:
         return (UNIT_MONOMIAL,)
-    acc: dict[DualMonomial, int] = {m: 1}
-    for left, right in coproduct_monomial(m):
-        if left.is_unit or right.is_unit:
-            continue
-        for cm in antipode_monomial(right):
-            t = multiply_monomials(left, cm)
-            if t is None:
-                continue
-            acc[t] = acc.get(t, 0) ^ 1
-    return tuple(sorted(k for k, v in acc.items() if v))
+    eps, r = m.eps, m.r
+    if len(eps) + len(r) - r.count(0) > 1:  # two or more generator powers
+        if eps:
+            first, rest = tau_monomial(eps[0]), DualMonomial(eps[1:], r)
+        else:
+            first, rest = xi_monomial(len(r), r[-1]), DualMonomial((), _trim(r[:-1]))
+        return _sum_of_products([(antipode_monomial(first), antipode_monomial(rest))])
+    if not eps and r[-1] > 1:
+        j, e = len(r), r[-1]
+        if e % 2:
+            return _sum_of_products(
+                [(antipode_monomial(xi_monomial(j)), antipode_monomial(xi_monomial(j, e - 1)))]
+            )
+        half = antipode_monomial(xi_monomial(j, e // 2))
+        return tuple(DualMonomial((), tuple(2 * x for x in t.r)) for t in half)
+    # a generator: tau_n (its terms run from k = 0) or xi_n (from k = 1)
+    n, generator, low = (eps[0], tau_monomial, 0) if eps else (len(r), xi_monomial, 1)
+    return _sum_of_products(
+        [((m,), (UNIT_MONOMIAL,))]
+        + [
+            ((xi_monomial(n - k, 2**k),), antipode_monomial(generator(k)))
+            for k in range(low, n)
+        ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -607,8 +646,13 @@ class MilnorAlgebra:
         return coproduct_monomial(m)
 
     def antipode_dual(self, x: DualElement) -> DualElement:
-        mat = self.antipode_matrix(x.degree)
-        return DualElement(x.degree, mat.vec_mul(x.coeffs()).bits)
+        """The antipode of x, from its own monomials only."""
+        index = basis_index(self.require(x.degree))
+        bits = 0
+        for m in x.monomials():
+            for t in antipode_monomial(m):
+                bits ^= 1 << index[t]
+        return DualElement(x.degree, bits)
 
     def antipode_matrix(self, d: BiDegree) -> BitMatrix:
         """Row i is the antipode of the i-th monomial of the bidegree."""

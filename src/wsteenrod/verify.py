@@ -9,23 +9,26 @@ the demanding ones at their full stated windows.
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass
+from typing import Callable
 
 from .charts import compare_charts, koszul_chart
 from .classical import classical_product, milnor_product, to_classical
 from .milnor import (
     BiDegree,
+    DualMonomial,
     MilnorAlgebra,
     SteenrodElement,
-    UNIT_MONOMIAL,
     antipode_monomial,
+    basis_index,
     bidegree_basis,
     coproduct_monomial,
     dual_element,
     enumerate_window_monomials,
-    multiply_monomials,
     pst_degree,
     steenrod_element,
+    tau_degree,
     xi_degree,
 )
 from .modules import (
@@ -57,14 +60,30 @@ class VerifyConfig:
 # hopf suite
 
 
-def _triple_coproduct(m, first_left: bool):
-    acc: dict = {}
-    for a, b in coproduct_monomial(m):
-        inner = coproduct_monomial(a) if first_left else coproduct_monomial(b)
-        for c, d in inner:
-            key = (c, d, b) if first_left else (a, c, d)
-            acc[key] = acc.get(key, 0) ^ 1
-    return {k for k, v in acc.items() if v}
+def pack_window(max_stem: int) -> tuple[dict[DualMonomial, int], int, int]:
+    """Each monomial of stem <= max_stem as an int; also the width and tau mask.
+
+    tau_i is bit i, and each r_j has a field, above the tau bits, wide enough
+    for the largest exponent of xi_j in the window.  So the packing is
+    injective on the window, and a product in the window of two monomials
+    with no common tau is the sum of their codes.  Returns the codes, the
+    bit width every code fits in, and the mask of the tau bits.
+    """
+    taus = sum(1 for i in range(max_stem.bit_length() + 1) if tau_degree(i).stem <= max_stem)
+    offsets = []
+    width = taus
+    j = 1
+    while xi_degree(j).stem <= max_stem:
+        offsets.append(width)
+        width += (max_stem // xi_degree(j).stem).bit_length()
+        j += 1
+    codes = {}
+    for m in enumerate_window_monomials(max_stem):
+        code = sum(1 << i for i in m.eps)
+        for off, e in zip(offsets, m.r):
+            code += e << off
+        codes[m] = code
+    return codes, width, (1 << taus) - 1
 
 
 def suite_hopf(config: VerifyConfig) -> list[VerificationReport]:
@@ -72,22 +91,40 @@ def suite_hopf(config: VerifyConfig) -> list[VerificationReport]:
     coassoc = VerificationReport("hopf_coassociativity", {"max_stem": config.max_stem})
     counit = VerificationReport("hopf_counit", {"max_stem": config.max_stem})
     antipode = VerificationReport("hopf_antipode_axiom", {"max_stem": config.max_stem})
-    for m in enumerate_window_monomials(config.max_stem):
-        if _triple_coproduct(m, True) != _triple_coproduct(m, False):
+    codes, width, tau_mask = pack_window(config.max_stem)
+    # by code: the codes of the left and of the right coproduct factors, in
+    # term order, and the codes of the antipode terms
+    coproduct = {}
+    for m, cm in codes.items():
+        terms = coproduct_monomial(m)
+        coproduct[cm] = ([codes[l] for l, _ in terms], [codes[r] for _, r in terms])
+    antipodes = {codes[m]: [codes[t] for t in antipode_monomial(m)] for m in codes}
+    for m, cm in codes.items():
+        lefts, rights = coproduct[cm]
+        # (D (x) 1) D and (1 (x) D) D as XOR sets of packed triples
+        left: set[int] = set()
+        right: set[int] = set()
+        for pa, pb in zip(lefts, rights):
+            high = pb << 2 * width
+            left.symmetric_difference_update(
+                [c | (d << width) | high for c, d in zip(*coproduct[pa])]
+            )
+            right.symmetric_difference_update(
+                [pa | (c << width) | (d << 2 * width) for c, d in zip(*coproduct[pb])]
+            )
+        if left != right:
             coassoc.fail({"monomial": repr(m)})
-        left = {b for a, b in coproduct_monomial(m) if a.is_unit}
-        right = {a for a, b in coproduct_monomial(m) if b.is_unit}
-        if left != {m} or right != {m}:
+        units_left = {pb for pa, pb in zip(lefts, rights) if not pa}
+        units_right = {pa for pa, pb in zip(lefts, rights) if not pb}
+        if units_left != {cm} or units_right != {cm}:
             counit.fail({"monomial": repr(m)})
-        acc: dict = {}
-        for a, b in coproduct_monomial(m):
-            for cb in antipode_monomial(b):
-                t = multiply_monomials(a, cb)
-                if t is not None:
-                    acc[t] = acc.get(t, 0) ^ 1
-        result = {k for k, v in acc.items() if v}
-        expected = {UNIT_MONOMIAL} if m.is_unit else set()
-        if result != expected:
+        # sum m_(1) S(m_(2)); a product with a common tau is zero
+        total: set[int] = set()
+        for pa, pb in zip(lefts, rights):
+            total.symmetric_difference_update(
+                [pa + c for c in antipodes[pb] if not pa & c & tau_mask]
+            )
+        if total != ({0} if m.is_unit else set()):
             antipode.fail({"monomial": repr(m)})
 
     duality = VerificationReport(
@@ -104,10 +141,11 @@ def suite_hopf(config: VerifyConfig) -> list[VerificationReport]:
         a = SteenrodElement(d1, rng.getrandbits(alg.dim(d1)))
         b = SteenrodElement(d2, rng.getrandbits(alg.dim(d2)))
         ab = alg.product(a, b)
+        index1 = basis_index(d1)
         for m in bidegree_basis(d1 + d2):
             want = 0
             for l, r in coproduct_monomial(m):
-                if l.degree == d1:
+                if l in index1:
                     want ^= alg.pair(a, dual_element([l])) & alg.pair(
                         b, dual_element([r])
                     )
@@ -342,9 +380,23 @@ def suite_names(names: list[str]) -> list[str]:
     return names
 
 
-def run_suites(names: list[str], config: VerifyConfig) -> tuple[list[VerificationReport], bool]:
-    """Run the named suites in order; every name is checked before any runs."""
+def run_suites(
+    names: list[str], config: VerifyConfig, progress: Callable[[dict], None] | None = None
+) -> tuple[list[VerificationReport], bool]:
+    """Run the named suites in order; every name is checked before any runs.
+
+    ``progress``, when given, is called after each suite with a plain dict:
+    the suite name, its seconds, and [check, verdict] for each report.
+    """
     reports: list[VerificationReport] = []
     for name in suite_names(names):
-        reports.extend(SUITES[name](config))
+        start = time.perf_counter()
+        done = SUITES[name](config)
+        if progress is not None:
+            progress({
+                "suite": name,
+                "seconds": round(time.perf_counter() - start, 3),
+                "checks": [[r.check, "pass" if r.verdict else "fail"] for r in done],
+            })
+        reports.extend(done)
     return reports, all(r.verdict for r in reports)

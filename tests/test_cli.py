@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 from wsteenrod.cli import MAX_STEM, main
 from wsteenrod.towers import KwComplex
+from wsteenrod.verify import SUITES
 
 
 def run(capsys, *argv):
@@ -278,6 +280,35 @@ def test_verify_max_filt_caps_charts(capsys, max_filt, expected):
     assert out.endswith("verdict: pass\n")
 
 
+# SHA-256 of `verify --max-stem 24 --out F` with the default seed
+VERIFY_24_SHA256 = "e4ad3f160abada30001799acb4e9b2c9ef3f67de24bbbc951b2ebe7c71e23526"
+
+
+def test_verify_out_bytes_pinned(tmp_path, capsys):
+    path = tmp_path / "v24.json"
+    code, _, _ = run(capsys, "verify", "--max-stem", "24", "--out", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == VERIFY_24_SHA256
+
+
+def test_verify_progress_changes_no_bytes(tmp_path, capsys):
+    plain, flagged = tmp_path / "plain.json", tmp_path / "progress.json"
+    code, out, err = run(capsys, "verify", "--max-stem", "12", "--out", str(plain))
+    assert (code, err) == (0, "")
+    code, out2, err2 = run(
+        capsys, "verify", "--max-stem", "12", "--out", str(flagged), "--progress"
+    )
+    assert code == 0
+    assert out2 == out
+    assert flagged.read_bytes() == plain.read_bytes()
+    lines = [json.loads(line) for line in err2.splitlines()]
+    assert [line["suite"] for line in lines] == list(SUITES)
+    checks = [c for line in lines for c in line["checks"]]
+    reports = json.loads(plain.read_text())["reports"]
+    assert checks == [[r["check"], r["verdict"]] for r in reports]
+    assert all(line["seconds"] >= 0 for line in lines)
+
+
 def test_verify_failed_check_lists_witnesses(tmp_path, capsys, monkeypatch):
     # a failing tower check reaches --out as its report, witnesses and all
     monkeypatch.setattr(KwComplex, "homology_dim", lambda self, q, d: 0)
@@ -406,6 +437,21 @@ def test_single_product_at_large_degree(argv, expected):
     assert proc.returncode == 0
     assert proc.stdout == expected
     assert proc.stderr == ""
+
+
+def test_single_antipode_at_large_degree():
+    # one antipode costs its own terms, not the matrix of its whole bidegree
+    # (t7 sits in bidegree (255,127), which holds 13,172 monomials)
+    argv = ["algebra", "--max-stem", "255"]
+    proc = run_child([*argv, "antipode", "x1^100"], timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "x1^100\n", "")
+    proc = run_child([*argv, "antipode", "t7"], timeout=10)
+    assert proc.returncode == 0
+    terms = proc.stdout.strip().split(" + ")
+    assert len(terms) == 128
+    assert terms[0] == "t0 x7"
+    proc = run_child([*argv, "conjugate", "Q(5)"], timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "Q(5)\n", "")
 
 
 def test_largest_window_accepted(capsys):

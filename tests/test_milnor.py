@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from wsteenrod.milnor import (
     BiDegree,
+    DualMonomial,
     MilnorAlgebra,
     UNIT_MONOMIAL,
     WindowError,
@@ -69,6 +72,34 @@ def test_dual_product():
     assert multiply_monomials(t0, xi_monomial(1)) == monomial([0], [1])
 
 
+def multiply_by_exponents(a, b):
+    """The dual product, exponent by exponent: the reference for multiply_monomials."""
+    if a.is_unit:
+        return b
+    if b.is_unit:
+        return a
+    if set(a.eps) & set(b.eps):
+        return None
+    eps = tuple(sorted(a.eps + b.eps))
+    n = max(len(a.r), len(b.r))
+    r = tuple(
+        (a.r[i] if i < len(a.r) else 0) + (b.r[i] if i < len(b.r) else 0)
+        for i in range(n)
+    )
+    return DualMonomial(eps, r)
+
+
+_WINDOW_28 = list(enumerate_window_monomials(28))
+
+
+@given(st.sampled_from(_WINDOW_28), st.sampled_from(_WINDOW_28))
+@example(monomial([0, 2], [1]), monomial([2], [0, 1]))  # a common tau: None
+@example(monomial([1], [3]), monomial([0, 2], [1, 0, 1]))
+@example(UNIT_MONOMIAL, monomial([1], [2]))
+def test_multiply_monomials_matches_exponent_sum(a, b):
+    assert multiply_monomials(a, b) == multiply_by_exponents(a, b)
+
+
 def test_coproduct_xi1():
     terms = set(coproduct_monomial(xi_monomial(1)))
     assert terms == {(xi_monomial(1), UNIT_MONOMIAL), (UNIT_MONOMIAL, xi_monomial(1))}
@@ -94,6 +125,31 @@ def test_antipode_generators():
         xi_monomial(2),
         xi_monomial(1, 3),
     }
+
+
+def antipode_by_recursion(m, memo):
+    """The connected-Hopf recursion S(m) = m + sum m_(1) S(m_(2)), over the
+    coproduct terms with both factors nonunit: the reference for the
+    multiplicative antipode_monomial."""
+    if m.is_unit:
+        return (UNIT_MONOMIAL,)
+    if m not in memo:
+        acc = {m: 1}
+        for left, right in coproduct_monomial(m):
+            if left.is_unit or right.is_unit:
+                continue
+            for c in antipode_by_recursion(right, memo):
+                t = multiply_monomials(left, c)
+                if t is not None:
+                    acc[t] = acc.get(t, 0) ^ 1
+        memo[m] = tuple(sorted(t for t, odd in acc.items() if odd))
+    return memo[m]
+
+
+def test_antipode_matches_recursion():
+    memo = {}
+    for m in enumerate_window_monomials(32):
+        assert antipode_monomial(m) == antipode_by_recursion(m, memo), m
 
 
 def test_pairing(alg16):

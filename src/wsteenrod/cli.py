@@ -152,6 +152,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="resource bound per bidegree; exceeding it yields a flagged partial file",
     )
+    res.add_argument(
+        "--progress",
+        action="store_true",
+        help="print one JSON line per internal degree on stderr: cells, matrix sizes, "
+        "new generators and seconds",
+    )
 
     ver = sub.add_parser("verify", help="run verification suites")
     _add_window_flags(ver)
@@ -195,6 +201,11 @@ def _write(path: str | None, text: str) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _json_lines(info: dict) -> None:
+    """A progress hook: each dict it is given as one JSON line on stderr."""
+    print(json.dumps(info), file=sys.stderr, flush=True)
 
 
 def cmd_algebra(args) -> int:
@@ -241,6 +252,7 @@ def cmd_resolve(args) -> int:
             max_stem,
             args.max_filt,
             max_gens_per_bidegree=args.max_gens,
+            progress=_json_lines if args.progress else None,
         )
         chart.module = name
         _write(args.out, chart_file_dumps(chart))
@@ -255,11 +267,7 @@ def cmd_verify(args) -> int:
     max_stem = args.max_stem
     config = VerifyConfig(max_stem=max_stem, max_filt=args.max_filt)
     names = args.suite
-    progress = None
-    if args.progress:
-        def progress(info: dict) -> None:
-            print(json.dumps(info), file=sys.stderr, flush=True)
-    reports, ok = run_suites(names, config, progress)
+    reports, ok = run_suites(names, config, _json_lines if args.progress else None)
     payload = {
         "max_stem": max_stem,
         "suites": names,

@@ -619,6 +619,7 @@ class MilnorAlgebra:
         self.max_stem = max_stem
         self._rmul: dict[tuple[BiDegree, BiDegree, int], BitMatrix] = {}
         self._antipode: dict[BiDegree, BitMatrix] = {}
+        self._weights: dict[int, tuple[int, ...]] = {}
 
     # -- window -------------------------------------------------------
 
@@ -632,10 +633,17 @@ class MilnorAlgebra:
         """Bidegrees with nonempty basis and stem within the window."""
         top = self.max_stem if max_stem is None else min(max_stem, self.max_stem)
         for s in range(top + 1):
-            for w in range(s // 2 + 1):
-                d = BiDegree(s, w)
-                if bidegree_basis(d):
-                    yield d
+            for w in self.weights(s):
+                yield BiDegree(s, w)
+
+    def weights(self, stem: int) -> tuple[int, ...]:
+        """The weights w, ascending, with a nonempty basis at (stem, w), for
+        any stem >= 0 (not only the window's)."""
+        ws = self._weights.get(stem)
+        if ws is None:
+            ws = tuple(w for w in range(stem // 2 + 1) if bidegree_basis(BiDegree(stem, w)))
+            self._weights[stem] = ws
+        return ws
 
     # -- dual side ------------------------------------------------------
 

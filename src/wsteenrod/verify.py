@@ -24,7 +24,6 @@ from .milnor import (
     basis_index,
     bidegree_basis,
     coproduct_monomial,
-    dual_element,
     enumerate_window_monomials,
     pst_degree,
     steenrod_element,
@@ -142,14 +141,13 @@ def suite_hopf(config: VerifyConfig) -> list[VerificationReport]:
         b = SteenrodElement(d2, rng.getrandbits(alg.dim(d2)))
         ab = alg.product(a, b)
         index1 = basis_index(d1)
-        for m in bidegree_basis(d1 + d2):
+        index2 = basis_index(d2)
+        for i, m in enumerate(bidegree_basis(d1 + d2)):
             want = 0
             for l, r in coproduct_monomial(m):
                 if l in index1:
-                    want ^= alg.pair(a, dual_element([l])) & alg.pair(
-                        b, dual_element([r])
-                    )
-            got = alg.pair(ab, dual_element([m]))
+                    want ^= (a.bits >> index1[l]) & (b.bits >> index2[r]) & 1
+            got = (ab.bits >> i) & 1
             if got != want:
                 duality.fail({"monomial": repr(m), "d1": d1, "d2": d2})
     return [coassoc, counit, antipode, duality]

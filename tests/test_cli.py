@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from wsteenrod import resolution
 from wsteenrod.cli import MAX_STEM, main
 from wsteenrod.towers import KwComplex
 from wsteenrod.verify import SUITES
@@ -307,6 +308,32 @@ def test_verify_progress_changes_no_bytes(tmp_path, capsys):
     reports = json.loads(plain.read_text())["reports"]
     assert checks == [[r["check"], r["verdict"]] for r in reports]
     assert all(line["seconds"] >= 0 for line in lines)
+
+
+def test_resolve_progress_changes_no_bytes(tmp_path, capsys, monkeypatch):
+    argv = ["resolve", "--module", "sphere", "--max-stem", "20", "--max-filt", "12"]
+    code, plain, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    cells = []
+    eliminate = resolution.image_and_left_kernel
+    monkeypatch.setattr(
+        resolution, "image_and_left_kernel", lambda m: cells.append(m) or eliminate(m)
+    )
+    code, flagged, err = run(capsys, *argv, "--progress")
+    assert code == 0
+    assert flagged == plain
+    path = tmp_path / "sphere.json"
+    code, out, _ = run(capsys, *argv, "--progress", "--out", str(path))
+    assert (code, out) == (0, "")
+    assert path.read_text() == plain
+    lines = [json.loads(line) for line in err.splitlines()]
+    assert [line["t"] for line in lines] == list(range(20 + 12 + 1))
+    classes = json.loads(plain)["classes"]
+    assert sum(line["generators"] for line in lines) == sum(c["mult"] for c in classes)
+    # one elimination per visited cell, two runs with the flag
+    assert 2 * sum(line["cells"] for line in lines) == len(cells)
+    assert all(line["rows"] >= 0 and line["cols"] >= 0 for line in lines)
+    assert all(line["assembly_s"] >= 0 and line["elimination_s"] >= 0 for line in lines)
 
 
 def test_verify_failed_check_lists_witnesses(tmp_path, capsys, monkeypatch):

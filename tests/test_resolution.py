@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from wsteenrod import resolution
 from wsteenrod.charts import chart_file_dumps, compare_charts, koszul_chart
 from wsteenrod.gf2 import Subspace, kernel
 from wsteenrod.milnor import BiDegree, MilnorAlgebra
@@ -17,7 +18,6 @@ from wsteenrod.resolution import (
     FreeModule,
     ModuleMap,
     PartialResultError,
-    _candidate_weights,
     minimal_resolution,
 )
 
@@ -117,13 +117,28 @@ def test_wbp_truncated_small(alg24):
 # -- the carried kernels against a resolver that assembles every matrix afresh --
 
 
+def _span_weights(free, module, t, use_module):
+    """Every weight in each generator's span at stem t, and with use_module
+    every weight where the module is nonzero: empty cells included."""
+    ws = set()
+    for g in free.generators:
+        span = t - g.degree.stem
+        if span >= 0:
+            ws.update(range(g.degree.weight, g.degree.weight + span // 2 + 1))
+    if use_module:
+        ws.update(w for w in range(t // 2 + 1) if module.dim(BiDegree(t, w)))
+    return sorted(ws)
+
+
 def reference_resolution(module, max_stem, max_filt):
     """The resolver loop with no carry: every cell builds d_s and d_{s+1}
-    from the generators and takes the kernel of d_s afresh.
+    from the generators and takes the kernel of d_s afresh, and every weight
+    in a generator's span is a cell, whether or not anything is there.
 
-    Also returns, in cell order, the (ambient dim, vectors) each cell
+    Also returns, in cell order, the (ambient dim, vectors, empty) each cell
     extended the image by: the module's unit vectors at a cover step, the
-    kernel basis of d_s at a cell (s, d).
+    kernel basis of d_s at a cell (s, d); empty marks a cell where F_s (at
+    a cover step F_0 and the module) is zero.
     """
     extended = []
     alg = module.algebra
@@ -131,22 +146,23 @@ def reference_resolution(module, max_stem, max_filt):
     maps = [ModuleMap(alg, frees[0], module)]
     maps += [ModuleMap(alg, frees[s], frees[s - 1]) for s in range(1, max_filt + 1)]
 
-    def add(s, d, image, vectors):
-        extended.append((image.ncols, tuple(vectors)))
+    def add(s, d, image, vectors, empty):
+        extended.append((image.ncols, tuple(vectors), empty))
         for bits in Subspace.from_matrix_rows(image).extend(vectors)[1]:
             maps[s].set_image(frees[s].add_generator(d), bits)
 
     for t in range(max_stem + max_filt + 1):
         if t <= max_stem:
-            for w in _candidate_weights(frees[0], module, t, True):
+            for w in _span_weights(frees[0], module, t, True):
                 d = BiDegree(t, w)
                 units = [1 << c for c in range(module.dim(d))]
-                add(0, d, maps[0].matrix(d), units)
+                empty = frees[0].dim(d) == 0 and not units
+                add(0, d, maps[0].matrix(d), units, empty)
         for s in range(max(0, t - max_stem - 1), min(max_filt - 1, t - 1) + 1):
-            for w in _candidate_weights(frees[s], module, t, False):
+            for w in _span_weights(frees[s], module, t, False):
                 d = BiDegree(t, w)
                 ker = kernel(maps[s].matrix(d).transpose())
-                add(s + 1, d, maps[s + 1].matrix(d), ker.basis.rows)
+                add(s + 1, d, maps[s + 1].matrix(d), ker.basis.rows, frees[s].dim(d) == 0)
     return frees, maps, extended
 
 
@@ -176,12 +192,52 @@ def test_carried_matrices_match_fresh_assembly(alg24, monkeypatch, case):
     monkeypatch.undo()
     frees, maps, fresh = reference_resolution(module, max_stem, max_filt)
     assert frees[0].generators
+    # the cells the resolver skips are exactly the reference's empty ones,
+    # and those extend nothing by nothing
+    assert {(a, v) for a, v, empty in fresh if empty} == {(0, ())}
     # every cell extended by the canonical kernel basis of the full d_s,
     # newborn rows included, whether carried up or taken afresh
-    assert extended == fresh
+    assert extended == [(a, v) for a, v, empty in fresh if not empty]
     for s in range(max_filt + 1):
         assert res.frees[s].generators == frees[s].generators, s
         assert res.maps[s].images == maps[s].images, s
+
+
+@pytest.mark.parametrize("case", ["sphere", "wbp"])
+def test_only_nonzero_cells_are_visited(alg24, monkeypatch, case):
+    module, max_stem, max_filt = _carry_cases(alg24)[case]
+    cells = []
+    source = {}
+    matrix, eliminate = ModuleMap.matrix, resolution.image_and_left_kernel
+
+    def recording_matrix(self, d, exclude_units=False):
+        m = matrix(self, d, exclude_units)
+        source[id(m)] = (self.source.filtration, BiDegree(*d))
+        return m
+
+    def recording_eliminate(m):
+        cells.append(source[id(m)])
+        return eliminate(m)
+
+    monkeypatch.setattr(ModuleMap, "matrix", recording_matrix)
+    monkeypatch.setattr(resolution, "image_and_left_kernel", recording_eliminate)
+    res, _ = minimal_resolution(module, max_stem, max_filt)
+    monkeypatch.undo()
+    # a cell eliminating d_k at d works for F_{k-1} (for the module when k = 0)
+    for k, d in cells:
+        if k:
+            assert res.frees[k - 1].layout(d), (k, d)
+        else:
+            assert res.frees[0].layout(d) or module.dim(d), d
+    nonzero = 0
+    for t in range(max_stem + max_filt + 1):
+        for w in range(t // 2 + 1):
+            d = BiDegree(t, w)
+            if t <= max_stem:
+                nonzero += bool(res.frees[0].dim(d) or module.dim(d))
+            for s in range(max(0, t - max_stem - 1), min(max_filt - 1, t - 1) + 1):
+                nonzero += res.frees[s].dim(d) > 0
+    assert len(cells) == len(set(cells)) == nonzero
 
 
 def test_each_matrix_assembled_once(alg24, monkeypatch):

@@ -24,19 +24,28 @@ minimality arguments terminate.  The antipode is an algebra map (the dual
 is commutative), computed from its values on the generators without
 reading any coproduct.
 
-Bases, coproducts and antipodes are intrinsic to a bidegree and cached at
-module level.  Coproduct terms are interned: equal monomials across all
-cached coproducts are one shared object.  A MilnorAlgebra instance adds a
-stem window, guards against leaving it, and caches right-multiplication
-matrices; a product reads only the basis products it needs, so no whole
-multiplication table is built.  All cached data is immutable once built.
+Bases, coproducts and antipodes are intrinsic to a bidegree or a monomial
+and cached at module level: bidegree_basis and basis_index by bidegree,
+coproduct_monomial and antipode_monomial by monomial.  A coproduct is the
+coproduct of the monomial's first generator power times the cached
+coproduct of the rest.  Coproduct terms are interned: equal monomials
+across all cached coproducts are one shared object.
+
+A MilnorAlgebra instance adds a stem window, guards against leaving it,
+and keeps the product caches, which live and die with it: the classical
+xi part of a product by its pair of exponent tuples, and the unit block of
+right multiplication by one basis monomial by the source bidegree and that
+monomial's place in its basis.  A product reads only the basis products it
+needs, so no whole multiplication table is built.  The module-level
+milnor_product runs the same code with a memo of its own and keeps
+nothing.  All cached data is immutable once built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
+from operator import add, xor
 from typing import Iterable, Iterator, NamedTuple
 
 from .gf2 import BitMatrix, BitVector
@@ -334,31 +343,36 @@ _CANON: dict[DualMonomial, DualMonomial] = {}
 def coproduct_monomial(m: DualMonomial) -> tuple[tuple[DualMonomial, DualMonomial], ...]:
     """The full coproduct of a monomial as an F2 set of tensor pairs.
 
-    Terms are sorted, and their factors are interned, so equal monomials
-    in any two cached coproducts are the same object.
+    D(m) = D(first) . D(rest), where first is m's first generator power
+    (its lowest xi power, or its first tau when it has no xi) and the
+    coproduct of the rest is read from this cache.  Terms are sorted, and
+    their factors are interned, so equal monomials in any two cached
+    coproducts are the same object.
     """
-    acc: dict[tuple[DualMonomial, DualMonomial], int] = {(UNIT_MONOMIAL, UNIT_MONOMIAL): 1}
-    factors = []
-    for j, e in enumerate(m.r, start=1):
-        if e:
-            factors.append(_delta_xi_power(j, e))
-    for i in m.eps:
-        factors.append(_delta_tau(i))
-    for factor in factors:
-        nxt: dict[tuple[DualMonomial, DualMonomial], int] = {}
-        for (l, r), _ in acc.items():
-            for fl, fr in factor:
-                left = multiply_monomials(l, fl)
-                if left is None:
-                    continue
-                right = multiply_monomials(r, fr)
-                if right is None:
-                    continue
-                key = (left, right)
-                nxt[key] = nxt.get(key, 0) ^ 1
-        acc = {k: 1 for k, v in nxt.items() if v}
+    eps, r = m
+    if r:
+        j = next(j for j, e in enumerate(r, start=1) if e)
+        factor = _delta_xi_power(j, r[j - 1])
+        rest = DualMonomial(eps, _trim(r[: j - 1] + (0,) + r[j:]))
+    elif eps:
+        factor = _delta_tau(eps[0])
+        rest = DualMonomial(eps[1:], r)
+    else:
+        unit = _CANON.setdefault(m, m)
+        return ((unit, unit),)
+    acc: dict[tuple[DualMonomial, DualMonomial], int] = {}
+    for l, r in coproduct_monomial(rest):
+        for fl, fr in factor:
+            left = multiply_monomials(l, fl)
+            if left is None:
+                continue
+            right = multiply_monomials(r, fr)
+            if right is None:
+                continue
+            key = (left, right)
+            acc[key] = acc.get(key, 0) ^ 1
     canon = _CANON.setdefault
-    return tuple((canon(l, l), canon(r, r)) for l, r in sorted(acc))
+    return tuple((canon(l, l), canon(r, r)) for l, r in sorted(k for k, odd in acc.items() if odd))
 
 
 def _sum_of_products(
@@ -421,10 +435,8 @@ def antipode_monomial(m: DualMonomial) -> tuple[DualMonomial, ...]:
 # the product of two basis functionals
 
 
-def _xi_products(
-    eps: tuple[int, ...], r: tuple[int, ...], s: tuple[int, ...], out: dict[DualMonomial, int]
-) -> None:
-    """Toggle in out each tau_eps xi^T whose D(xi^T) holds xi^r (x) xi^s oddly.
+def _xi_product(r: tuple[int, ...], s: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The exponents T whose D(xi^T) holds xi^r (x) xi^s oddly: P(r) . P(s).
 
     D(xi^T) picks, for each diagonal n, a split of T_n into entries x_ij
     (i + j = n) that put xi_i^(2^j x_ij) on the left and xi_j^(x_ij) on the
@@ -434,13 +446,13 @@ def _xi_products(
     the entries of every diagonal have disjoint binary digits; T_n is then
     their bitwise union.  The free entries are i, j >= 1, filled row by row;
     x_i0 and x_0j take what is left of r_i and s_j.  A diagonal is dropped
-    the moment a new entry shares a digit with it.
+    the moment a new entry shares a digit with it.  Two matrices may give
+    the same T, so T is kept when it is reached an odd number of times.
     """
     rows, cols = len(r), len(s)
     if not rows or not cols:
-        m = DualMonomial(eps, r or s)
-        out[m] = out.get(m, 0) ^ 1
-        return
+        return (r or s,)
+    out: dict[tuple[int, ...], int] = {}
     diag = [0] * (rows + cols + 1)
     rem_s = list(s)
 
@@ -456,8 +468,8 @@ def _xi_products(
                 t = diag[1:]
                 for k in range(cols):
                     t[k] |= rem_s[k]
-                m = DualMonomial(eps, _trim(t))
-                out[m] = out.get(m, 0) ^ 1
+                key = _trim(t)
+                out[key] = out.get(key, 0) ^ 1
             diag[i] ^= rem_r
             return
         n = i + j
@@ -472,6 +484,7 @@ def _xi_products(
         diag[n] = seen
 
     cell(1, 1, r[0])
+    return tuple(t for t, odd in out.items() if odd)
 
 
 def _tau_moves(
@@ -499,17 +512,36 @@ def _tau_moves(
             yield from _tau_moves(tuple(sorted(eps + (k + i,))), _trim(left), rest)
 
 
+# The memo of classical xi parts: (r, s) -> _xi_product(r, s).
+_XiMemo = dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[tuple[int, ...], ...]]
+
+
+def _product_terms(m1: DualMonomial, m2: DualMonomial, xi: _XiMemo) -> Iterator[DualMonomial]:
+    """Each tau_eps xi^T that a tau placement and a Milnor matrix of (m1, m2)
+    reach.  Two placements may reach the same monomial, so a monomial is a
+    term of the product when it is yielded an odd number of times.  The
+    xi part of a placement is read from, or added to, the memo xi."""
+    s = m2.r
+    for eps, r in _tau_moves(m1.eps, m1.r, m2.eps):
+        ts = xi.get((r, s))
+        if ts is None:
+            ts = xi[r, s] = _xi_product(r, s)
+        for t in ts:
+            yield DualMonomial(eps, t)
+
+
 def milnor_product(m1: DualMonomial, m2: DualMonomial) -> tuple[DualMonomial, ...]:
     """The monomials whose coproduct holds m1 (x) m2 an odd number of times.
 
     This is the product of the functionals dual to m1 and m2, left operand
     on the left factor, by Milnor's matrix formula: mod tau the dual is the
     odd-primary dual at p = 2, so every sign is trivial.  The taus of m2
-    are placed first, then the xi parts are matched.  Sorted output.
+    are placed first, then the xi parts are matched.  Sorted output.  Pure
+    and uncached: it runs the algebra's product code with a memo of its own.
     """
     out: dict[DualMonomial, int] = {}
-    for eps, r in _tau_moves(m1.eps, m1.r, m2.eps):
-        _xi_products(eps, r, m2.r, out)
+    for m in _product_terms(m1, m2, {}):
+        out[m] = out.get(m, 0) ^ 1
     return tuple(sorted(m for m, odd in out.items() if odd))
 
 
@@ -517,12 +549,13 @@ def _product_bits(
     index: dict[DualMonomial, int],
     lefts: Iterable[DualMonomial],
     rights: tuple[DualMonomial, ...],
+    xi: _XiMemo,
 ) -> int:
     """The sum of the products of lefts by rights, as bits over index."""
     bits = 0
     for m1 in lefts:
         for m2 in rights:
-            for m in milnor_product(m1, m2):
+            for m in _product_terms(m1, m2, xi):
                 bits ^= 1 << index[m]
     return bits
 
@@ -608,9 +641,17 @@ def steenrod_element(duals: Iterable[DualMonomial], degree: BiDegree | None = No
 class MilnorAlgebra:
     """The algebra of operations, enumerated for stems up to max_stem.
 
-    Products, and the left and right multiplication matrices, add up
-    milnor_product over the support of the fixed operand(s) only; right
-    multiplication matrices are cached, keyed by their operand.
+    Products, the left and right multiplication matrices and mult_table add
+    up basis products over the support of the fixed operand(s) only.  The
+    instance's caches:
+
+    - _xi: (r, s) -> the exponents T of P(r) . P(s), the classical xi part
+      left once the taus of a product are placed (_tau_moves); every
+      product of this algebra reads it.
+    - _rmul: (d1, |m2|, the bit of m2 in its basis) -> the unit block of
+      x -> x . m2 on the basis of d1; right_mult_matrix adds these up.
+    - _antipode: bidegree -> antipode_matrix.
+    - _weights: stem -> the weights with a nonempty basis.
     """
 
     def __init__(self, max_stem: int = 24):
@@ -618,6 +659,7 @@ class MilnorAlgebra:
             raise ValueError("max_stem must be >= 0")
         self.max_stem = max_stem
         self._rmul: dict[tuple[BiDegree, BiDegree, int], BitMatrix] = {}
+        self._xi: _XiMemo = {}
         self._antipode: dict[BiDegree, BitMatrix] = {}
         self._weights: dict[int, tuple[int, ...]] = {}
 
@@ -699,34 +741,53 @@ class MilnorAlgebra:
         rows: list[list[tuple[int, int]]] = [[] for _ in index]
         for i, m1 in enumerate(bidegree_basis(d1)):
             for j, m2 in enumerate(bidegree_basis(d2)):
-                for m in milnor_product(m1, m2):
-                    rows[index[m]].append((i, j))
+                bits = _product_bits(index, (m1,), (m2,), self._xi)
+                while bits:
+                    low = bits & -bits
+                    rows[low.bit_length() - 1].append((i, j))
+                    bits ^= low
         return tuple(map(tuple, rows))
 
     def product(self, a: SteenrodElement, b: SteenrodElement) -> SteenrodElement:
         d = self.require(a.degree + b.degree)
-        bits = _product_bits(basis_index(d), a.dual_monomials(), b.dual_monomials())
+        bits = _product_bits(basis_index(d), a.dual_monomials(), b.dual_monomials(), self._xi)
         return SteenrodElement(d, bits)
 
     def right_mult_matrix(self, d1: BiDegree, b: SteenrodElement) -> BitMatrix:
-        """Matrix of x -> x . b on basis functionals at d1."""
+        """Matrix of x -> x . b on basis functionals at d1.
+
+        The XOR of the unit blocks x -> x . m2 over the monomials m2 of b.
+        Unit blocks are built once and kept; a one-term b returns its unit
+        block itself, and a sum is added up afresh from them.
+        """
         d1 = BiDegree(*d1)
-        key = (d1, b.degree, b.bits)
-        mat = self._rmul.get(key)
-        if mat is None:
-            index = basis_index(self.require(d1 + b.degree))
-            right = b.dual_monomials()
-            rows = [_product_bits(index, (m1,), right) for m1 in bidegree_basis(d1)]
-            mat = BitMatrix(len(index), rows)
-            self._rmul[key] = mat
-        return mat
+        d2 = b.degree
+        units = []
+        bits = b.bits
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            key = (d1, d2, low)
+            unit = self._rmul.get(key)
+            if unit is None:
+                index = basis_index(self.require(d1 + d2))
+                m2 = bidegree_basis(d2)[low.bit_length() - 1]
+                rows = [_product_bits(index, (m1,), (m2,), self._xi) for m1 in bidegree_basis(d1)]
+                unit = self._rmul[key] = BitMatrix(len(index), rows)
+            units.append(unit)
+        if len(units) == 1:
+            return units[0]
+        rows = [0] * bidegree_dim(d1)
+        for unit in units:
+            rows = list(map(xor, rows, unit.rows))
+        return BitMatrix(bidegree_dim(self.require(d1 + d2)), rows)
 
     def left_mult_matrix(self, a: SteenrodElement, d2: BiDegree) -> BitMatrix:
         """Matrix of x -> a . x on basis functionals at d2."""
         d2 = BiDegree(*d2)
         index = basis_index(self.require(a.degree + d2))
         left = a.dual_monomials()
-        rows = [_product_bits(index, left, (m2,)) for m2 in bidegree_basis(d2)]
+        rows = [_product_bits(index, left, (m2,), self._xi) for m2 in bidegree_basis(d2)]
         return BitMatrix(len(index), rows)
 
     # -- fast structure-constant paths for the generators P_t ------------

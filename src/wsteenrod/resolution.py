@@ -17,13 +17,14 @@ Kernels, not matrices, are carried up.  The left kernel of d_{s+1} found at
 (s, d) is the kernel of d_{s+1} that cell (s + 1, d) needs: the generators
 born at (s + 1, d) are the last rows of the full matrix, and their images
 are independent modulo the rest, so they add no relation.  The cover step
-carries the kernel of d_0 the same way.  Only a cell with no visited cell
-below it at d, at the lower edge of the stem triangle or above a cell that
-is skipped (see below), assembles its d_s and takes the kernel afresh
-(``gf2.kernel`` of the transpose).  So no
-matrix is assembled twice, and each cell runs one elimination of its own
-matrix.  The carried kernels are kept per internal degree and dropped when
-it is done.
+carries the kernel of d_0 the same way.  A cell with no visited cell below
+it at d takes the kernel of d_s afresh.  Above a cell that is skipped (see
+below), F_{s-1}(d) = 0, so that kernel is all of F_s(d) and its unit
+vectors are used as they are.  Only at the lower edge of the stem triangle,
+where F_{s-1}(d) may be nonzero, does a cell assemble d_s and take the
+kernel of its transpose (``gf2.kernel``).  So no matrix is assembled twice,
+and each cell runs one elimination of its own matrix.  The carried kernels
+are kept per internal degree and dropped when it is done.
 
 Only cells (s, d) with F_s(d) != 0 are visited, and they are a minority
 of the triangle below (about a third for the sphere at stem 32).  That is
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .charts import ExtChart
 from .gf2 import BitMatrix, BitVector, image_and_left_kernel, kernel as gf2_kernel, rank
@@ -309,10 +310,12 @@ def minimal_resolution(
     ``progress``, when given, is called once per finished internal degree
     with a plain dict: ``t``; ``cells``, the cells visited; ``rows`` and
     ``cols``, summed over the matrix each cell eliminates (d_{s+1}, or d_0
-    at a cover step); ``generators``, those born at t; and ``assembly_s``
-    and ``elimination_s``, the seconds spent assembling those matrices and
-    eliminating (a boundary cell's fresh kernel of d_s included).  Without
-    it no clock is read.
+    at a cover step); ``kernel``, the total dimension of the vectors each
+    cell extends the image by (the kernel of d_s, or the module's unit
+    vectors at a cover step); ``generators``, those born at t, at most
+    ``kernel``; and ``assembly_s`` and ``elimination_s``, the seconds spent
+    assembling those matrices and eliminating (a boundary cell's fresh
+    kernel of d_s included).  Without it no clock is read.
     """
     if max_stem < 0 or max_filt < 0:
         raise ValueError(f"negative window: max_stem {max_stem}, max_filt {max_filt}")
@@ -329,7 +332,7 @@ def minimal_resolution(
         res.maps.append(ModuleMap(algebra, res.frees[s], res.frees[s - 1]))
     clock = perf_counter if progress is not None else (lambda: 0.0)
 
-    def cover(s: int, d: BiDegree, vectors: Iterable[int] | None) -> None:
+    def cover(s: int, d: BiDegree, vectors: Sequence[int] | None) -> None:
         """Give F_s one generator per vector the image of d_s at d does not
         reach, and carry the kernel of d_s up.  The vectors are the kernel
         of d_{s-1} (None: not carried, take it afresh) or, when s = 0, the
@@ -338,9 +341,13 @@ def minimal_resolution(
         m = res.maps[s].matrix(d)
         assembled = clock()
         if vectors is None:
-            # rows are the source basis, so the kernel of d_{s-1} is the
-            # left kernel of its matrix
-            vectors = gf2_kernel(res.maps[s - 1].matrix(d).transpose()).basis.rows
+            if s < 2 or res.frees[s - 2].dim(d):
+                # rows are the source basis, so the kernel of d_{s-1} is
+                # the left kernel of its matrix
+                vectors = gf2_kernel(res.maps[s - 1].matrix(d).transpose()).basis.rows
+            else:
+                # d_{s-1} maps into zero, so its kernel is all of F_{s-1}
+                vectors = [1 << i for i in range(res.frees[s - 1].dim(d))]
         image, ker = image_and_left_kernel(m)
         new = image.extend(vectors)[1]
         tally["assembly_s"] += assembled - start
@@ -348,6 +355,7 @@ def minimal_resolution(
         tally["cells"] += 1
         tally["rows"] += m.nrows
         tally["cols"] += m.ncols
+        tally["kernel"] += len(vectors)
         tally["generators"] += len(new)
         if max_gens_per_bidegree is not None and len(new) > max_gens_per_bidegree:
             # internal degrees below d's are done, which closes chart stems
@@ -366,12 +374,14 @@ def minimal_resolution(
     for t in range(0, max_stem + max_filt + 1):
         # (s, w) -> the kernel basis of d_s at (t, w), left by the cell below
         carried: dict[tuple[int, int], tuple[int, ...]] = {}
-        tally = dict(t=t, cells=0, rows=0, cols=0, generators=0, assembly_s=0.0, elimination_s=0.0)
+        tally = dict(
+            t=t, cells=0, rows=0, cols=0, kernel=0, generators=0, assembly_s=0.0, elimination_s=0.0
+        )
         # new generators of F_0 where the module is not yet covered
         if t <= max_stem:
             for w in _candidate_weights(res.frees[0], module, t, True):
                 d = BiDegree(t, w)
-                cover(0, d, (1 << c for c in range(module.dim(d))))
+                cover(0, d, [1 << c for c in range(module.dim(d))])
         # kernels feeding new generators of F_{s+1}; a cell where F_s is
         # zero has no kernel, so it is not visited
         s_lo = max(0, t - (max_stem + 1))

@@ -9,6 +9,7 @@ import pytest
 
 from wsteenrod import resolution
 from wsteenrod.cli import MAX_STEM, main
+from wsteenrod.gf2 import Subspace
 from wsteenrod.towers import KwComplex
 from wsteenrod.verify import SUITES
 
@@ -319,6 +320,11 @@ def test_resolve_progress_changes_no_bytes(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
         resolution, "image_and_left_kernel", lambda m: cells.append(m) or eliminate(m)
     )
+    extended = []
+    extend = Subspace.extend
+    monkeypatch.setattr(
+        Subspace, "extend", lambda self, vs: extended.append(len(vs)) or extend(self, vs)
+    )
     code, flagged, err = run(capsys, *argv, "--progress")
     assert code == 0
     assert flagged == plain
@@ -333,6 +339,9 @@ def test_resolve_progress_changes_no_bytes(tmp_path, capsys, monkeypatch):
     # one elimination per visited cell, two runs with the flag
     assert 2 * sum(line["cells"] for line in lines) == len(cells)
     assert all(line["rows"] >= 0 and line["cols"] >= 0 for line in lines)
+    # kernel: the vectors each cell extends its image by, two runs again
+    assert all(0 <= line["generators"] <= line["kernel"] for line in lines)
+    assert 2 * sum(line["kernel"] for line in lines) == sum(extended)
     assert all(line["assembly_s"] >= 0 and line["elimination_s"] >= 0 for line in lines)
 
 

@@ -23,6 +23,7 @@ from wsteenrod.milnor import (
     xi_degree,
     xi_monomial,
 )
+from wsteenrod.milnor import _delta_tau, _delta_xi_power
 
 
 def test_generator_degrees():
@@ -116,6 +117,29 @@ def test_coproduct_tau1():
 
 def test_coproduct_unit():
     assert coproduct_monomial(UNIT_MONOMIAL) == ((UNIT_MONOMIAL, UNIT_MONOMIAL),)
+
+
+def coproduct_from_factors(m):
+    """D(m) multiplied out from the coproducts of all its generator powers,
+    starting from the unit: the reference for the cached coproduct_monomial,
+    which multiplies one factor onto the cached coproduct of the rest."""
+    factors = [_delta_xi_power(j, e) for j, e in enumerate(m.r, start=1) if e]
+    factors += [_delta_tau(i) for i in m.eps]
+    acc = {(UNIT_MONOMIAL, UNIT_MONOMIAL): 1}
+    for factor in factors:
+        nxt = {}
+        for left, right in acc:
+            for fl, fr in factor:
+                pair = (multiply_monomials(left, fl), multiply_monomials(right, fr))
+                if None not in pair:
+                    nxt[pair] = nxt.get(pair, 0) ^ 1
+        acc = {pair: 1 for pair, odd in nxt.items() if odd}
+    return tuple(sorted(acc))
+
+
+def test_coproduct_matches_product_of_factors():
+    for m in enumerate_window_monomials(28):
+        assert coproduct_monomial(m) == coproduct_from_factors(m), m
 
 
 def test_antipode_generators():

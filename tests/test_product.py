@@ -3,6 +3,7 @@ import random
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from wsteenrod.classical import milnor_product as classical_milnor_product
 from wsteenrod.milnor import (
     BiDegree,
     MilnorAlgebra,
@@ -240,3 +241,89 @@ def test_milnor_product_is_transposed_coproduct(pair):
         if (m1, m2) in coproduct_monomial(m)
     )
     assert milnor_product(m1, m2) == want
+
+
+def test_xi_memo_is_the_classical_product():
+    # every eps-free pair through stem 28 goes through one algebra's memo,
+    # and each memo entry is the classical Milnor product P(r) . P(s)
+    alg = MilnorAlgebra(ORACLE_STEM)
+    xi_only = [m for m in _BY_STEM if not m.eps]
+    pairs = 0
+    for m1 in xi_only:
+        for m2 in _fitting(m1):
+            if m2.eps:
+                continue
+            pairs += 1
+            got = alg.product(alg.from_dual_monomial(m1), alg.from_dual_monomial(m2))
+            want = classical_milnor_product(m1.r, m2.r).terms
+            assert {m.r for m in got.dual_monomials()} == want, (m1, m2)
+    assert len(alg._xi) == pairs
+    for (r, s), ts in alg._xi.items():
+        assert len(set(ts)) == len(ts)
+        assert set(ts) == classical_milnor_product(r, s).terms, (r, s)
+
+
+def _right_mult_by_definition(d1, b):
+    """Rows x -> x . b from the module-level milnor_product, pair by pair."""
+    index = basis_index(d1 + b.degree)
+    rows = []
+    for m1 in bidegree_basis(d1):
+        bits = 0
+        for m2 in b.dual_monomials():
+            for m in milnor_product(m1, m2):
+                bits ^= 1 << index[m]
+        rows.append(bits)
+    return rows
+
+
+def test_right_mult_matrix_is_the_sum_over_the_support():
+    alg = MilnorAlgebra(16)
+    rng = random.Random(29)
+    degrees = list(alg.bidegrees(8))
+    seen_multi = 0
+    for _ in range(60):
+        d1, d2 = rng.choice(degrees), rng.choice(degrees)
+        if (d1 + d2).stem > 16:
+            continue
+        n1, n2 = alg.dim(d1), alg.dim(d2)
+        for bits in (0, 1 << rng.randrange(n2), rng.getrandbits(n2)):
+            b = SteenrodElement(d2, bits)
+            mat = alg.right_mult_matrix(d1, b)
+            assert (mat.nrows, mat.ncols) == (n1, alg.dim(d1 + d2))
+            assert list(mat.rows) == _right_mult_by_definition(d1, b), (d1, b)
+            seen_multi += bin(bits).count("1") > 1
+    assert seen_multi
+    # b = 0 is the zero map, even where the target bidegree is empty
+    zero = alg.right_mult_matrix(BiDegree(2, 1), alg.zero(BiDegree(1, 0)))
+    assert (zero.nrows, zero.ncols, zero.rows) == (1, alg.dim(BiDegree(3, 1)), (0,))
+    # a one-term b is its unit block, built once
+    p1 = alg.pst(0, 1)
+    assert alg.right_mult_matrix(BiDegree(4, 2), p1) is alg.right_mult_matrix(BiDegree(4, 2), p1)
+
+
+def test_algebras_share_no_memo():
+    a, b = MilnorAlgebra(16), MilnorAlgebra(16)
+    x, y = a.pR((2,)), a.pR((0, 1))
+    a.product(x, y)
+    a.right_mult_matrix(BiDegree(4, 2), y)
+    assert a._xi and a._rmul
+    assert not b._xi and not b._rmul
+    # the module-level product reads and fills neither
+    sizes = len(a._xi), len(a._rmul)
+    assert milnor_product(xi_monomial(1, 2), xi_monomial(2)) == a.product(x, y).dual_monomials()
+    assert (len(a._xi), len(a._rmul)) == sizes and not b._xi
+
+
+def test_product_is_a_sum_of_milnor_products(alg16):
+    rng = random.Random(31)
+    degrees = list(alg16.bidegrees(8))
+    for _ in range(60):
+        d1, d2 = rng.choice(degrees), rng.choice(degrees)
+        if (d1 + d2).stem > 16:
+            continue
+        a = SteenrodElement(d1, rng.getrandbits(alg16.dim(d1)))
+        b = SteenrodElement(d2, rng.getrandbits(alg16.dim(d2)))
+        terms = [m for m1 in a.dual_monomials() for m2 in b.dual_monomials()
+                 for m in milnor_product(m1, m2)]
+        want = dual_element(terms, d1 + d2).bits
+        assert alg16.product(a, b) == SteenrodElement(d1 + d2, want)

@@ -41,11 +41,6 @@ def classical_weight(r: Iterable[int]) -> int:
     return sum(e * (2**j - 1) for j, e in enumerate(r, start=1))
 
 
-def sq(r: Iterable[int]) -> ClassicalElement:
-    r = _trim(r)
-    return ClassicalElement(classical_weight(r), frozenset([r]))
-
-
 def to_classical(a: SteenrodElement) -> ClassicalElement:
     """Image under the quotient that kills every tau-divisible functional."""
     terms = frozenset(m.r for m in a.dual_monomials() if not m.eps)

@@ -9,7 +9,8 @@ variable, is at most MAX_STEM (255).  Identical flags produce identical
 bytes.  Malformed flags (negative windows or counts, stem windows above
 MAX_STEM, unknown modules or suites) exit with code 2 and a usage message;
 an unreadable or malformed ``chart --in`` file exits with code 2 and a
-message on stderr.
+message on stderr, as do elements that do not parse, leave the window or
+are paired across bidegrees.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .grammar import (
     parse_dual,
     parse_steenrod,
 )
-from .milnor import BiDegree, MilnorAlgebra, WindowError, bidegree_basis
+from .milnor import BiDegree, BidegreeMismatch, MilnorAlgebra, WindowError, bidegree_basis
 from .modules import ExteriorProfile, InvariantViolation, quotient_by_exterior, TrivialModule
 from .resolution import PartialResultError, minimal_resolution
 from .svg import render_chart_svg
@@ -191,7 +192,9 @@ def _resolve_module(spec: tuple[str, int | None], algebra: MilnorAlgebra, chart_
         return quotient_by_exterior(ExteriorProfile.of(*ts), algebra), "wbp"
     if kind == "kw":
         return quotient_by_exterior(ExteriorProfile.of(n + 1), algebra), f"kw:{n}"
-    ts = tuple(range(1, n + 2))
+    # an index past the window kills nothing and the quotient drops it
+    # (ExteriorProfile.resolve), so a huge N lists no more than the window
+    ts = range(1, min(n + 1, algebra.max_stem) + 1)
     return quotient_by_exterior(ExteriorProfile.of(*ts), algebra), f"wbp:{n}"
 
 
@@ -331,6 +334,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except WindowError as exc:
         print(f"window error: {exc}", file=sys.stderr)
+        return 2
+    except BidegreeMismatch as exc:
+        print(f"bidegree mismatch: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

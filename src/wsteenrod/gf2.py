@@ -52,15 +52,6 @@ class BitVector:
         self.length = length
         self.bits = bits
 
-    @classmethod
-    def from_support(cls, length: int, support: Iterable[int]) -> "BitVector":
-        bits = 0
-        for j in support:
-            if not 0 <= j < length:
-                raise DimensionMismatch(f"index {j} out of range for length {length}")
-            bits ^= 1 << j
-        return cls(length, bits)
-
     def __len__(self) -> int:
         return self.length
 

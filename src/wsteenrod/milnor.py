@@ -132,9 +132,6 @@ class DualMonomial(NamedTuple):
     def is_unit(self) -> bool:
         return not self.eps and not self.r
 
-    def exponent(self, j: int) -> int:
-        return self.r[j - 1] if 1 <= j <= len(self.r) else 0
-
 
 UNIT_MONOMIAL = DualMonomial((), ())
 
@@ -642,8 +639,10 @@ class MilnorAlgebra:
     """The algebra of operations, enumerated for stems up to max_stem.
 
     Products, the left and right multiplication matrices and mult_table add
-    up basis products over the support of the fixed operand(s) only.  The
-    instance's caches:
+    up basis products over the support of the fixed operand(s) only.  There
+    is one product path: right_pt_matrix is right_mult_matrix at P_t, a
+    name kept for the tower code and the bench tracer.  The instance's
+    caches:
 
     - _xi: (r, s) -> the exponents T of P(r) . P(s), the classical xi part
       left once the taus of a product are placed (_tau_moves); every
@@ -790,53 +789,9 @@ class MilnorAlgebra:
         rows = [_product_bits(index, left, (m2,), self._xi) for m2 in bidegree_basis(d2)]
         return BitMatrix(len(index), rows)
 
-    # -- fast structure-constant paths for the generators P_t ------------
-    #
-    # Right factor exactly xi_t in the coproduct of m comes from one odd
-    # exponent r_j (j >= t), replacing xi_j by xi_{j-t}^(2^t) on the left;
-    # left factor exactly xi_t comes from an odd r_t, or from tau_t turning
-    # into tau_0 when tau_0 is not already present.  Cross-checked against
-    # the duality product in the test suite.
-
     def right_pt_matrix(self, t: int, d1: BiDegree) -> BitMatrix:
-        d1 = BiDegree(*d1)
-        d = self.require(d1 + xi_degree(t))
-        idx1 = basis_index(d1)
-        rows = [0] * self.dim(d1)
-        for mi, m in enumerate(bidegree_basis(d)):
-            for j in range(t, len(m.r) + 1):
-                if m.exponent(j) % 2 == 0:
-                    continue
-                rr = list(m.r) + [0] * max(0, j - t - len(m.r))
-                rr[j - 1] -= 1
-                if j > t:
-                    rr[j - t - 1] += 2**t
-                src = DualMonomial(m.eps, _trim(rr))
-                i = idx1.get(src)
-                if i is not None:
-                    rows[i] ^= 1 << mi
-        return BitMatrix(self.dim(d), rows)
-
-    def left_pt_matrix(self, t: int, d2: BiDegree) -> BitMatrix:
-        d2 = BiDegree(*d2)
-        d = self.require(d2 + xi_degree(t))
-        idx2 = basis_index(d2)
-        rows = [0] * self.dim(d2)
-        for mi, m in enumerate(bidegree_basis(d)):
-            if m.exponent(t) % 2 == 1:
-                rr = list(m.r)
-                rr[t - 1] -= 1
-                src = DualMonomial(m.eps, _trim(rr))
-                i = idx2.get(src)
-                if i is not None:
-                    rows[i] ^= 1 << mi
-            if t in m.eps and 0 not in m.eps:
-                eps = tuple(sorted([0] + [e for e in m.eps if e != t]))
-                src = DualMonomial(eps, m.r)
-                i = idx2.get(src)
-                if i is not None:
-                    rows[i] ^= 1 << mi
-        return BitMatrix(self.dim(d), rows)
+        """Matrix of x -> x . P_t on basis functionals at d1."""
+        return self.right_mult_matrix(d1, self.pt(t))
 
     # -- coproduct on operations and conjugation ------------------------
 

@@ -32,16 +32,6 @@ class InvariantViolation(AssertionError):
         self.witnesses = witnesses or []
 
 
-def _single_pt_index(a: SteenrodElement) -> int | None:
-    """If a is the basis functional P_t for some t, return t."""
-    if a.bits == 0 or a.bits & (a.bits - 1):
-        return None
-    (m,) = a.dual_monomials()
-    if m.eps or sum(m.r) != 1 or 1 not in m.r:
-        return None
-    return m.r.index(1) + 1
-
-
 class GradedModule:
     """Contract: dims per bidegree, labelled bases, left action matrices."""
 
@@ -96,9 +86,6 @@ class AlgebraModule(GradedModule):
         return format_monomial_steenrod(bidegree_basis(BiDegree(*d))[i])
 
     def op_matrix(self, a: SteenrodElement, d: BiDegree) -> BitMatrix:
-        t = _single_pt_index(a)
-        if t is not None:
-            return self.algebra.left_pt_matrix(t, d)
         return self.algebra.left_mult_matrix(a, d)
 
     def generator_action_matrix(self, d1: BiDegree, d2: BiDegree, bits: int) -> BitMatrix:
@@ -160,14 +147,15 @@ class ExteriorProfile:
         return cls(None)
 
     def resolve(self, max_stem: int) -> tuple[int, ...]:
-        if self.indices is not None:
-            return tuple(sorted(self.indices))
-        out = []
-        t = 1
-        while xi_degree(t).stem <= max_stem:
-            out.append(t)
-            t += 1
-        return tuple(out)
+        """The indices, ascending, whose P_t has stem <= max_stem.
+
+        A P_t past the window kills nothing in it, so dropping its index
+        leaves the quotient the same.  t <= max_stem is tested first, since
+        |P_t| = 2^(t+1) - 2 > t: a huge index is dropped without computing
+        its degree.
+        """
+        ts = range(1, max_stem + 1) if self.indices is None else sorted(self.indices)
+        return tuple(t for t in ts if t <= max_stem and xi_degree(t).stem <= max_stem)
 
     def describe(self) -> str:
         if self.indices is None:
@@ -242,11 +230,7 @@ class QuotientModule(GradedModule):
 
     def op_matrix(self, a: SteenrodElement, d: BiDegree) -> BitMatrix:
         d = BiDegree(*d)
-        t = _single_pt_index(a)
-        if t is not None:
-            full = self.algebra.left_pt_matrix(t, d)
-        else:
-            full = self.algebra.left_mult_matrix(a, d)
+        full = self.algebra.left_mult_matrix(a, d)
         lifted = self.lift_matrix(d).compose(full)
         return lifted.compose(self.projection_matrix(d + a.degree))
 

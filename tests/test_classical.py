@@ -1,12 +1,18 @@
 import random
 
 from wsteenrod.classical import (
+    ClassicalElement,
     classical_product,
+    classical_weight,
     milnor_product,
-    sq,
     to_classical,
 )
 from wsteenrod.milnor import enumerate_window_monomials
+
+
+def sq(r):
+    """The classical Milnor basis element Sq(r), r zero-trimmed."""
+    return ClassicalElement(classical_weight(r), frozenset([r]))
 
 
 def test_milnor_matrix_known_products():

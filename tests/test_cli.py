@@ -429,17 +429,30 @@ def test_hostile_flags_exit_2(capsys, argv):
         ["antipode", "x1^" + "9" * 5000],
         ["antipode", "x1000000"],
         ["antipode", "x1^" + "9" * 100],
+        ["pair", "Q(0)", "x1"],
     ],
 )
 def test_hostile_elements_exit_2(argv):
     # indices and exponents far outside the window, and numbers too long to
-    # convert, are rejected before any degree is computed
+    # convert, are rejected before any degree is computed; operands of two
+    # bidegrees are rejected too
     proc = run_child(["algebra", *argv], timeout=10)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr.startswith(("parse error:", "window error:"))
+    assert proc.stderr.startswith(("parse error:", "window error:", "bidegree mismatch:"))
     assert len(proc.stderr) < 100
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("huge, small", [("wbp:100000", "wbp:1"), ("kw:1000000000", "kw:3")])
+def test_huge_module_index_resolves_fast(capsys, huge, small):
+    # at window 12 only P_1 and P_2 fit; an index past the window kills
+    # nothing, so it is dropped before its degree 2^(t+1) - 2 is computed
+    window = ["--max-stem", "10", "--max-filt", "4"]
+    proc = run_child(["resolve", "--module", huge, *window], timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    _, want, _ = run(capsys, "resolve", "--module", small, *window)
+    assert proc.stdout == want.replace(f'"{small}"', f'"{huge}"')
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,14 @@ from wsteenrod.gf2 import (
 )
 
 
+def V(length, support):
+    """A vector of the given length with ones on the support, repeats cancelling."""
+    bits = 0
+    for j in support:
+        bits ^= 1 << j
+    return BitVector(length, bits)
+
+
 def M(entries):
     """A matrix from rows of 0/1 entries, entry j of a row being bit j."""
     ncols = len(entries[0]) if entries else 0
@@ -59,7 +67,7 @@ def test_rref_idempotent_random():
 def test_kernel_sum_zero():
     sub = kernel(M([[1, 1]]))
     assert sub.dim == 1
-    assert BitVector.from_support(2, [0, 1]) in sub
+    assert V(2, [0, 1]) in sub
 
 
 def test_kernel_identity_and_zero():
@@ -90,13 +98,13 @@ def test_rank_nullity_wide():
 
 def test_solve_identity():
     m = BitMatrix.identity(3)
-    b = BitVector.from_support(3, [0, 2])
+    b = V(3, [0, 2])
     x = solve(m, b)
     assert x == b
 
 
 def test_solve_absent():
-    assert solve(M([[1, 1]]), BitVector.from_support(2, [0])) is None
+    assert solve(M([[1, 1]]), V(2, [0])) is None
 
 
 def test_solve_zero():
@@ -121,7 +129,7 @@ def test_solve_roundtrip_random():
 def test_solve_uses_earliest_rows():
     # rows 0 and 2 are equal; x picks row 0, which comes first
     m = M([[0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1], [1, 0, 0, 0]])
-    assert solve(m, BitVector.from_support(4, [1])) == BitVector.from_support(5, [0])
+    assert solve(m, V(4, [1])) == V(5, [0])
 
 
 def test_solve_dimension_mismatch():
@@ -133,7 +141,7 @@ def test_quotient_zero_subspace():
     sub = Subspace.from_vectors(3, [])
     reps, project = quotient(3, sub)
     assert reps == [0, 1, 2]
-    v = BitVector.from_support(3, [1])
+    v = V(3, [1])
     assert project(v) == v
 
 
@@ -141,17 +149,15 @@ def test_quotient_full_space():
     sub = Subspace.from_matrix_rows(BitMatrix.identity(2))
     reps, project = quotient(2, sub)
     assert reps == []
-    assert project(BitVector.from_support(2, [1])).is_zero()
+    assert project(V(2, [1])).is_zero()
 
 
 def test_quotient_diagonal():
     # span{(1,1)} in dim 2: the two unit vectors land in the same coset
-    sub = Subspace.from_vectors(2, [BitVector.from_support(2, [0, 1])])
+    sub = Subspace.from_vectors(2, [V(2, [0, 1])])
     reps, project = quotient(2, sub)
     assert len(reps) == 1
-    assert project(BitVector.from_support(2, [0])) == project(
-        BitVector.from_support(2, [1])
-    )
+    assert project(V(2, [0])) == project(V(2, [1]))
     # brute force over all four vectors: projection is constant on cosets
     seen = {}
     for bits in range(4):
@@ -183,8 +189,8 @@ def test_project_idempotent_and_kernel():
 
 def test_vec_mul_and_transpose():
     m = M([[1, 0, 1], [0, 1, 1]])
-    v = BitVector.from_support(2, [0, 1])
-    assert m.vec_mul(v) == BitVector.from_support(3, [0, 1])
+    v = V(2, [0, 1])
+    assert m.vec_mul(v) == V(3, [0, 1])
     assert m.transpose().transpose() == m
 
 
@@ -262,7 +268,7 @@ def test_extend_matches_reduce_and_rebuild():
 
 
 def test_extend_units_and_overflow():
-    span = Subspace.from_vectors(3, [BitVector.from_support(3, [0, 1])])
+    span = Subspace.from_vectors(3, [V(3, [0, 1])])
     bigger, kept = span.extend([1, 2, 4])
     # e0 leaves e1 modulo e0 + e1, which then absorbs e1; e2 is new
     assert kept == [0b010, 0b100]

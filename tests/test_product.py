@@ -4,6 +4,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wsteenrod.classical import milnor_product as classical_milnor_product
+from wsteenrod.gf2 import BitMatrix
 from wsteenrod.milnor import (
     BiDegree,
     MilnorAlgebra,
@@ -99,12 +100,63 @@ def test_unit_neutral(alg16):
             assert alg16.product(el, one) == el
 
 
-def test_fast_pt_paths_match_general(alg16):
-    for t in (1, 2):
-        pt = alg16.pst(0, t)
-        for d in alg16.bidegrees(16 - xi_degree(t).stem):
-            assert alg16.right_pt_matrix(t, d) == alg16.right_mult_matrix(d, pt)
-            assert alg16.left_pt_matrix(t, d) == alg16.left_mult_matrix(pt, d)
+def _right_pt_closed_form(t, d1):
+    """x -> x . P_t on basis functionals at d1, from structure constants.
+
+    A right factor exactly xi_t in the coproduct of m comes from one odd
+    exponent r_j (j >= t), replacing xi_j by xi_{j-t}^(2^t) on the left.
+    """
+    d = d1 + xi_degree(t)
+    idx1 = basis_index(d1)
+    rows = [0] * len(idx1)
+    for mi, m in enumerate(bidegree_basis(d)):
+        for j in range(t, len(m.r) + 1):
+            if m.r[j - 1] % 2 == 0:
+                continue
+            rr = list(m.r)
+            rr[j - 1] -= 1
+            if j > t:
+                rr[j - t - 1] += 2**t
+            i = idx1.get(monomial(m.eps, rr))
+            if i is not None:
+                rows[i] ^= 1 << mi
+    return BitMatrix(len(bidegree_basis(d)), rows)
+
+
+def _left_pt_closed_form(t, d2):
+    """x -> P_t . x on basis functionals at d2, from structure constants.
+
+    A left factor exactly xi_t comes from an odd r_t, or from tau_t turning
+    into tau_0 when tau_0 is not already present.
+    """
+    d = d2 + xi_degree(t)
+    idx2 = basis_index(d2)
+    rows = [0] * len(idx2)
+    for mi, m in enumerate(bidegree_basis(d)):
+        if t <= len(m.r) and m.r[t - 1] % 2 == 1:
+            rr = list(m.r)
+            rr[t - 1] -= 1
+            i = idx2.get(monomial(m.eps, rr))
+            if i is not None:
+                rows[i] ^= 1 << mi
+        if t in m.eps and 0 not in m.eps:
+            i = idx2.get(monomial([0] + [e for e in m.eps if e != t], m.r))
+            if i is not None:
+                rows[i] ^= 1 << mi
+    return BitMatrix(len(bidegree_basis(d)), rows)
+
+
+def test_pt_products_match_closed_forms(alg24):
+    # the general product at P_t, right and left, against the P_t structure
+    # constants; the left side covers tau_t -> tau_0 in _tau_moves
+    checked = 0
+    for t in (1, 2, 3):
+        pt = alg24.pt(t)
+        for d in alg24.bidegrees(24 - xi_degree(t).stem):
+            assert alg24.right_mult_matrix(d, pt) == _right_pt_closed_form(t, d), (t, d)
+            assert alg24.left_mult_matrix(pt, d) == _left_pt_closed_form(t, d), (t, d)
+            checked += 1
+    assert checked == 85
 
 
 def test_mult_matrices_consistent(alg16):

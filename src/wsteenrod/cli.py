@@ -198,12 +198,19 @@ def _resolve_module(spec: tuple[str, int | None], algebra: MilnorAlgebra, chart_
     return quotient_by_exterior(ExteriorProfile.of(*ts), algebra), f"wbp:{n}"
 
 
+class _WriteError(Exception):
+    """An output file could not be written; the message names it."""
+
+
 def _write(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise _WriteError(f"cannot write {path}: {exc}") from exc
 
 
 def _json_lines(info: dict) -> None:
@@ -341,6 +348,9 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
+    except _WriteError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     raise SystemExit(f"unknown command {args.command!r}")
 
 

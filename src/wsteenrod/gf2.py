@@ -12,7 +12,7 @@ since no row carries another row's pivot, only those rows are visited.  If
 the remainder is nonzero, its lowest bit becomes a new pivot, that column
 is cleared from the other rows, and the remainder joins the basis.
 ``rref``, ``rank``, ``solve``, ``image_and_left_kernel`` (and ``kernel``
-through it) and ``Subspace.extend`` are loops of it, and
+through it), ``extend_image`` and ``Subspace.extend`` are loops of it, and
 ``Subspace.reduce`` does its first half against a finished basis.
 
 The output is canonical.  A subspace has exactly one reduced row echelon
@@ -101,9 +101,10 @@ class BitMatrix:
         rows = tuple(rows)
         if ncols < 0:
             raise DimensionMismatch(f"negative column count {ncols}")
-        for r in rows:
-            if r < 0 or r >> ncols:
-                raise DimensionMismatch(f"row 0x{r:x} overflows {ncols} columns")
+        # one pass in C; the rows are walked only to name the bad one
+        if rows and (min(rows) < 0 or max(rows) >> ncols):
+            r = next(r for r in rows if r < 0 or r >> ncols)
+            raise DimensionMismatch(f"row 0x{r:x} overflows {ncols} columns")
         self.ncols = ncols
         self.nrows = len(rows)
         self.rows = rows
@@ -326,28 +327,66 @@ class Subspace:
         return self.reduce(v).is_zero()
 
 
-def image_and_left_kernel(m: BitMatrix) -> tuple[Subspace, Subspace]:
-    """The row space of ``m`` and its left kernel (the x with x . m = 0),
-    both in reduced row echelon form, from one elimination of [m | I].
+def _eliminate_tagged(m: BitMatrix) -> tuple[_Echelon, list[int]]:
+    """One elimination of [m | I]: the echelon of m's rows and the reduced
+    row echelon basis of the left kernel (the x with x . m = 0).
 
     Row i enters as r_i with the unit coordinate i carried above bit ncols,
     so every echelon row records the input rows it sums.  A row whose part
     below ncols reduces to zero is a relation: its upper bits are a kernel
-    vector.  Those vectors are independent (row i's has top bit i), and one
-    more pass over them alone brings them to their canonical basis.
+    vector, and the row does not enter the echelon.  Rows enter last-first,
+    so relation i is bit i plus bits of later rows that did enter.  Its
+    pivot (lowest bit) is i, and no relation carries another's pivot: the
+    relations, in reverse order of finding, are already the canonical basis.
     """
     n = m.ncols
     low = _mask(n)
     ech = _Echelon(n)
+    insert = ech.insert
+    rows = m.rows
     relations = []
-    for i, r in enumerate(m.rows):
-        v = ech.insert(r | 1 << (n + i))
+    for i in range(m.nrows - 1, -1, -1):
+        v = insert(rows[i] | 1 << (n + i))
         if not v & low:
             relations.append(v >> n)
+    relations.reverse()
+    return ech, relations
+
+
+def image_and_left_kernel(m: BitMatrix) -> tuple[Subspace, Subspace]:
+    """The row space of ``m`` and its left kernel (the x with x . m = 0),
+    both in reduced row echelon form, from one elimination of [m | I]."""
+    n = m.ncols
+    ech, ker = _eliminate_tagged(m)
     rows, pivots = ech.basis()
+    low = _mask(n)
     image = Subspace(n, BitMatrix(n, [r & low for r in rows]), tuple(pivots))
-    ker, ker_pivots = _rref_rows(relations, m.nrows)
-    return image, Subspace(m.nrows, BitMatrix(m.nrows, ker), tuple(ker_pivots))
+    ker_pivots = tuple((r & -r).bit_length() - 1 for r in ker)
+    return image, Subspace(m.nrows, BitMatrix(m.nrows, ker), ker_pivots)
+
+
+def extend_image(m: BitMatrix, vectors: Iterable[int]) -> tuple[list[int], list[int]]:
+    """The remainders that extend the row space of ``m`` by ``vectors``, and
+    the left kernel of ``m``, from one elimination of [m | I].
+
+    The remainders are ``image_and_left_kernel(m)[0].extend(vectors)[1]``:
+    each vector reduced modulo the row space and the vectors kept before
+    it, the nonzero ones in order.  The kernel is the rows of
+    ``image_and_left_kernel(m)[1]``, its reduced row echelon basis.  No
+    subspace is built.
+    """
+    n = m.ncols
+    low = _mask(n)
+    ech, ker = _eliminate_tagged(m)
+    kept = []
+    for v in vectors:
+        if v < 0 or v >> n:
+            raise DimensionMismatch(f"row 0x{v:x} overflows ambient {n}")
+        # echelon rows carry their tags above n; the part below is canonical
+        r = ech.insert(v) & low
+        if r:
+            kept.append(r)
+    return kept, ker
 
 
 def kernel(m: BitMatrix) -> Subspace:

@@ -648,7 +648,8 @@ class MilnorAlgebra:
       left once the taus of a product are placed (_tau_moves); every
       product of this algebra reads it.
     - _rmul: (d1, |m2|, the bit of m2 in its basis) -> the unit block of
-      x -> x . m2 on the basis of d1; right_mult_matrix adds these up.
+      x -> x . m2 on the basis of d1 (right_unit_blocks); right_mult_matrix
+      and the resolver's matrix assembly add these up.
     - _antipode: bidegree -> antipode_matrix.
     - _weights: stem -> the weights with a nonempty basis.
     """
@@ -752,34 +753,43 @@ class MilnorAlgebra:
         bits = _product_bits(basis_index(d), a.dual_monomials(), b.dual_monomials(), self._xi)
         return SteenrodElement(d, bits)
 
-    def right_mult_matrix(self, d1: BiDegree, b: SteenrodElement) -> BitMatrix:
-        """Matrix of x -> x . b on basis functionals at d1.
+    def right_unit_blocks(self, d1: BiDegree, b: SteenrodElement) -> list[BitMatrix]:
+        """The unit blocks x -> x . m2 on basis functionals at the BiDegree
+        d1, one per monomial m2 of b, in basis order.
 
-        The XOR of the unit blocks x -> x . m2 over the monomials m2 of b.
-        Unit blocks are built once and kept; a one-term b returns its unit
-        block itself, and a sum is added up afresh from them.
+        Each is built once and kept; their XOR is x -> x . b.
         """
-        d1 = BiDegree(*d1)
         d2 = b.degree
+        rmul = self._rmul
         units = []
         bits = b.bits
         while bits:
             low = bits & -bits
             bits ^= low
             key = (d1, d2, low)
-            unit = self._rmul.get(key)
+            unit = rmul.get(key)
             if unit is None:
                 index = basis_index(self.require(d1 + d2))
                 m2 = bidegree_basis(d2)[low.bit_length() - 1]
                 rows = [_product_bits(index, (m1,), (m2,), self._xi) for m1 in bidegree_basis(d1)]
-                unit = self._rmul[key] = BitMatrix(len(index), rows)
+                unit = rmul[key] = BitMatrix(len(index), rows)
             units.append(unit)
+        return units
+
+    def right_mult_matrix(self, d1: BiDegree, b: SteenrodElement) -> BitMatrix:
+        """Matrix of x -> x . b on basis functionals at d1.
+
+        The XOR of the unit blocks (right_unit_blocks); a one-term b returns
+        its unit block itself, and a sum is added up afresh from them.
+        """
+        d1 = BiDegree(*d1)
+        units = self.right_unit_blocks(d1, b)
         if len(units) == 1:
             return units[0]
         rows = [0] * bidegree_dim(d1)
         for unit in units:
             rows = list(map(xor, rows, unit.rows))
-        return BitMatrix(bidegree_dim(self.require(d1 + d2)), rows)
+        return BitMatrix(bidegree_dim(self.require(d1 + b.degree)), rows)
 
     def left_mult_matrix(self, a: SteenrodElement, d2: BiDegree) -> BitMatrix:
         """Matrix of x -> a . x on basis functionals at d2."""

@@ -2,29 +2,32 @@
 
 The resolver walks internal degrees in increasing order and, inside one
 degree, filtrations bottom up.  At each cell (s, d) it has the kernel of
-d_s and assembles one matrix, that of d_{s+1} at d, from cached
-right-multiplication blocks.  One elimination of that matrix beside an
-identity block (``gf2.image_and_left_kernel``) gives both the echelon basis
-of its image and its left kernel.  The image is extended by the kernel of
-d_s one vector at a time (``Subspace.extend``): each vector that is not yet
-reached, reduced modulo the image and the vectors kept before it, becomes
-the image of one new free generator.  The cells of filtration 0 do the same
+d_s and assembles one matrix, that of d_{s+1} at d: each generator's rows
+are the cached unit blocks x -> x . m of its image's monomials, shifted to
+their target block and XORed in place.  One elimination of that matrix
+beside an identity block (``gf2.extend_image``) does the rest of the cell
+on plain int rows.  It reduces the kernel of d_s one vector at a time
+modulo the image and the vectors kept before it; each vector not yet
+reached becomes the image of one new free generator.  The same elimination
+gives the left kernel of d_{s+1}.  The cells of filtration 0 do the same
 with the unit vectors of the module, against the image of the
 augmentation.  Generators are therefore exactly the Ext classes (no
 invertible entries ever appear, which the suite re-checks).
 
-Kernels, not matrices, are carried up.  The left kernel of d_{s+1} found at
-(s, d) is the kernel of d_{s+1} that cell (s + 1, d) needs: the generators
-born at (s + 1, d) are the last rows of the full matrix, and their images
-are independent modulo the rest, so they add no relation.  The cover step
-carries the kernel of d_0 the same way.  A cell with no visited cell below
-it at d takes the kernel of d_s afresh.  Above a cell that is skipped (see
-below), F_{s-1}(d) = 0, so that kernel is all of F_s(d) and its unit
-vectors are used as they are.  Only at the lower edge of the stem triangle,
-where F_{s-1}(d) may be nonzero, does a cell assemble d_s and take the
-kernel of its transpose (``gf2.kernel``).  So no matrix is assembled twice,
-and each cell runs one elimination of its own matrix.  The carried kernels
-are kept per internal degree and dropped when it is done.
+Kernels and layouts, not matrices, are carried up.  The left kernel of
+d_{s+1} found at (s, d) is the kernel of d_{s+1} that cell (s + 1, d)
+needs: the generators born at (s + 1, d) are the last rows of the full
+matrix, and their images are independent modulo the rest, so they add no
+relation.  Cell (s + 1, d) also needs the layout of F_s(d) as its target:
+that is cell (s, d)'s source layout plus one unit block per generator born
+there, appended last.  The cover step carries both the same way.  A cell
+with no visited cell below it at d takes both afresh.  Above a cell that
+is skipped (see below), F_{s-1}(d) = 0, so the kernel is all of F_s(d)
+and its unit vectors are used as they are.  Only at the lower edge of the
+stem triangle, where F_{s-1}(d) may be nonzero, does a cell assemble d_s
+and take the kernel of its transpose (``gf2.kernel``).  So no matrix is
+assembled twice, and each cell runs one elimination of its own matrix.
+What is carried is kept per internal degree and dropped when it is done.
 
 Only cells (s, d) with F_s(d) != 0 are visited, and they are a minority
 of the triangle below (about a third for the sphere at stem 32).  That is
@@ -50,12 +53,13 @@ lower at the same internal degree, which runs first.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from .charts import ExtChart
-from .gf2 import BitMatrix, BitVector, image_and_left_kernel, kernel as gf2_kernel, rank
+from .gf2 import BitMatrix, BitVector, extend_image, kernel as gf2_kernel, rank
 from .milnor import ZERO_DEGREE, BiDegree, MilnorAlgebra, SteenrodElement, bidegree_dim
 from .modules import GradedModule, InvariantViolation
 
@@ -75,6 +79,10 @@ class Generator(NamedTuple):
     filtration: int
 
 
+# (generator, coefficient dim, bit offset) blocks of a free module at a bidegree
+Layout = list[tuple[Generator, int, int]]
+
+
 @dataclass
 class FreeModule:
     """Free module with one block of algebra coefficients per generator."""
@@ -87,7 +95,7 @@ class FreeModule:
         self.generators.append(g)
         return g
 
-    def layout(self, d: BiDegree) -> list[tuple[Generator, int, int]]:
+    def layout(self, d: BiDegree) -> Layout:
         """(generator, coefficient dim, bit offset) blocks at bidegree d.
 
         A generator whose offset d - |g| has negative weight or negative
@@ -151,41 +159,53 @@ class ModuleMap:
         return comps
 
     def _free_block(
-        self, g: Generator, d: BiDegree, out_offsets: dict[int, int]
+        self, g: Generator, src_deg: BiDegree, n: int, out_offsets: dict[int, int]
     ) -> list[int]:
-        """Rows x -> x . image(g) over the coefficient basis at d - |g|."""
-        src_deg = d - g.degree
-        rows = [0] * bidegree_dim(src_deg)
+        """Rows x -> x . image(g) over the n coefficients at src_deg = d - |g|:
+        the rows of each unit block x -> x . m, shifted to their target
+        block's offset and added in place."""
+        rows = [0] * n
+        unit_blocks = self.algebra.right_unit_blocks
         for h_index, el in self._components(g):
-            out_offset = out_offsets.get(h_index)
-            if out_offset is None:
+            shift = out_offsets.get(h_index)
+            if shift is None:
                 continue
-            block = self.algebra.right_mult_matrix(src_deg, el)
-            for i, r in enumerate(block.rows):
-                rows[i] ^= r << out_offset
+            for unit in unit_blocks(src_deg, el):
+                for i, r in enumerate(unit.rows):
+                    rows[i] ^= r << shift
         return rows
 
-    def matrix(self, d: BiDegree, exclude_units: bool = False) -> BitMatrix:
+    def matrix(
+        self,
+        d: BiDegree,
+        exclude_units: bool = False,
+        *,
+        source_layout: Layout | None = None,
+        target_layout: Layout | None = None,
+    ) -> BitMatrix:
         """The full matrix of the map at bidegree d.
 
         With exclude_units, blocks of generators sitting at d itself are
         dropped, leaving the part of the map defined over the augmentation
-        ideal.
+        ideal.  A caller that holds the layout of the source or of a free
+        target at d passes it, and it is not assembled again.
         """
         d = BiDegree(*d)
         free_target = isinstance(self.target, FreeModule)
         if free_target:
-            out_layout = self.target.layout(d)
+            out_layout = self.target.layout(d) if target_layout is None else target_layout
             out_offsets = {h.index: off for h, _, off in out_layout}
             ncols = out_layout[-1][2] + out_layout[-1][1] if out_layout else 0
         else:
             ncols = self.target.dim(d)
+        if source_layout is None:
+            source_layout = self.source.layout(d)
         rows: list[int] = []
-        for g, n, _ in self.source.layout(d):
+        for g, n, _ in source_layout:
             if exclude_units and g.degree == d:
                 continue
             if free_target:
-                rows.extend(self._free_block(g, d, out_offsets))
+                rows.extend(self._free_block(g, d - g.degree, n, out_offsets))
             else:
                 block = self.target.generator_action_matrix(
                     d - g.degree, g.degree, self.images[g.index]
@@ -256,17 +276,20 @@ class Resolution:
                 if self.module.dim(d) and rank(self.maps[0].matrix(d)) != self.module.dim(d):
                     raise InvariantViolation(f"augmentation not surjective at {d}")
         for s in range(len(self.maps) - 1):
+            born_at = Counter(g.degree for g in self.frees[s + 1].generators)
             for t in range(s, self.max_stem + s + 1):
                 for w in _candidate_weights(self.frees[s], self.module, t, False):
                     d = BiDegree(t, w)
-                    n = self.frees[s].dim(d)
+                    # F_s(d) is the source of d_s and the target of d_{s+1}
+                    layout = self.frees[s].layout(d)
+                    n = sum(k for _, k, _ in layout)
                     if n == 0:
                         continue
-                    r_out = rank(self.maps[s].matrix(d))
-                    r_in = rank(self.maps[s + 1].matrix(d, exclude_units=True))
-                    born = sum(
-                        1 for g in self.frees[s + 1].generators if g.degree == d
+                    r_out = rank(self.maps[s].matrix(d, source_layout=layout))
+                    r_in = rank(
+                        self.maps[s + 1].matrix(d, exclude_units=True, target_layout=layout)
                     )
+                    born = born_at[d]
                     if r_out + r_in + born != n:
                         raise InvariantViolation(
                             f"homology off chart at s={s}, {d}: "
@@ -332,15 +355,19 @@ def minimal_resolution(
         res.maps.append(ModuleMap(algebra, res.frees[s], res.frees[s - 1]))
     clock = perf_counter if progress is not None else (lambda: 0.0)
 
-    def cover(s: int, d: BiDegree, vectors: Sequence[int] | None) -> None:
+    def cover(s: int, d: BiDegree, below: tuple[list[int], Layout] | None) -> None:
         """Give F_s one generator per vector the image of d_s at d does not
-        reach, and carry the kernel of d_s up.  The vectors are the kernel
-        of d_{s-1} (None: not carried, take it afresh) or, when s = 0, the
-        module's unit vectors."""
+        reach, and carry the kernel of d_s and the layout of F_s(d) up.
+        below is what the cell (s - 1, d) carried: the kernel of d_{s-1} and
+        the layout of F_{s-1}(d) (None: not carried, take both afresh)."""
         start = clock()
-        m = res.maps[s].matrix(d)
+        vectors, target_layout = (None, None) if below is None else below
+        source_layout = res.frees[s].layout(d)
+        m = res.maps[s].matrix(d, source_layout=source_layout, target_layout=target_layout)
         assembled = clock()
-        if vectors is None:
+        if s == 0:
+            vectors = [1 << c for c in range(module.dim(d))]
+        elif vectors is None:
             if s < 2 or res.frees[s - 2].dim(d):
                 # rows are the source basis, so the kernel of d_{s-1} is
                 # the left kernel of its matrix
@@ -348,8 +375,7 @@ def minimal_resolution(
             else:
                 # d_{s-1} maps into zero, so its kernel is all of F_{s-1}
                 vectors = [1 << i for i in range(res.frees[s - 1].dim(d))]
-        image, ker = image_and_left_kernel(m)
-        new = image.extend(vectors)[1]
+        new, ker = extend_image(m, vectors)
         tally["assembly_s"] += assembled - start
         tally["elimination_s"] += clock() - assembled
         tally["cells"] += 1
@@ -367,21 +393,26 @@ def minimal_resolution(
                 res.chart().restricted(completed),
                 completed,
             )
+        # the newborn generators close F_s(d): one unit block each, last
+        offset = m.nrows
         for bits in new:
-            res.maps[s].set_image(res.frees[s].add_generator(d), bits)
-        carried[s, d.weight] = ker.basis.rows
+            g = res.frees[s].add_generator(d)
+            res.maps[s].set_image(g, bits)
+            source_layout.append((g, 1, offset))
+            offset += 1
+        carried[s, d.weight] = ker, source_layout
 
     for t in range(0, max_stem + max_filt + 1):
-        # (s, w) -> the kernel basis of d_s at (t, w), left by the cell below
-        carried: dict[tuple[int, int], tuple[int, ...]] = {}
+        # (s, w) -> the kernel basis of d_s at (t, w) and the layout of
+        # F_s(t, w), left by the cell below
+        carried: dict[tuple[int, int], tuple[list[int], Layout]] = {}
         tally = dict(
             t=t, cells=0, rows=0, cols=0, kernel=0, generators=0, assembly_s=0.0, elimination_s=0.0
         )
         # new generators of F_0 where the module is not yet covered
         if t <= max_stem:
             for w in _candidate_weights(res.frees[0], module, t, True):
-                d = BiDegree(t, w)
-                cover(0, d, [1 << c for c in range(module.dim(d))])
+                cover(0, BiDegree(t, w), None)
         # kernels feeding new generators of F_{s+1}; a cell where F_s is
         # zero has no kernel, so it is not visited
         s_lo = max(0, t - (max_stem + 1))

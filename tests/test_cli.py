@@ -9,7 +9,6 @@ import pytest
 
 from wsteenrod import resolution
 from wsteenrod.cli import MAX_STEM, main
-from wsteenrod.gf2 import Subspace
 from wsteenrod.towers import KwComplex
 from wsteenrod.verify import SUITES
 
@@ -246,6 +245,33 @@ def test_chart_bad_input_exit_2(tmp_path, capsys, text):
     assert "chart file" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["resolve", "--module", "sphere", "--max-stem", "4", "--max-filt", "2", "--out"],
+        ["verify", "--suite", "pst", "--max-stem", "6", "--out"],
+        ["chart", "--in", "{chart}", "--svg"],
+        ["chart", "--in", "{chart}", "--tsv"],
+        ["chart", "--in", "{chart}", "--json"],
+    ],
+    ids=["resolve-out", "verify-out", "chart-svg", "chart-tsv", "chart-json"],
+)
+def test_unwritable_output_exit_2(tmp_path, capsys, argv):
+    from wsteenrod.charts import ExtChart, chart_file_dumps
+
+    chart = tmp_path / "in.json"
+    chart.write_text(chart_file_dumps(ExtChart("empty", 4)))
+    target = tmp_path / "missing" / "out"
+    argv = [a.replace("{chart}", str(chart)) for a in argv] + [str(target)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"cannot write {target}: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not target.parent.exists()
+
+
 def test_verify_small_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "pst", "--max-stem", "12")
     assert code == 0
@@ -316,14 +342,12 @@ def test_resolve_progress_changes_no_bytes(tmp_path, capsys, monkeypatch):
     code, plain, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     cells = []
-    eliminate = resolution.image_and_left_kernel
-    monkeypatch.setattr(
-        resolution, "image_and_left_kernel", lambda m: cells.append(m) or eliminate(m)
-    )
     extended = []
-    extend = Subspace.extend
+    eliminate = resolution.extend_image
     monkeypatch.setattr(
-        Subspace, "extend", lambda self, vs: extended.append(len(vs)) or extend(self, vs)
+        resolution,
+        "extend_image",
+        lambda m, vs: cells.append(m) or extended.append(len(vs)) or eliminate(m, vs),
     )
     code, flagged, err = run(capsys, *argv, "--progress")
     assert code == 0

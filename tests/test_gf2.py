@@ -8,6 +8,7 @@ from wsteenrod.gf2 import (
     BitVector,
     DimensionMismatch,
     Subspace,
+    extend_image,
     image_and_left_kernel,
     kernel,
     quotient,
@@ -130,6 +131,15 @@ def test_solve_uses_earliest_rows():
     # rows 0 and 2 are equal; x picks row 0, which comes first
     m = M([[0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1], [1, 0, 0, 0]])
     assert solve(m, V(4, [1])) == V(5, [0])
+
+
+@pytest.mark.parametrize(
+    "rows, ncols, bad",
+    [([1, 2, 8], 3, 8), ([1, -1, 2], 3, -1), ([4], 0, 4), ([0, 16, 32], 5, 32)],
+)
+def test_bitmatrix_names_the_bad_row(rows, ncols, bad):
+    with pytest.raises(DimensionMismatch, match=f"row 0x{bad:x} overflows {ncols} columns"):
+        BitMatrix(ncols, rows)
 
 
 def test_solve_dimension_mismatch():
@@ -392,6 +402,51 @@ def test_property_extend(a, b):
     span = Subspace.from_matrix_rows(a)
     vectors = [r & ((1 << a.ncols) - 1) for r in b.rows]
     assert span.extend(vectors) == extend_by_rebuild(span, vectors)
+
+
+@st.composite
+def cell_matrices(draw):
+    """A matrix of one of the shapes a resolver cell meets: random, all
+    zero, full rank (rows independent, or columns all reached), with no
+    rows or with no columns."""
+    shape = draw(st.sampled_from(["random", "zero", "full-row", "full-col", "no-rows", "no-cols"]))
+    ncols = 0 if shape == "no-cols" else draw(st.integers(0, 10))
+    nrows = 0 if shape == "no-rows" else draw(st.integers(0, 9))
+    entries = st.integers(0, (1 << ncols) - 1)
+    if shape == "zero":
+        rows = [0] * nrows
+    elif shape == "full-row":
+        # row i has its lowest bit at column i, so the rows are independent
+        k = min(nrows, ncols)
+        rows = [1 << i | draw(entries) >> (i + 1) << (i + 1) for i in range(k)]
+        rows = draw(st.permutations(rows))
+    elif shape == "full-col":
+        rows = draw(st.permutations([1 << j for j in range(ncols)] + draw(st.lists(entries, max_size=3))))
+    else:
+        rows = draw(st.lists(entries, min_size=nrows, max_size=nrows))
+    return BitMatrix(ncols, rows)
+
+
+@given(cell_matrices(), st.data())
+def test_property_extend_image_is_one_cell(m, data):
+    # random vectors and vectors from the row space, repeats possible
+    entries = st.integers(0, (1 << m.ncols) - 1)
+    spans = st.integers(0, (1 << m.nrows) - 1).map(lambda x: m.vec_mul(BitVector(m.nrows, x)).bits)
+    vectors = data.draw(st.lists(st.one_of(entries, spans), max_size=8))
+    image, ker = image_and_left_kernel(m)
+    kept, left_kernel = extend_image(m, vectors)
+    assert kept == image.extend(vectors)[1]
+    assert list(left_kernel) == list(ker.basis.rows)
+
+
+def test_extend_image_overflow():
+    m = M([[1, 0], [1, 1]])
+    assert extend_image(m, [1, 2, 3]) == ([], [])
+    for v in (4, -1):
+        with pytest.raises(DimensionMismatch):
+            extend_image(m, [1, v])
+    with pytest.raises(DimensionMismatch):
+        extend_image(BitMatrix.zero(3, 0), [1])
 
 
 @given(matrices(max_rows=40, max_cols=70))

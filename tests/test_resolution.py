@@ -1,4 +1,5 @@
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from wsteenrod.milnor import BiDegree, MilnorAlgebra
 from wsteenrod.modules import (
     AlgebraModule,
     ExteriorProfile,
+    InvariantViolation,
     TrivialModule,
     quotient_by_exterior,
 )
@@ -62,6 +64,17 @@ def test_sphere_invariants(alg24):
     res.verify_dd_zero()
     res.verify_minimal()
     res.verify_exact()
+
+
+def test_exactness_check_sees_an_extra_generator(alg16):
+    res, _ = minimal_resolution(TrivialModule(alg16), 10, 6)
+    res.verify_exact()
+    # a second h_0 with zero image: one more class born at (1, 0) than the
+    # ranks leave room for
+    g = res.frees[1].add_generator(BiDegree(1, 0))
+    res.maps[1].set_image(g, 0)
+    with pytest.raises(InvariantViolation, match="homology off chart at s=0"):
+        res.verify_exact()
 
 
 def test_quotient_invariants(alg16):
@@ -180,14 +193,14 @@ def _carry_cases(alg):
 def test_carried_matrices_match_fresh_assembly(alg24, monkeypatch, case):
     module, max_stem, max_filt = _carry_cases(alg24)[case]
     extended = []
-    original = Subspace.extend
+    original = resolution.extend_image
 
-    def recording_extend(self, vectors):
+    def recording_extend(m, vectors):
         vectors = tuple(vectors)
-        extended.append((self.ambient_dim, vectors))
-        return original(self, vectors)
+        extended.append((m.ncols, vectors))
+        return original(m, vectors)
 
-    monkeypatch.setattr(Subspace, "extend", recording_extend)
+    monkeypatch.setattr(resolution, "extend_image", recording_extend)
     res, _ = minimal_resolution(module, max_stem, max_filt)
     monkeypatch.undo()
     frees, maps, fresh = reference_resolution(module, max_stem, max_filt)
@@ -208,19 +221,19 @@ def test_only_nonzero_cells_are_visited(alg24, monkeypatch, case):
     module, max_stem, max_filt = _carry_cases(alg24)[case]
     cells = []
     source = {}
-    matrix, eliminate = ModuleMap.matrix, resolution.image_and_left_kernel
+    matrix, eliminate = ModuleMap.matrix, resolution.extend_image
 
-    def recording_matrix(self, d, exclude_units=False):
-        m = matrix(self, d, exclude_units)
+    def recording_matrix(self, d, exclude_units=False, **layouts):
+        m = matrix(self, d, exclude_units, **layouts)
         source[id(m)] = (self.source.filtration, BiDegree(*d))
         return m
 
-    def recording_eliminate(m):
+    def recording_eliminate(m, vectors):
         cells.append(source[id(m)])
-        return eliminate(m)
+        return eliminate(m, vectors)
 
     monkeypatch.setattr(ModuleMap, "matrix", recording_matrix)
-    monkeypatch.setattr(resolution, "image_and_left_kernel", recording_eliminate)
+    monkeypatch.setattr(resolution, "extend_image", recording_eliminate)
     res, _ = minimal_resolution(module, max_stem, max_filt)
     monkeypatch.undo()
     # a cell eliminating d_k at d works for F_{k-1} (for the module when k = 0)
@@ -242,16 +255,45 @@ def test_only_nonzero_cells_are_visited(alg24, monkeypatch, case):
 
 def test_each_matrix_assembled_once(alg24, monkeypatch):
     seen = []
+    carried = []
     original = ModuleMap.matrix
 
-    def recording(self, d, exclude_units=False):
+    def recording(self, d, exclude_units=False, *, source_layout=None, target_layout=None):
         seen.append((self.source.filtration, tuple(d), exclude_units))
-        return original(self, d, exclude_units)
+        # a layout handed in is the one the free module gives at d
+        if source_layout is not None:
+            assert source_layout == self.source.layout(d)
+        if target_layout is not None:
+            assert target_layout == self.target.layout(d)
+            carried.append(d)
+        return original(
+            self, d, exclude_units, source_layout=source_layout, target_layout=target_layout
+        )
 
     monkeypatch.setattr(ModuleMap, "matrix", recording)
     minimal_resolution(TrivialModule(alg24), 20, 12)
     assert seen
     assert len(set(seen)) == len(seen)
+    assert carried
+
+
+def _resolution_digest(res):
+    """SHA-256 over every generator (index, stem, weight, filtration) and
+    every generator image, filtration by filtration."""
+    data = [
+        [[[g.index, g.degree.stem, g.degree.weight, g.filtration] for g in f.generators], m.images]
+        for f, m in zip(res.frees, res.maps)
+    ]
+    return hashlib.sha256(json.dumps(data).encode("utf-8")).hexdigest()
+
+
+# _resolution_digest of the benchmark windows' resolutions, recorded before
+# the resolver's cell loop was rewritten: the resolution itself, not only its
+# chart, stays the same one
+RESOLUTION_SHA256 = {
+    "sphere-32": "c5907aeaf61183535d36abfc9a0c5bd67d5bd1f9d1bd1ac1a609754c3c5c72cd",
+    "wbp-36": "bc98b0149f5ec5f84fa769e8634ab36e11b2a50a7e085a23a5781346b2c9e271",
+}
 
 
 def test_sphere_invariants_larger_window():
@@ -263,13 +305,15 @@ def test_sphere_invariants_larger_window():
     chart.module = "sphere"
     digest = hashlib.sha256(chart_file_dumps(chart).encode("utf-8")).hexdigest()
     assert digest == REFERENCE_SHA256["sphere-32"]
+    assert _resolution_digest(res) == RESOLUTION_SHA256["sphere-32"]
 
 
 def test_wbp_chart_bytes_larger_window():
     # the benchmark's wbp-36 workload, byte for byte: the quotient path
     alg = MilnorAlgebra(38)
     wbp = ExteriorProfile.of(*ExteriorProfile.cofinite().resolve(36))
-    _, chart = minimal_resolution(quotient_by_exterior(wbp, alg), 36, 36)
+    res, chart = minimal_resolution(quotient_by_exterior(wbp, alg), 36, 36)
     chart.module = "wbp"
     digest = hashlib.sha256(chart_file_dumps(chart).encode("utf-8")).hexdigest()
     assert digest == REFERENCE_SHA256["wbp-36"]
+    assert _resolution_digest(res) == RESOLUTION_SHA256["wbp-36"]

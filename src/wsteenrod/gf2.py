@@ -12,8 +12,8 @@ since no row carries another row's pivot, only those rows are visited.  If
 the remainder is nonzero, its lowest bit becomes a new pivot, that column
 is cleared from the other rows, and the remainder joins the basis.
 ``rref``, ``rank``, ``solve``, ``image_and_left_kernel`` (and ``kernel``
-through it), ``extend_image`` and ``Subspace.extend`` are loops of it, and
-``Subspace.reduce`` does its first half against a finished basis.
+through it) and ``extend_image`` are loops of it, and ``Subspace.reduce``
+does its first half against a finished basis.
 
 The output is canonical.  A subspace has exactly one reduced row echelon
 basis, and a vector exactly one remainder modulo it (the element of its
@@ -305,24 +305,6 @@ class Subspace:
             raise DimensionMismatch(f"length {v.length} vs ambient {self.ambient_dim}")
         return BitVector(self.ambient_dim, _reduce(self.basis.rows, self.pivots, v.bits))
 
-    def extend(self, vectors: Iterable[int]) -> tuple["Subspace", list[int]]:
-        """Add bit rows one at a time.
-
-        Each row is reduced modulo this space and the rows kept before it;
-        returns the enlarged space and the nonzero remainders, in order.
-        """
-        n = self.ambient_dim
-        ech = _Echelon(n, self.basis.rows, self.pivots)
-        kept = []
-        for v in vectors:
-            if v < 0 or v >> n:
-                raise DimensionMismatch(f"row 0x{v:x} overflows ambient {n}")
-            r = ech.insert(v)
-            if r:
-                kept.append(r)
-        rows, pivots = ech.basis()
-        return Subspace(n, BitMatrix(n, rows), tuple(pivots)), kept
-
     def __contains__(self, v: BitVector) -> bool:
         return self.reduce(v).is_zero()
 
@@ -369,11 +351,11 @@ def extend_image(m: BitMatrix, vectors: Iterable[int]) -> tuple[list[int], list[
     """The remainders that extend the row space of ``m`` by ``vectors``, and
     the left kernel of ``m``, from one elimination of [m | I].
 
-    The remainders are ``image_and_left_kernel(m)[0].extend(vectors)[1]``:
-    each vector reduced modulo the row space and the vectors kept before
-    it, the nonzero ones in order.  The kernel is the rows of
-    ``image_and_left_kernel(m)[1]``, its reduced row echelon basis.  No
-    subspace is built.
+    The remainders are each vector reduced modulo the row space of ``m``
+    and the vectors kept before it, the nonzero ones in order; being
+    canonical, they depend on the row space, not on the rows of ``m``.  The
+    kernel is the rows of ``image_and_left_kernel(m)[1]``, its reduced row
+    echelon basis.  No subspace is built.
     """
     n = m.ncols
     low = _mask(n)

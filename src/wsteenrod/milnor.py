@@ -652,6 +652,8 @@ class MilnorAlgebra:
       and the resolver's matrix assembly add these up.
     - _antipode: bidegree -> antipode_matrix.
     - _weights: stem -> the weights with a nonempty basis.
+    - _sweep: every monomial of the window with its bidegree, from one
+      enumerate_window_monomials sweep (window_sweep).
     """
 
     def __init__(self, max_stem: int = 24):
@@ -662,6 +664,7 @@ class MilnorAlgebra:
         self._xi: _XiMemo = {}
         self._antipode: dict[BiDegree, BitMatrix] = {}
         self._weights: dict[int, tuple[int, ...]] = {}
+        self._sweep: tuple[tuple[DualMonomial, BiDegree], ...] | None = None
 
     # -- window -------------------------------------------------------
 
@@ -686,6 +689,15 @@ class MilnorAlgebra:
             ws = tuple(w for w in range(stem // 2 + 1) if bidegree_basis(BiDegree(stem, w)))
             self._weights[stem] = ws
         return ws
+
+    def window_sweep(self) -> tuple[tuple[DualMonomial, BiDegree], ...]:
+        """(monomial, bidegree) for every monomial of the window, in the
+        order of enumerate_window_monomials, swept once per instance."""
+        if self._sweep is None:
+            self._sweep = tuple(
+                (m, m.degree) for m in enumerate_window_monomials(self.max_stem)
+            )
+        return self._sweep
 
     # -- dual side ------------------------------------------------------
 

@@ -26,7 +26,6 @@ from .milnor import (
     SteenrodElement,
     WindowError,
     bidegree_dim,
-    enumerate_window_monomials,
     xi_degree,
 )
 from .modules import ExteriorProfile, quotient_by_exterior, tensor_power
@@ -180,8 +179,7 @@ def kw_chow_check(algebra: MilnorAlgebra, n: int, m: int) -> VerificationReport:
     """
     cx = KwComplex(algebra, n, m)
     report = VerificationReport("kw_chow", {"n": n, "m": m, "window": algebra.max_stem})
-    for mono in enumerate_window_monomials(algebra.max_stem):
-        deg = mono.degree
+    for mono, deg in algebra.window_sweep():
         if deg.chow < 0 or deg.weight < 0:
             report.fail({"monomial": repr(mono), "chow": deg.chow, "weight": deg.weight})
     if m == 0:

@@ -67,6 +67,10 @@ def pack_window(max_stem: int) -> tuple[dict[DualMonomial, int], int, int]:
     injective on the window, and a product in the window of two monomials
     with no common tau is the sum of their codes.  Returns the codes, the
     bit width every code fits in, and the mask of the tau bits.
+
+    The Hopf suite packs a coproduct term c (x) d as ``c | d << width`` and
+    a triple c (x) d (x) e as ``c | d << width | e << 2*width``, so a triple
+    is one term shifted by width with a code added below or above it.
     """
     taus = sum(1 for i in range(max_stem.bit_length() + 1) if tau_degree(i).stem <= max_stem)
     offsets = []
@@ -91,35 +95,34 @@ def suite_hopf(config: VerifyConfig) -> list[VerificationReport]:
     counit = VerificationReport("hopf_counit", {"max_stem": config.max_stem})
     antipode = VerificationReport("hopf_antipode_axiom", {"max_stem": config.max_stem})
     codes, width, tau_mask = pack_window(config.max_stem)
-    # by code: the codes of the left and of the right coproduct factors, in
-    # term order, and the codes of the antipode terms
-    coproduct = {}
-    for m, cm in codes.items():
-        terms = coproduct_monomial(m)
-        coproduct[cm] = ([codes[l] for l, _ in terms], [codes[r] for _, r in terms])
+    low = (1 << width) - 1
+    # by code: the coproduct terms packed as left | right << width, in term
+    # order, and the codes of the antipode terms
+    pairs = {
+        cm: [codes[l] | codes[r] << width for l, r in coproduct_monomial(m)]
+        for m, cm in codes.items()
+    }
     antipodes = {codes[m]: [codes[t] for t in antipode_monomial(m)] for m in codes}
     for m, cm in codes.items():
-        lefts, rights = coproduct[cm]
-        # (D (x) 1) D and (1 (x) D) D as XOR sets of packed triples
-        left: set[int] = set()
-        right: set[int] = set()
-        for pa, pb in zip(lefts, rights):
-            high = pb << 2 * width
-            left.symmetric_difference_update(
-                [c | (d << width) | high for c, d in zip(*coproduct[pa])]
-            )
-            right.symmetric_difference_update(
-                [pa | (c << width) | (d << 2 * width) for c, d in zip(*coproduct[pb])]
-            )
-        if left != right:
+        terms = [(p & low, p >> width) for p in pairs[cm]]
+        # (D (x) 1) D and (1 (x) D) D XORed into one set of packed triples,
+        # which is empty iff they agree.  symmetric_difference_update makes
+        # a set of its argument first, so each call takes one term's triples
+        # of one side: two terms, or two sides, may share a triple, and in
+        # one call that triple would count once instead of cancelling.
+        diff: set[int] = set()
+        for pa, pb in terms:
+            diff.symmetric_difference_update(map((pb << 2 * width).__or__, pairs[pa]))
+            diff.symmetric_difference_update(map(pa.__or__, map(width.__rlshift__, pairs[pb])))
+        if diff:
             coassoc.fail({"monomial": repr(m)})
-        units_left = {pb for pa, pb in zip(lefts, rights) if not pa}
-        units_right = {pa for pa, pb in zip(lefts, rights) if not pb}
+        units_left = {pb for pa, pb in terms if not pa}
+        units_right = {pa for pa, pb in terms if not pb}
         if units_left != {cm} or units_right != {cm}:
             counit.fail({"monomial": repr(m)})
         # sum m_(1) S(m_(2)); a product with a common tau is zero
         total: set[int] = set()
-        for pa, pb in zip(lefts, rights):
+        for pa, pb in terms:
             total.symmetric_difference_update(
                 [pa + c for c in antipodes[pb] if not pa & c & tau_mask]
             )

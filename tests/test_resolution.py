@@ -26,6 +26,8 @@ from wsteenrod.resolution import (
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from workloads import REFERENCE_SHA256  # noqa: E402
 
+from test_gf2 import extend  # noqa: E402
+
 
 def test_sphere_ext0(alg16):
     _, chart = minimal_resolution(TrivialModule(alg16), 10, 6)
@@ -161,7 +163,7 @@ def reference_resolution(module, max_stem, max_filt):
 
     def add(s, d, image, vectors, empty):
         extended.append((image.ncols, tuple(vectors), empty))
-        for bits in Subspace.from_matrix_rows(image).extend(vectors)[1]:
+        for bits in extend(Subspace.from_matrix_rows(image), vectors)[1]:
             maps[s].set_image(frees[s].add_generator(d), bits)
 
     for t in range(max_stem + max_filt + 1):

@@ -5,114 +5,85 @@ graded modules with Margolis homology, minimal free resolutions with Ext
 charts, the periodicity tower complexes and their verification checks,
 plus a CLI (``wsteenrod``) for element arithmetic, resolving, verifying
 and chart emission.
+
+Importing the package loads no submodule.  Each public name below is
+imported from its submodule on first access (PEP 562), so a program pays
+only for the modules it uses.  The value is not stored in the package
+namespace: every access reads the submodule's current attribute.
 """
 
-from .charts import (
-    ChartDiff,
-    ExtChart,
-    compare_charts,
-    koszul_chart,
-    polynomial_chart,
-    w_class_degree,
-)
-from .classical import ClassicalElement, classical_product, milnor_product, to_classical
-from .gf2 import BitMatrix, BitVector, Subspace, kernel, quotient, rank, rref, solve
-from .milnor import (
-    BiDegree,
-    DualElement,
-    DualMonomial,
-    MilnorAlgebra,
-    SteenrodElement,
-    WindowError,
-    algebra,
-    bidegree_basis,
-)
-from .modules import (
-    AlgebraModule,
-    ExteriorProfile,
-    GradedModule,
-    InvariantViolation,
-    MargolisReport,
-    QuotientModule,
-    TrivialModule,
-    margolis,
-    quotient_by_exterior,
-    tensor_diagonal,
-    tensor_power,
-)
-from .resolution import FreeModule, ModuleMap, PartialResultError, Resolution, minimal_resolution
-from .towers import (
-    KwComplex,
-    SequenceR,
-    VerificationReport,
-    WbpComplex,
-    WbpLayer,
-    k_invariant_check,
-    kw_chow_check,
-    kw_homology,
-    laurent_chart,
-    smash_chow_check,
-    vi_basis,
-    wbp_complex_check,
-    wbp_differential_check,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraModule",
-    "BiDegree",
-    "BitMatrix",
-    "BitVector",
-    "ChartDiff",
-    "ClassicalElement",
-    "DualElement",
-    "DualMonomial",
-    "ExtChart",
-    "ExteriorProfile",
-    "FreeModule",
-    "GradedModule",
-    "InvariantViolation",
-    "KwComplex",
-    "MargolisReport",
-    "MilnorAlgebra",
-    "ModuleMap",
-    "PartialResultError",
-    "QuotientModule",
-    "Resolution",
-    "SequenceR",
-    "SteenrodElement",
-    "Subspace",
-    "TrivialModule",
-    "VerificationReport",
-    "WbpComplex",
-    "WbpLayer",
-    "WindowError",
-    "algebra",
-    "bidegree_basis",
-    "classical_product",
-    "compare_charts",
-    "k_invariant_check",
-    "kernel",
-    "koszul_chart",
-    "kw_chow_check",
-    "kw_homology",
-    "laurent_chart",
-    "margolis",
-    "milnor_product",
-    "minimal_resolution",
-    "polynomial_chart",
-    "quotient",
-    "quotient_by_exterior",
-    "rank",
-    "rref",
-    "smash_chow_check",
-    "solve",
-    "tensor_diagonal",
-    "tensor_power",
-    "to_classical",
-    "vi_basis",
-    "w_class_degree",
-    "wbp_complex_check",
-    "wbp_differential_check",
-]
+# public name -> the submodule that defines it
+_SOURCES = {
+    "ChartDiff": "charts",
+    "ExtChart": "charts",
+    "compare_charts": "charts",
+    "koszul_chart": "charts",
+    "polynomial_chart": "charts",
+    "w_class_degree": "charts",
+    "ClassicalElement": "classical",
+    "classical_product": "classical",
+    "milnor_product": "classical",
+    "to_classical": "classical",
+    "BitMatrix": "gf2",
+    "BitVector": "gf2",
+    "Subspace": "gf2",
+    "kernel": "gf2",
+    "quotient": "gf2",
+    "rank": "gf2",
+    "rref": "gf2",
+    "solve": "gf2",
+    "BiDegree": "milnor",
+    "DualElement": "milnor",
+    "DualMonomial": "milnor",
+    "MilnorAlgebra": "milnor",
+    "SteenrodElement": "milnor",
+    "WindowError": "milnor",
+    "algebra": "milnor",
+    "bidegree_basis": "milnor",
+    "AlgebraModule": "modules",
+    "ExteriorProfile": "modules",
+    "GradedModule": "modules",
+    "InvariantViolation": "modules",
+    "MargolisReport": "modules",
+    "QuotientModule": "modules",
+    "TrivialModule": "modules",
+    "margolis": "modules",
+    "quotient_by_exterior": "modules",
+    "tensor_diagonal": "modules",
+    "tensor_power": "modules",
+    "FreeModule": "resolution",
+    "ModuleMap": "resolution",
+    "PartialResultError": "resolution",
+    "Resolution": "resolution",
+    "minimal_resolution": "resolution",
+    "KwComplex": "towers",
+    "SequenceR": "towers",
+    "WbpComplex": "towers",
+    "WbpLayer": "towers",
+    "k_invariant_check": "towers",
+    "kw_chow_check": "towers",
+    "kw_homology": "towers",
+    "laurent_chart": "towers",
+    "smash_chow_check": "towers",
+    "vi_basis": "towers",
+    "wbp_complex_check": "towers",
+    "wbp_differential_check": "towers",
+    "VerificationReport": "verify",
+}
+
+__all__ = sorted(_SOURCES)
+
+
+def __getattr__(name: str):
+    source = _SOURCES.get(name)
+    if source is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{source}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_SOURCES))

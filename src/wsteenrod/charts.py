@@ -9,7 +9,6 @@ TSV forms are emitted bit-identically across runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from .milnor import BiDegree, xi_degree
@@ -23,13 +22,35 @@ def _sort_key(key: tuple[int, int, int]):
     return (stem, s, weight)
 
 
-@dataclass
 class ExtChart:
-    """Multiset of (s, stem, weight) classes with provenance."""
+    """Multiset of (s, stem, weight) classes with provenance.
 
-    module: str
-    max_stem: int
-    classes: dict[tuple[int, int, int], int] = field(default_factory=dict)
+    Charts compare by value and, being mutable, are unhashable.
+    """
+
+    __slots__ = ("module", "max_stem", "classes")
+
+    def __init__(
+        self, module: str, max_stem: int, classes: dict[tuple[int, int, int], int] | None = None
+    ):
+        self.module = module
+        self.max_stem = max_stem
+        self.classes = {} if classes is None else classes
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.module, self.max_stem, self.classes) == (
+            other.module, other.max_stem, other.classes
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (
+            f"ExtChart(module={self.module!r}, max_stem={self.max_stem!r}, "
+            f"classes={self.classes!r})"
+        )
 
     def add(self, s: int, stem: int, weight: int, mult: int = 1) -> None:
         key = (s, stem, weight)
@@ -172,11 +193,36 @@ def polynomial_chart(gens: Iterable[BiDegree | tuple[int, int]], max_stem: int, 
     return _monomial_chart(name, [(1, g) for g in degs], max_stem)
 
 
-@dataclass
 class ChartDiff:
-    max_stem: int
-    max_filt: int | None
-    mismatches: list[tuple[tuple[int, int, int], int, int]] = field(default_factory=list)
+    """The (key, left, right) multiplicities where two charts differ;
+    compared by value and unhashable, like ExtChart."""
+
+    __slots__ = ("max_stem", "max_filt", "mismatches")
+
+    def __init__(
+        self,
+        max_stem: int,
+        max_filt: int | None,
+        mismatches: list[tuple[tuple[int, int, int], int, int]] | None = None,
+    ):
+        self.max_stem = max_stem
+        self.max_filt = max_filt
+        self.mismatches = [] if mismatches is None else mismatches
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.max_stem, self.max_filt, self.mismatches) == (
+            other.max_stem, other.max_filt, other.mismatches
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (
+            f"ChartDiff(max_stem={self.max_stem!r}, max_filt={self.max_filt!r}, "
+            f"mismatches={self.mismatches!r})"
+        )
 
     def is_empty(self) -> bool:
         return not self.mismatches

@@ -15,18 +15,30 @@ product pairs against the left coproduct factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .milnor import SteenrodElement, _trim
 
 
-@dataclass(frozen=True)
 class ClassicalElement:
     """F2 span of classical Milnor basis elements Sq(R), graded by weight."""
 
-    weight: int
-    terms: frozenset[tuple[int, ...]]
+    __slots__ = ("weight", "terms")
+
+    def __init__(self, weight: int, terms: frozenset[tuple[int, ...]]):
+        self.weight = weight
+        self.terms = terms
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.weight == other.weight and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.weight, self.terms))
+
+    def __repr__(self) -> str:
+        return f"ClassicalElement(weight={self.weight!r}, terms={self.terms!r})"
 
     def is_zero(self) -> bool:
         return not self.terms

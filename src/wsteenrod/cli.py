@@ -7,10 +7,15 @@ default to max-stem 24 / max-filt 16; the WSTEENROD_MAX_STEM environment
 variable overrides the default window.  A stem window, from the flag or the
 variable, is at most MAX_STEM (255).  Identical flags produce identical
 bytes.  Malformed flags (negative windows or counts, stem windows above
-MAX_STEM, unknown modules or suites) exit with code 2 and a usage message;
-an unreadable or malformed ``chart --in`` file exits with code 2 and a
-message on stderr, as do elements that do not parse, leave the window or
-are paired across bidegrees.
+MAX_STEM, unknown modules or suites, a ``--suite`` list naming none)
+exit with code 2 and a usage message; an unreadable or malformed
+``chart --in`` file exits with code 2 and a message on stderr, as do
+elements that do not parse, leave the window or are paired across
+bidegrees.
+
+Importing this module loads what ``resolve`` and ``verify`` run (charts,
+milnor, gf2, modules, resolution, verify); the element grammar is loaded
+by ``algebra`` and the SVG writer by ``chart --svg``, when they run.
 """
 
 from __future__ import annotations
@@ -21,19 +26,9 @@ import os
 import sys
 
 from .charts import ChartFormatError, chart_file_dumps, chart_file_loads
-from .grammar import (
-    GrammarError,
-    format_dual,
-    format_monomial_dual,
-    format_monomial_steenrod,
-    format_steenrod,
-    parse_dual,
-    parse_steenrod,
-)
 from .milnor import BiDegree, BidegreeMismatch, MilnorAlgebra, WindowError, bidegree_basis
 from .modules import ExteriorProfile, InvariantViolation, quotient_by_exterior, TrivialModule
 from .resolution import PartialResultError, minimal_resolution
-from .svg import render_chart_svg
 from .verify import SUITES, VerifyConfig, run_suites, suite_names
 
 
@@ -85,8 +80,14 @@ def _module_spec(text: str) -> tuple[str, int | None]:
 
 
 def _suite_list(text: str) -> list[str]:
-    """Comma-separated suite names, each checked before any suite runs."""
-    names = [s.strip() for s in text.split(",") if s.strip()]
+    """Comma-separated suite names, each checked before any suite runs.
+
+    A repeated name runs once, where it is first named; a list that names
+    no suite is refused.
+    """
+    names = list(dict.fromkeys(s.strip() for s in text.split(",") if s.strip()))
+    if not names:
+        raise argparse.ArgumentTypeError(f"no suite named in {text!r}")
     try:
         suite_names(names)
     except ValueError as exc:
@@ -219,6 +220,15 @@ def _json_lines(info: dict) -> None:
 
 
 def cmd_algebra(args) -> int:
+    from .grammar import (
+        format_dual,
+        format_monomial_dual,
+        format_monomial_steenrod,
+        format_steenrod,
+        parse_dual,
+        parse_steenrod,
+    )
+
     alg = MilnorAlgebra(args.max_stem)
     if args.subcommand == "basis":
         d = BiDegree(args.stem, args.weight)
@@ -309,6 +319,8 @@ def cmd_chart(args) -> int:
         return 2
     wrote = False
     if args.svg:
+        from .svg import render_chart_svg
+
         _write(args.svg, render_chart_svg(chart))
         wrote = True
     if args.tsv:
@@ -329,16 +341,19 @@ def main(argv: list[str] | None = None) -> int:
         args.max_stem = _default_max_stem(parser)
     try:
         if args.command == "algebra":
-            return cmd_algebra(args)
+            from .grammar import GrammarError
+
+            try:
+                return cmd_algebra(args)
+            except GrammarError as exc:
+                print(f"parse error: {exc}", file=sys.stderr)
+                return 2
         if args.command == "resolve":
             return cmd_resolve(args)
         if args.command == "verify":
             return cmd_verify(args)
         if args.command == "chart":
             return cmd_chart(args)
-    except GrammarError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
     except WindowError as exc:
         print(f"window error: {exc}", file=sys.stderr)
         return 2

@@ -27,7 +27,6 @@ threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 
@@ -278,13 +277,33 @@ def rank(m: BitMatrix) -> int:
     return len(pivots)
 
 
-@dataclass(frozen=True)
 class Subspace:
     """A subspace of GF(2)^n given by a reduced row echelon basis."""
 
-    ambient_dim: int
-    basis: BitMatrix
-    pivots: tuple[int, ...]
+    __slots__ = ("ambient_dim", "basis", "pivots")
+
+    def __init__(self, ambient_dim: int, basis: BitMatrix, pivots: tuple[int, ...]):
+        self.ambient_dim = ambient_dim
+        self.basis = basis
+        self.pivots = pivots
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.ambient_dim == other.ambient_dim
+            and self.basis == other.basis
+            and self.pivots == other.pivots
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_dim, self.basis, self.pivots))
+
+    def __repr__(self) -> str:
+        return (
+            f"Subspace(ambient_dim={self.ambient_dim!r}, basis={self.basis!r}, "
+            f"pivots={self.pivots!r})"
+        )
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[BitVector]) -> "Subspace":

@@ -43,7 +43,6 @@ nothing.  All cached data is immutable once built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, xor
 from typing import Iterable, Iterator, NamedTuple
@@ -561,12 +560,25 @@ def _product_bits(
 # elements
 
 
-@dataclass(frozen=True)
 class DualElement:
     """An F2 combination of dual monomials in one bidegree, as packed bits."""
 
-    degree: BiDegree
-    bits: int
+    __slots__ = ("degree", "bits")
+
+    def __init__(self, degree: BiDegree, bits: int):
+        self.degree = degree
+        self.bits = bits
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.degree == other.degree and self.bits == other.bits
+
+    def __hash__(self) -> int:
+        return hash((self.degree, self.bits))
+
+    def __repr__(self) -> str:
+        return f"DualElement(degree={self.degree!r}, bits={self.bits!r})"
 
     def is_zero(self) -> bool:
         return self.bits == 0
@@ -584,7 +596,6 @@ class DualElement:
         return DualElement(self.degree, self.bits ^ other.bits)
 
 
-@dataclass(frozen=True)
 class SteenrodElement:
     """An operation: a functional on the dual monomials of one bidegree.
 
@@ -592,8 +603,22 @@ class SteenrodElement:
     unit vector at xi^R and Q(i) the unit vector at tau_i.
     """
 
-    degree: BiDegree
-    bits: int
+    __slots__ = ("degree", "bits")
+
+    def __init__(self, degree: BiDegree, bits: int):
+        self.degree = degree
+        self.bits = bits
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.degree == other.degree and self.bits == other.bits
+
+    def __hash__(self) -> int:
+        return hash((self.degree, self.bits))
+
+    def __repr__(self) -> str:
+        return f"SteenrodElement(degree={self.degree!r}, bits={self.bits!r})"
 
     def is_zero(self) -> bool:
         return self.bits == 0

@@ -9,11 +9,9 @@ monomial combinatorics, so the rank tests in the suite certify the bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from .gf2 import BitMatrix, BitVector, Subspace, rank
-from .grammar import format_monomial_steenrod
 from .milnor import (
     BiDegree,
     MilnorAlgebra,
@@ -83,6 +81,8 @@ class AlgebraModule(GradedModule):
         return self.algebra.dim(d)
 
     def label(self, d: BiDegree, i: int) -> str:
+        from .grammar import format_monomial_steenrod
+
         return format_monomial_steenrod(bidegree_basis(BiDegree(*d))[i])
 
     def op_matrix(self, a: SteenrodElement, d: BiDegree) -> BitMatrix:
@@ -129,12 +129,25 @@ class TrivialModule(GradedModule):
         yield ZERO_DEGREE
 
 
-@dataclass(frozen=True)
 class ExteriorProfile:
     """Index set for an exterior subalgebra on the P_t, or the window-cofinite
     marker covering every t whose P_t fits the window."""
 
-    indices: frozenset[int] | None = None
+    __slots__ = ("indices",)
+
+    def __init__(self, indices: frozenset[int] | None = None):
+        self.indices = indices
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.indices == other.indices
+
+    def __hash__(self) -> int:
+        return hash((self.indices,))
+
+    def __repr__(self) -> str:
+        return f"ExteriorProfile(indices={self.indices!r})"
 
     @classmethod
     def of(cls, *ts: int) -> "ExteriorProfile":
@@ -225,6 +238,8 @@ class QuotientModule(GradedModule):
         return len(self._bidegree_data(d)[1])
 
     def label(self, d: BiDegree, i: int) -> str:
+        from .grammar import format_monomial_steenrod
+
         reps = self.representatives(d)
         return "[" + format_monomial_steenrod(bidegree_basis(BiDegree(*d))[reps[i]]) + "]"
 
@@ -345,15 +360,24 @@ def tensor_power(m: GradedModule, power: int) -> GradedModule:
     return out
 
 
-@dataclass
 class MargolisReport:
     """Margolis homology dimensions of a module over one safe sub-window."""
 
-    module: str
-    t: int
-    max_stem: int
-    margin: int
-    dims: dict[BiDegree, int] = field(default_factory=dict)
+    __slots__ = ("module", "t", "max_stem", "margin", "dims")
+
+    def __init__(
+        self,
+        module: str,
+        t: int,
+        max_stem: int,
+        margin: int,
+        dims: dict[BiDegree, int] | None = None,
+    ):
+        self.module = module
+        self.t = t
+        self.max_stem = max_stem
+        self.margin = margin
+        self.dims = {} if dims is None else dims
 
     @property
     def safe_stem(self) -> int:

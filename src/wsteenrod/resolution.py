@@ -54,7 +54,6 @@ lower at the same internal degree, which runs first.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, NamedTuple
 
@@ -83,12 +82,14 @@ class Generator(NamedTuple):
 Layout = list[tuple[Generator, int, int]]
 
 
-@dataclass
 class FreeModule:
     """Free module with one block of algebra coefficients per generator."""
 
-    filtration: int
-    generators: list[Generator] = field(default_factory=list)
+    __slots__ = ("filtration", "generators")
+
+    def __init__(self, filtration: int, generators: list[Generator] | None = None):
+        self.filtration = filtration
+        self.generators = [] if generators is None else generators
 
     def add_generator(self, degree: BiDegree) -> Generator:
         g = Generator(len(self.generators), BiDegree(*degree), self.filtration)
@@ -120,7 +121,6 @@ class FreeModule:
         return sum(n for _, n, _ in self.layout(d))
 
 
-@dataclass
 class ModuleMap:
     """Bidegree-preserving map from a free module, one image per generator.
 
@@ -128,13 +128,21 @@ class ModuleMap:
     module basis) at the generator's own bidegree.
     """
 
-    algebra: MilnorAlgebra
-    source: FreeModule
-    target: "FreeModule | GradedModule"
-    images: list[int] = field(default_factory=list)
-    _split: dict[int, list[tuple[int, SteenrodElement]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    __slots__ = ("algebra", "source", "target", "images", "_split")
+
+    def __init__(
+        self,
+        algebra: MilnorAlgebra,
+        source: FreeModule,
+        target: "FreeModule | GradedModule",
+        images: list[int] | None = None,
+    ):
+        self.algebra = algebra
+        self.source = source
+        self.target = target
+        self.images = [] if images is None else images
+        # generator index -> the nonzero (target generator, coefficient) blocks
+        self._split: dict[int, list[tuple[int, SteenrodElement]]] = {}
 
     def set_image(self, g: Generator, bits: int) -> None:
         while len(self.images) < g.index:
@@ -214,16 +222,26 @@ class ModuleMap:
         return BitMatrix(ncols, rows)
 
 
-@dataclass
 class Resolution:
     """A minimal free resolution of a module, with its Ext chart."""
 
-    algebra: MilnorAlgebra
-    module: GradedModule
-    max_stem: int
-    max_filt: int
-    frees: list[FreeModule] = field(default_factory=list)
-    maps: list[ModuleMap] = field(default_factory=list)
+    __slots__ = ("algebra", "module", "max_stem", "max_filt", "frees", "maps")
+
+    def __init__(
+        self,
+        algebra: MilnorAlgebra,
+        module: GradedModule,
+        max_stem: int,
+        max_filt: int,
+        frees: list[FreeModule] | None = None,
+        maps: list[ModuleMap] | None = None,
+    ):
+        self.algebra = algebra
+        self.module = module
+        self.max_stem = max_stem
+        self.max_filt = max_filt
+        self.frees = [] if frees is None else frees
+        self.maps = [] if maps is None else maps
 
     def chart(self) -> ExtChart:
         chart = ExtChart(self.module.name, self.max_stem)

@@ -8,15 +8,13 @@ complex (A mod right P_1 multiples) tensor V_i, where V_i has one basis
 sequence per monomial in P_2, P_3, ... of length i and the differential
 peels one index at a time.
 
-Every check returns a VerificationReport serializing to
+Every check returns a ``verify.VerificationReport`` serializing to
 {"check", "params", "verdict", "witnesses"}; a failed check returns
 verdict False with its witnesses and never raises.  Only bad arguments
 (a window too small for the check, m < 1) raise ValueError.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .charts import ExtChart, w_class_degree
 from .gf2 import BitMatrix, BitVector, rank
@@ -29,27 +27,7 @@ from .milnor import (
     xi_degree,
 )
 from .modules import ExteriorProfile, quotient_by_exterior, tensor_power
-
-
-@dataclass
-class VerificationReport:
-    check: str
-    params: dict
-    verdict: bool = True
-    witnesses: list = field(default_factory=list)
-
-    def fail(self, witness) -> None:
-        """Mark the check failed, with one more witness."""
-        self.verdict = False
-        self.witnesses.append(witness)
-
-    def to_json(self) -> dict:
-        return {
-            "check": self.check,
-            "params": self.params,
-            "verdict": "pass" if self.verdict else "fail",
-            "witnesses": self.witnesses,
-        }
+from .verify import VerificationReport
 
 
 # ---------------------------------------------------------------------------
@@ -112,15 +90,19 @@ class KwComplex:
         return x.stem + self.r.stem <= self.algebra.max_stem
 
 
-@dataclass
 class KwHomologyReport:
     """Nonzero homology dimensions of a kw complex per homological degree,
     over the per-degree safe coefficient windows."""
 
-    n: int
-    m: int
-    window: int
-    degrees: dict[int, dict[BiDegree, int]] = field(default_factory=dict)
+    __slots__ = ("n", "m", "window", "degrees")
+
+    def __init__(
+        self, n: int, m: int, window: int, degrees: dict[int, dict[BiDegree, int]] | None = None
+    ):
+        self.n = n
+        self.m = m
+        self.window = window
+        self.degrees = {} if degrees is None else degrees
 
     def safe_coefficient_stem(self, q: int) -> int:
         margin = 0 if q == 0 else xi_degree(self.n + 1).stem
@@ -245,12 +227,25 @@ def k_invariant_check(algebra: MilnorAlgebra, n: int, m: int) -> VerificationRep
 # the wBP complex
 
 
-@dataclass(frozen=True)
 class SequenceR:
     """A finite exponent sequence starting at a stated index."""
 
-    start: int
-    exps: tuple[int, ...]
+    __slots__ = ("start", "exps")
+
+    def __init__(self, start: int, exps: tuple[int, ...]):
+        self.start = start
+        self.exps = exps
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.start == other.start and self.exps == other.exps
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.exps))
+
+    def __repr__(self) -> str:
+        return f"SequenceR(start={self.start!r}, exps={self.exps!r})"
 
     @property
     def length(self) -> int:
@@ -281,13 +276,15 @@ class SequenceR:
         return "e(" + ",".join(str(e) for e in self.exps) + ")"
 
 
-@dataclass
 class WbpLayer:
     """Basis of the i-th exterior-monomial layer inside the window."""
 
-    i: int
-    window: int
-    basis: tuple[SequenceR, ...]
+    __slots__ = ("i", "window", "basis")
+
+    def __init__(self, i: int, window: int, basis: tuple[SequenceR, ...]):
+        self.i = i
+        self.window = window
+        self.basis = basis
 
     def degrees(self) -> list[BiDegree]:
         return [r.degree() for r in self.basis]

@@ -295,6 +295,52 @@ def test_verify_checks_every_suite_first(capsys):
     assert "unknown suite 'nope'" in captured.err
 
 
+@pytest.mark.parametrize("suites", ["", ",,", " , "])
+def test_verify_empty_suite_list_exit_2(capsys, suites):
+    # a list naming no suite would pass without checking anything
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "verify", "--suite", suites)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --suite: no suite named" in captured.err
+
+
+def test_verify_repeated_suite_runs_once(tmp_path, capsys):
+    path = tmp_path / "v.json"
+    code, out, _ = run(
+        capsys, "verify", "--suite", "pst,margolis,pst", "--max-stem", "12", "--out", str(path)
+    )
+    assert code == 0
+    payload = json.loads(path.read_text())
+    assert payload["suites"] == ["pst", "margolis"]
+    checks = [r["check"] for r in payload["reports"]]
+    assert checks[:3] == ["pst_exteriority", "pt_commutativity", "conjugation_involution"]
+    assert checks.count("pst_exteriority") == 1
+    assert set(checks[3:]) == {"margolis_exact"}
+    assert out.count("pst_exteriority") == 1
+
+
+# SHA-256 of each --help text at 80 columns; the --suite help lists the
+# suites from verify.SUITES
+HELP_SHA256 = {
+    (): "d637937ac6af9e47fa711decc504540fdbbbab236fa826f753b2846bcac6347f",
+    ("resolve",): "a87ade70def2b159e948e1af848399d3c250aaf1665d804640d2d712b016b32a",
+    ("verify",): "47a9cfb797c407d16baa9102a842a1ed8a16c1e1cc63e72d37620f0afb4edf3a",
+    ("algebra",): "932002c85d2405336f021e6a84f9b47d95cd226a26c2a6f356654c227e251b63",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_SHA256))
+def test_help_bytes_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == HELP_SHA256[command]
+
+
 @pytest.mark.parametrize("max_filt, expected", [(0, [0, 0]), (1, [1, 1]), (16, [13, 3])])
 def test_verify_max_filt_caps_charts(capsys, max_filt, expected):
     # the change-of-rings bounds are 13 (n = 0) and 3 (n = 1) at chart stem 12

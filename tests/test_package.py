@@ -1,12 +1,19 @@
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import wsteenrod
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
 import child  # noqa: E402
+from tracer import WRAPPED  # noqa: E402
 
 
 def test_all_exports_resolve_sorted_unique():
@@ -15,6 +22,61 @@ def test_all_exports_resolve_sorted_unique():
     assert missing == []
     assert names == sorted(names)
     assert len(set(names)) == len(names)
+
+
+def test_star_import_binds_the_submodule_objects():
+    namespace: dict = {}
+    exec("from wsteenrod import *", namespace)
+    for name in wsteenrod.__all__:
+        source = importlib.import_module(f"wsteenrod.{wsteenrod._SOURCES[name]}")
+        assert namespace[name] is getattr(source, name), name
+
+
+def test_lazy_exports_are_not_cached_in_the_package():
+    # an export read during a traced run must not leave the tracer's wrapper
+    # behind, so each access reads the submodule afresh
+    assert wsteenrod.minimal_resolution is wsteenrod.resolution.minimal_resolution
+    assert not set(wsteenrod.__all__) & set(vars(wsteenrod))
+
+
+def test_dir_lists_exports_and_unknown_names_raise():
+    assert set(wsteenrod.__all__) <= set(dir(wsteenrod))
+    assert "__version__" in dir(wsteenrod)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        wsteenrod.no_such_name
+
+
+def _modules_after(code: str) -> list[str]:
+    """sys.modules after running ``code`` in a fresh interpreter without site,
+    so that every module listed was loaded by the library or by ``code``."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    script = code + "\nimport sys, json\nprint(json.dumps(sorted(sys.modules)))\n"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_bare_import_loads_no_submodule():
+    loaded = _modules_after("import wsteenrod")
+    assert [m for m in loaded if m.startswith("wsteenrod")] == ["wsteenrod"]
+
+
+def test_resolve_run_imports_only_what_it_executes(tmp_path):
+    out = tmp_path / "wbp.json"
+    loaded = set(_modules_after(
+        "from wsteenrod import cli\n"
+        "cli.main(['resolve', '--module', 'wbp', '--max-stem', '8', '--max-filt', '4',"
+        f" '--out', {str(out)!r}])"
+    ))
+    assert out.exists()
+    unused = {"dataclasses", "inspect"} | {
+        f"wsteenrod.{m}" for m in ("towers", "classical", "svg", "grammar")
+    }
+    assert not loaded & unused
+    # the benchmark's tracer wraps these, and finds them in sys.modules
+    assert {f"wsteenrod.{module}" for module, _, _ in WRAPPED} <= loaded
 
 
 def test_every_lru_cache_is_known_to_the_cold_run_guard():

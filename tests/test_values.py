@@ -1,0 +1,133 @@
+"""Value semantics of the library's record types.
+
+Value types compare and hash by their fields, never equal an instance of
+another type, and print as ``Name(field=value, ...)``.  Mutable holders
+compare by identity.
+"""
+
+import pytest
+
+from wsteenrod.charts import ChartDiff, ExtChart
+from wsteenrod.classical import ClassicalElement
+from wsteenrod.gf2 import BitMatrix, Subspace
+from wsteenrod.milnor import BiDegree, DualElement, MilnorAlgebra, SteenrodElement
+from wsteenrod.modules import ExteriorProfile, MargolisReport
+from wsteenrod.resolution import FreeModule, ModuleMap, Resolution
+from wsteenrod.towers import KwHomologyReport, SequenceR, WbpLayer
+from wsteenrod.verify import VerificationReport, VerifyConfig
+
+D = BiDegree(3, 1)
+
+# (make, an instance with one field changed, its repr)
+HASHABLE = [
+    (
+        lambda: Subspace(3, BitMatrix(3, [1, 6]), (0, 1)),
+        Subspace(3, BitMatrix(3, [1, 6]), (0, 2)),
+        "Subspace(ambient_dim=3, basis=BitMatrix(2x3), pivots=(0, 1))",
+    ),
+    (
+        lambda: DualElement(D, 5),
+        DualElement(D, 4),
+        "DualElement(degree=BiDegree(stem=3, weight=1), bits=5)",
+    ),
+    (
+        lambda: SteenrodElement(D, 5),
+        SteenrodElement(BiDegree(3, 0), 5),
+        "SteenrodElement(degree=BiDegree(stem=3, weight=1), bits=5)",
+    ),
+    (
+        lambda: ExteriorProfile.of(1, 2),
+        ExteriorProfile.cofinite(),
+        "ExteriorProfile(indices=frozenset({1, 2}))",
+    ),
+    (
+        lambda: ExteriorProfile(),
+        ExteriorProfile.of(1),
+        "ExteriorProfile(indices=None)",
+    ),
+    (
+        lambda: SequenceR(2, (1, 0, 2)),
+        SequenceR(3, (1, 0, 2)),
+        "SequenceR(start=2, exps=(1, 0, 2))",
+    ),
+    (
+        lambda: ClassicalElement(3, frozenset({(0, 1)})),
+        ClassicalElement(3, frozenset()),
+        "ClassicalElement(weight=3, terms=frozenset({(0, 1)}))",
+    ),
+]
+
+UNHASHABLE = [
+    (
+        lambda: ExtChart("F2", 4, {(0, 0, 0): 1}),
+        ExtChart("F2", 4),
+        "ExtChart(module='F2', max_stem=4, classes={(0, 0, 0): 1})",
+    ),
+    (
+        lambda: ChartDiff(4, None, [((0, 1, 0), 1, 0)]),
+        ChartDiff(4, 3, [((0, 1, 0), 1, 0)]),
+        "ChartDiff(max_stem=4, max_filt=None, mismatches=[((0, 1, 0), 1, 0)])",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, other, text", HASHABLE)
+def test_value_types_compare_and_hash_by_fields(make, other, text):
+    a, b = make(), make()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b, other}) == 2
+    assert a != other
+    assert repr(a) == text
+
+
+@pytest.mark.parametrize("make, other, text", UNHASHABLE)
+def test_charts_compare_by_fields_and_are_unhashable(make, other, text):
+    a, b = make(), make()
+    assert a == b
+    assert a != other
+    assert repr(a) == text
+    with pytest.raises(TypeError):
+        hash(a)
+
+
+def test_equal_fields_of_another_type_are_unequal():
+    assert SteenrodElement(D, 5) != DualElement(D, 5)
+    assert DualElement(D, 5) != SteenrodElement(D, 5)
+    assert SequenceR(2, ()) != (2, ())
+    assert ExtChart("x", 2) != ChartDiff(2, None)
+
+
+def test_optional_fields_keep_their_defaults():
+    assert ExtChart("x", 2).classes == {}
+    assert ChartDiff(2, None).mismatches == []
+    assert ExteriorProfile().indices is None
+    report = VerificationReport("c", {})
+    assert (report.verdict, report.witnesses) == (True, [])
+    assert repr(report) == "VerificationReport(check='c', params={}, verdict=True, witnesses=[])"
+    config = VerifyConfig()
+    assert (config.max_stem, config.max_filt, config.seed) == (24, 16, 20170927)
+    # fresh containers per instance, never a shared default
+    assert ExtChart("x", 2).classes is not ExtChart("x", 2).classes
+    assert VerificationReport("c", {}).witnesses is not report.witnesses
+
+
+def test_holders_compare_by_identity():
+    alg = MilnorAlgebra(4)
+    free = FreeModule(0)
+    holders = [
+        lambda: FreeModule(0),
+        lambda: ModuleMap(alg, free, free),
+        lambda: Resolution(alg, None, 4, 2),
+        lambda: VerificationReport("c", {}),
+        lambda: KwHomologyReport(0, 1, 4),
+        lambda: WbpLayer(0, 4, ()),
+        lambda: MargolisReport("A", 1, 4, 2),
+        lambda: VerifyConfig(),
+    ]
+    for make in holders:
+        a = make()
+        assert a == a
+        assert a != make()
+        assert len({a, make()}) == 2

@@ -125,9 +125,6 @@ class TrivialModule(GradedModule):
             return BitMatrix(1, rows)
         return BitMatrix(target, (0,) * n)
 
-    def support(self, max_stem=None) -> Iterator[BiDegree]:
-        yield ZERO_DEGREE
-
 
 class ExteriorProfile:
     """Index set for an exterior subalgebra on the P_t, or the window-cofinite
@@ -288,7 +285,6 @@ class TensorModule(GradedModule):
         self.name = f"{left.name} (x) {right.name}"
         self._basis: dict[BiDegree, tuple[tuple[BiDegree, int, int], ...]] = {}
         self._lsupport = sorted(left.support())
-        self._rdims: dict[BiDegree, int] = {}
 
     def basis_layout(self, d: BiDegree) -> tuple[tuple[BiDegree, int, int], ...]:
         d = BiDegree(*d)

@@ -16,6 +16,8 @@ verdict False with its witnesses and never raises.  Only bad arguments
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .charts import ExtChart, w_class_degree
 from .gf2 import BitMatrix, BitVector, rank
 from .milnor import (
@@ -23,8 +25,11 @@ from .milnor import (
     MilnorAlgebra,
     SteenrodElement,
     WindowError,
+    _trim,
+    bidegree_basis,
     bidegree_dim,
     xi_degree,
+    xi_monomial,
 )
 from .modules import ExteriorProfile, quotient_by_exterior, tensor_power
 from .verify import VerificationReport
@@ -63,7 +68,8 @@ class KwComplex:
 
     def homology_dim(self, q: int, d: BiDegree) -> int:
         """Homology at term q and total bidegree d; exact when the
-        coefficient arithmetic fits the window (see safe_for)."""
+        coefficient arithmetic fits the window (see
+        KwHomologyReport.safe_coefficient_stem)."""
         if not 0 <= q <= self.m:
             return 0
         x = self.coefficient_degree(q, d)
@@ -78,16 +84,6 @@ class KwComplex:
             if bidegree_dim(src):
                 im = rank(self._pt_matrix(src))
         return ker - im
-
-    def safe_for(self, q: int, d: BiDegree) -> bool:
-        """The kernel at term q needs products into stem(x) + |P|; term 0
-        has no outgoing differential and only needs the tables at x."""
-        x = self.coefficient_degree(q, d)
-        if x.stem < 0 or x.weight < 0:
-            return True
-        if q == 0:
-            return x.stem <= self.algebra.max_stem
-        return x.stem + self.r.stem <= self.algebra.max_stem
 
 
 class KwHomologyReport:
@@ -268,9 +264,7 @@ class SequenceR:
             return None
         exps = list(self.exps)
         exps[k] -= 1
-        while exps and exps[-1] == 0:
-            exps.pop()
-        return SequenceR(self.start, tuple(exps))
+        return SequenceR(self.start, _trim(exps))
 
     def label(self) -> str:
         return "e(" + ",".join(str(e) for e in self.exps) + ")"
@@ -290,41 +284,28 @@ class WbpLayer:
         return [r.degree() for r in self.basis]
 
 
+def _xi_sequences(max_stem: int) -> Iterator[tuple[int, ...]]:
+    """Exponent sequences r of the xi monomials xi^r of stem <= max_stem: the
+    bases of the bidegrees (2w, w), where Chow degree 0 leaves no tau."""
+    for w in range(max_stem // 2 + 1):
+        for m in bidegree_basis(BiDegree(2 * w, w)):
+            yield m.r
+
+
 def vi_basis(i: int, max_stem: int, max_index: int | None = None) -> WbpLayer:
     """Sequences over indices j >= 2 of length i with degree stem <= max_stem,
     in lexicographic order; max_index truncates the alphabet (for wBP<n>
     use n + 1)."""
     if i < 0:
         raise ValueError("need i >= 0")
-    top = 2
-    while xi_degree(top + 1).stem <= max_stem:
-        top += 1
-    if max_index is not None:
-        top = min(top, max_index)
-    out: list[tuple[int, ...]] = []
-
-    def rec(pos: int, remaining: int, stem: int, exps: tuple[int, ...]):
-        if remaining == 0:
-            out.append(exps)
-            return
-        if pos > top:
-            return
-        unit = xi_degree(pos).stem
-        for e in range(remaining + 1):
-            total = stem + e * unit
-            if total > max_stem:
-                break
-            rec(pos + 1, remaining - e, total, exps + (e,))
-
-    if xi_degree(2).stem <= max_stem or i == 0:
-        rec(2, i, 0, ())
-    seqs = []
-    for exps in sorted(out):
-        trimmed = list(exps)
-        while trimmed and trimmed[-1] == 0:
-            trimmed.pop()
-        seqs.append(SequenceR(2, tuple(trimmed)))
-    return WbpLayer(i, max_stem, tuple(seqs))
+    seqs = sorted(
+        r[1:]
+        for r in _xi_sequences(max_stem)
+        if r[:1] in ((), (0,))
+        and sum(r) == i
+        and (max_index is None or len(r) <= max_index)
+    )
+    return WbpLayer(i, max_stem, tuple(SequenceR(2, exps) for exps in seqs))
 
 
 class WbpComplex:
@@ -340,7 +321,6 @@ class WbpComplex:
         algebra: MilnorAlgebra,
         i_max: int,
         max_stem: int | None = None,
-        max_index: int | None = None,
     ):
         self.algebra = algebra
         self.i_max = i_max
@@ -348,7 +328,7 @@ class WbpComplex:
         if self.max_stem > algebra.max_stem:
             raise ValueError("complex window exceeds the algebra window")
         self.quotient = quotient_by_exterior(ExteriorProfile.of(1), algebra)
-        self.layers = [vi_basis(i, self.max_stem, max_index) for i in range(i_max + 1)]
+        self.layers = [vi_basis(i, self.max_stem) for i in range(i_max + 1)]
         self._pt_cache: dict[tuple[int, BiDegree], BitMatrix] = {}
 
     def layer_layout(self, i: int, d: BiDegree) -> list[tuple[SequenceR, int, int]]:
@@ -490,6 +470,8 @@ def wbp_differential_check(
     report.
     """
     window = algebra.max_stem if max_stem is None else max_stem
+    if window > algebra.max_stem:
+        raise WindowError(f"check window {window} exceeds the algebra window {algebra.max_stem}")
     quotient = quotient_by_exterior(ExteriorProfile.of(1), algebra)
     report = VerificationReport(
         "wbp_differential",
@@ -504,10 +486,11 @@ def wbp_differential_check(
     def conj_doubled(exps: tuple[int, ...]) -> SteenrodElement:
         return algebra.conjugate(algebra.pR(tuple(2 * e for e in exps)))
 
-    covered: list[int] = []
+    # (b) per index j; (d) reads these verdicts, since each component of the
+    # differential on a layer generator is the identity at its index
+    identity_holds: dict[int, bool] = {}
     j = 2
     while xi_degree(j).stem <= window:
-        covered.append(j)
         pj = algebra.pst(0, j)
         if xi_degree(j).stem + p1.degree.stem <= window:
             # well-definedness witness: the differential respects the quotient
@@ -515,23 +498,23 @@ def wbp_differential_check(
                 algebra.product(p1, pj).coeffs()
             ).is_zero():
                 report.fail({"identity": "P1.Pj nonzero in quotient", "j": j})
-        factored = algebra.product(p1, conj_doubled(_delta_tuple(j - 1)))
-        if project(pj) != project(factored):
+        factored = algebra.product(p1, conj_doubled(xi_monomial(j - 1).r))
+        identity_holds[j] = project(pj) == project(factored)
+        if not identity_holds[j]:
             report.fail({"identity": "P_j = P_1.c(P^{2D_{j-1}})", "j": j})
         j += 1
-    report.params["covered_j"] = covered
+    report.params["covered_j"] = list(identity_holds)
 
     checked_sequences = 0
     for exps in _short_sequences(2, window):
         seq = SequenceR(1, exps)
         lhs_el = algebra.product(p1, conj_doubled(seq.exps))
-        rhs: tuple[BiDegree, int] | None = None
         acc_bits = 0
         for k in seq.indices():
             rest = seq.minus(k)
             term = algebra.product(
                 conj_doubled(rest.exps),
-                algebra.product(p1, conj_doubled(_delta_tuple(k))),
+                algebra.product(p1, conj_doubled(xi_monomial(k).r)),
             )
             acc_bits ^= project(term)[1]
         if project(lhs_el)[1] != acc_bits:
@@ -539,14 +522,10 @@ def wbp_differential_check(
         checked_sequences += 1
     report.params["sequences_checked"] = checked_sequences
 
-    cx = WbpComplex(algebra, max(i_max, 1), window)
     for i in range(1, i_max + 1):
-        for seq in cx.layers[i].basis:
+        for seq in vi_basis(i, window).basis:
             for j in seq.indices():
-                pj = algebra.pst(0, j)
-                if project(pj) != project(
-                    algebra.product(p1, conj_doubled(_delta_tuple(j - 1)))
-                ):
+                if not identity_holds[j]:
                     report.fail({"generator": seq.label(), "component": j})
     report.params["convention"] = (
         "doubled exponents c(P^{2 Delta_{j-1}}) hold; undoubled variants are "
@@ -555,43 +534,10 @@ def wbp_differential_check(
     return report
 
 
-def _delta_tuple(j: int) -> tuple[int, ...]:
-    return tuple(0 for _ in range(j - 1)) + (1,)
-
-
 def _short_sequences(max_len: int, window: int) -> list[tuple[int, ...]]:
     """Exponent tuples over indices >= 1 of length 1..max_len whose doubled
     P-element keeps P_1 . c(P^{2R}) inside the window."""
-    top = 1
-    while xi_degree(top + 1).stem * 2 + 2 <= window:
-        top += 1
-    out: list[tuple[int, ...]] = []
-
-    def rec(pos: int, remaining: int, stem: int, exps: tuple[int, ...]):
-        if remaining == 0:
-            if any(exps):
-                out.append(exps)
-            return
-        if pos > top:
-            if any(exps):
-                out.append(exps)
-            return
-        unit = 2 * xi_degree(pos).stem
-        e = 0
-        while stem + e * unit + 2 <= window and e <= remaining:
-            rec(pos + 1, remaining - e, stem + e * unit, exps + (e,))
-            e += 1
-
-    for total in range(1, max_len + 1):
-        rec(1, total, 0, ())
-    trimmed = set()
-    for exps in out:
-        t = list(exps)
-        while t and t[-1] == 0:
-            t.pop()
-        if t:
-            trimmed.add(tuple(t))
-    return sorted(trimmed)
+    return sorted(r for r in _xi_sequences((window - 2) // 2) if 1 <= sum(r) <= max_len)
 
 
 def smash_chow_check(

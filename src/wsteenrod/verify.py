@@ -14,7 +14,7 @@ import random
 import time
 from typing import Callable
 
-from .charts import compare_charts, koszul_chart
+from .charts import compare_charts, koszul_chart, w_class_degree
 from .milnor import (
     BiDegree,
     DualMonomial,
@@ -375,7 +375,7 @@ def suite_charts(config: VerifyConfig) -> list[VerificationReport]:
     for n in (0, 1):
         alg = MilnorAlgebra(chart_stem + 2)
         module = quotient_by_exterior(ExteriorProfile.of(n + 1), alg)
-        max_filt = min(chart_stem // max(w_stem(n), 1) + 1, config.max_filt)
+        max_filt = min(chart_stem // max(w_class_degree(n).stem, 1) + 1, config.max_filt)
         _, chart = minimal_resolution(module, chart_stem, max_filt)
         oracle = koszul_chart((n + 1,), chart_stem)
         diff = compare_charts(chart, oracle, chart_stem, max_filt)
@@ -387,10 +387,6 @@ def suite_charts(config: VerifyConfig) -> list[VerificationReport]:
             r.fail(diff.to_json()["mismatches"])
         out.append(r)
     return out
-
-
-def w_stem(n: int) -> int:
-    return xi_degree(n + 1).stem - 1
 
 
 SUITES = {

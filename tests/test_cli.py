@@ -365,6 +365,18 @@ def test_verify_out_bytes_pinned(tmp_path, capsys):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == VERIFY_24_SHA256
 
 
+# SHA-256 of `verify --max-stem 32 --out F` with the default seed; stem 32 is
+# the first pinned window whose wBP layers reach xi_4
+VERIFY_32_SHA256 = "e6db9a5eba4c9192b1a83a1b5ae606a8dd4f12545993fc71f255ae1eda8130c9"
+
+
+def test_verify_out_bytes_pinned_at_32(tmp_path, capsys):
+    path = tmp_path / "v32.json"
+    code, _, _ = run(capsys, "verify", "--max-stem", "32", "--out", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == VERIFY_32_SHA256
+
+
 def test_verify_progress_changes_no_bytes(tmp_path, capsys):
     plain, flagged = tmp_path / "plain.json", tmp_path / "progress.json"
     code, out, err = run(capsys, "verify", "--max-stem", "12", "--out", str(plain))

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from wsteenrod.gf2 import BitMatrix, BitVector, rank
-from wsteenrod.milnor import BiDegree, SteenrodElement, xi_degree
+from wsteenrod.milnor import BiDegree, MilnorAlgebra, SteenrodElement, xi_degree
 from wsteenrod.modules import (
     AlgebraModule,
     ExteriorProfile,
@@ -143,6 +143,15 @@ def test_margolis_trivial_module(alg16):
     assert rep.dims == {BiDegree(0, 0): 1}
     rep2 = margolis(TrivialModule(alg16), 2)
     assert rep2.dims == {BiDegree(0, 0): 1}
+
+
+def test_margolis_trivial_module_respects_window():
+    # a safe window below stem 0 holds no class, not even the unit
+    trivial = TrivialModule(MilnorAlgebra(8))
+    rep = margolis(trivial, 1, max_stem=1)
+    assert (rep.safe_stem, rep.dims) == (-1, {})
+    rep = margolis(trivial, 1)
+    assert (rep.safe_stem, rep.dims) == (6, {BiDegree(0, 0): 1})
 
 
 def test_margolis_margin_validation(alg16):

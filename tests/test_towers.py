@@ -1,11 +1,19 @@
 import pytest
 
-from wsteenrod.milnor import BiDegree, MilnorAlgebra, xi_degree
+from wsteenrod.milnor import (
+    BiDegree,
+    MilnorAlgebra,
+    WindowError,
+    enumerate_window_monomials,
+    pst_degree,
+    xi_degree,
+)
 from wsteenrod.modules import ExteriorProfile, quotient_by_exterior
 from wsteenrod.towers import (
     KwComplex,
     SequenceR,
     WbpComplex,
+    _short_sequences,
     k_invariant_check,
     kw_chow_check,
     kw_homology,
@@ -121,11 +129,40 @@ def test_vi_basis_examples():
     }
     # lexicographic order on the exponent tuples
     assert [s.exps for s in layer2.basis] == [(1, 1), (2,)]
+    # even the unit sequence has stem 0, outside a negative window
+    assert vi_basis(0, -1).basis == ()
 
 
 def test_vi_basis_truncated():
     layer = vi_basis(1, 20, max_index=2)
     assert [s.exps for s in layer.basis] == [(1,)]
+
+
+def test_sequence_enumerations_match_window_sweep():
+    # the independent raw-loop sweep, filtered to xi monomials, is the oracle
+    xis = [(m.r, m.degree) for m in enumerate_window_monomials(48) if not m.eps]
+    for window in range(49):
+        here = [(r, d) for r, d in xis if d.stem <= window]
+        for i in range(6):
+            for max_index in (None, 2, 3):
+                # no xi_1 factor, i factors, highest index at most max_index
+                expected = sorted(
+                    (r[1:], d)
+                    for r, d in here
+                    if not any(r[:1])
+                    and sum(r) == i
+                    and (max_index is None or len(r) <= max_index)
+                )
+                layer = vi_basis(i, window, max_index)
+                assert [(s.exps, s.degree()) for s in layer.basis] == expected, (
+                    window, i, max_index
+                )
+        for max_len in range(1, 6):
+            # P_1 . c(P^{2R}) sits at stem 2 + 2|R|
+            expected = sorted(
+                r for r, d in here if 1 <= sum(r) <= max_len and 2 + 2 * d.stem <= window
+            )
+            assert _short_sequences(max_len, window) == expected, (window, max_len)
 
 
 def test_sequence_minus():
@@ -179,6 +216,27 @@ def test_wbp_differential_check(alg24):
     assert rep.verdict
     assert rep.params["covered_j"] == [2, 3]
     assert "doubled" in rep.params["convention"]
+    # every product of the check fits the algebra at window 25, but the
+    # window is still refused
+    with pytest.raises(WindowError, match="exceeds the algebra window"):
+        wbp_differential_check(alg24, max_stem=25)
+
+
+def test_wbp_differential_reports_broken_identity(monkeypatch):
+    # with P_3 read as zero, (b) fails at j = 3 and (d) names every layer
+    # generator through layer 3 that has a component at index 3
+    pst = MilnorAlgebra.pst
+
+    def broken(self, s, t):
+        return self.zero(pst_degree(0, 3)) if (s, t) == (0, 3) else pst(self, s, t)
+
+    monkeypatch.setattr(MilnorAlgebra, "pst", broken)
+    rep = wbp_differential_check(MilnorAlgebra(32), i_max=3)
+    assert not rep.verdict
+    assert rep.params["covered_j"] == [2, 3, 4]
+    assert rep.witnesses == [{"identity": "P_j = P_1.c(P^{2D_{j-1}})", "j": 3}] + [
+        {"generator": g, "component": 3} for g in ("e(0,1)", "e(0,2)", "e(1,1)", "e(2,1)")
+    ]
 
 
 def test_conjugation_identity_values(alg16):

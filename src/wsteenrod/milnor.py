@@ -28,8 +28,12 @@ Bases, coproducts and antipodes are intrinsic to a bidegree or a monomial
 and cached at module level: bidegree_basis and basis_index by bidegree,
 coproduct_monomial and antipode_monomial by monomial.  A coproduct is the
 coproduct of the monomial's first generator power times the cached
-coproduct of the rest.  Coproduct terms are interned: equal monomials
-across all cached coproducts are one shared object.
+coproduct of the rest, multiplied as packed ints: tau_i one bit and each
+xi_j exponent a 16-bit field, so products are sums of codes.  That layout
+holds every coproduct term of a monomial of stem <= 131070, and
+coproduct_monomial refuses larger ones with a WindowError.  Coproduct terms
+are interned by code: equal monomials across all cached coproducts are one
+shared object.
 
 A MilnorAlgebra instance adds a stem window, guards against leaving it,
 and keeps the product caches, which live and die with it: the classical
@@ -331,8 +335,52 @@ def _delta_tau(i: int) -> list[tuple[DualMonomial, DualMonomial]]:
     return terms
 
 
-# one shared object per distinct monomial held by the coproduct cache
-_CANON: dict[DualMonomial, DualMonomial] = {}
+# Coproduct terms are multiplied as packed ints.  A monomial's code has
+# tau_i at bit i and the exponent of xi_j in the 16-bit field at bit 16*j,
+# so the product of two monomials with no common tau is the sum of their
+# codes.  A term left (x) right is left << _PAIR | right, and the product of
+# two terms is again the sum when neither side shares a tau.  Every factor
+# of a coproduct term of m has stem <= |m|, so every field holds for |m| <=
+# _PACK_MAX_STEM: tau_16 has stem 2^17 - 1, xi_1^(2^16) stem 2^17, and an
+# xi_j of stem <= 2^17 has j <= 15, below bit _PAIR.
+_FIELD = 16
+_PACK_MAX_STEM = (1 << (_FIELD + 1)) - 2
+_TAUS = (1 << _FIELD) - 1
+_PAIR = _FIELD * _FIELD
+_SIDE = (1 << _PAIR) - 1
+_PAIR_TAUS = _TAUS << _PAIR | _TAUS
+
+
+def _pack(m: DualMonomial) -> int:
+    """The code of a monomial that fits the packed layout."""
+    eps, r = m
+    code = 0
+    for i in eps:
+        code |= 1 << i
+    for j, e in enumerate(r, start=1):
+        code |= e << _FIELD * j
+    return code
+
+
+class _Canon(dict):
+    """code -> the one shared monomial of that code, decoded on first use;
+    every monomial in a cached coproduct is one of these."""
+
+    def __missing__(self, code: int) -> DualMonomial:
+        eps = tuple(i for i in range(_FIELD) if code >> i & 1)
+        r = []
+        xi = code >> _FIELD
+        while xi:
+            r.append(xi & _TAUS)
+            xi >>= _FIELD
+        m = self[code] = DualMonomial(eps, tuple(r))
+        _CODE[m] = code
+        return m
+
+
+_CANON = _Canon()
+# the code of each shared monomial, read back for the rest's coproduct terms
+_CODE: dict[DualMonomial, int] = {}
 
 
 @lru_cache(maxsize=None)
@@ -341,9 +389,11 @@ def coproduct_monomial(m: DualMonomial) -> tuple[tuple[DualMonomial, DualMonomia
 
     D(m) = D(first) . D(rest), where first is m's first generator power
     (its lowest xi power, or its first tau when it has no xi) and the
-    coproduct of the rest is read from this cache.  Terms are sorted, and
-    their factors are interned, so equal monomials in any two cached
-    coproducts are the same object.
+    coproduct of the rest is read from this cache.  The terms are
+    multiplied as packed ints (see _PACK_MAX_STEM above), so a monomial of
+    stem above _PACK_MAX_STEM = 131070 raises WindowError.  Terms are
+    sorted, and their factors are interned by code, so equal monomials in
+    any two cached coproducts are the same object.
     """
     eps, r = m
     if r:
@@ -354,21 +404,22 @@ def coproduct_monomial(m: DualMonomial) -> tuple[tuple[DualMonomial, DualMonomia
         factor = _delta_tau(eps[0])
         rest = DualMonomial(eps[1:], r)
     else:
-        unit = _CANON.setdefault(m, m)
+        unit = _CANON[0]
         return ((unit, unit),)
-    acc: dict[tuple[DualMonomial, DualMonomial], int] = {}
+    if m.degree.stem > _PACK_MAX_STEM:
+        raise WindowError(
+            f"coproduct of {m!r} exceeds stem <= {_PACK_MAX_STEM}, the bound of its packed terms"
+        )
+    factor = [_pack(fl) << _PAIR | _pack(fr) for fl, fr in factor]
+    code = _CODE
+    acc: set[int] = set()
+    # the products of one rest term with the distinct factor terms are
+    # distinct, so one call per rest term adds each product once
     for l, r in coproduct_monomial(rest):
-        for fl, fr in factor:
-            left = multiply_monomials(l, fl)
-            if left is None:
-                continue
-            right = multiply_monomials(r, fr)
-            if right is None:
-                continue
-            key = (left, right)
-            acc[key] = acc.get(key, 0) ^ 1
-    canon = _CANON.setdefault
-    return tuple((canon(l, l), canon(r, r)) for l, r in sorted(k for k, odd in acc.items() if odd))
+        p = code[l] << _PAIR | code[r]
+        acc.symmetric_difference_update([p + f for f in factor if not p & f & _PAIR_TAUS])
+    canon = _CANON
+    return tuple(sorted([(canon[p >> _PAIR], canon[p & _SIDE]) for p in acc]))
 
 
 def _sum_of_products(

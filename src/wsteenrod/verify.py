@@ -75,14 +75,20 @@ class VerificationReport:
 
 
 class VerifyConfig:
-    """The window, filtration bound and random seed every suite reads."""
+    """The window, filtration bound and random seed every suite reads.
 
-    __slots__ = ("max_stem", "max_filt", "seed")
+    ``steps`` is where a suite records the seconds of its steps (the Hopf
+    suite's, by step name); run_suites empties it before each suite and
+    puts it in that suite's progress line.  No report carries it.
+    """
+
+    __slots__ = ("max_stem", "max_filt", "seed", "steps")
 
     def __init__(self, max_stem: int = 24, max_filt: int = 16, seed: int = 20170927):
         self.max_stem = max_stem
         self.max_filt = max_filt
         self.seed = seed
+        self.steps: dict[str, float] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +106,10 @@ def pack_window(max_stem: int) -> tuple[dict[DualMonomial, int], int, int]:
 
     The Hopf suite packs a coproduct term c (x) d as ``c | d << width`` and
     a triple c (x) d (x) e as ``c | d << width | e << 2*width``, so a triple
-    is one term shifted by width with a code added below or above it.
+    is one term shifted by width with a code added below or above it.  The
+    unit's code is 0, so a term with a unit factor is below 1 << width
+    (unit right) or has no bits below it (unit left), and the reduced
+    coproduct, which drops those terms, is a filter on the packed terms.
     """
     taus = sum(1 for i in range(max_stem.bit_length() + 1) if tau_degree(i).stem <= max_stem)
     offsets = []
@@ -120,6 +129,12 @@ def pack_window(max_stem: int) -> tuple[dict[DualMonomial, int], int, int]:
 
 
 def suite_hopf(config: VerifyConfig) -> list[VerificationReport]:
+    """Coassociativity, counit, antipode axiom and product-coproduct duality
+    on every monomial of the window; config.steps gets the seconds of the
+    coproduct build, counit and antipode, coassociativity and duality."""
+    clock = time.perf_counter
+    steps = config.steps
+    start = clock()
     alg = MilnorAlgebra(config.max_stem)
     coassoc = VerificationReport("hopf_coassociativity", {"max_stem": config.max_stem})
     counit = VerificationReport("hopf_counit", {"max_stem": config.max_stem})
@@ -127,37 +142,54 @@ def suite_hopf(config: VerifyConfig) -> list[VerificationReport]:
     codes, width, tau_mask = pack_window(config.max_stem)
     low = (1 << width) - 1
     # by code: the coproduct terms packed as left | right << width, in term
-    # order, and the codes of the antipode terms
+    # order
     pairs = {
         cm: [codes[l] | codes[r] << width for l, r in coproduct_monomial(m)]
         for m, cm in codes.items()
     }
+    steps["coproducts"] = clock() - start
+    start = clock()
     antipodes = {codes[m]: [codes[t] for t in antipode_monomial(m)] for m in codes}
     for m, cm in codes.items():
-        terms = [(p & low, p >> width) for p in pairs[cm]]
+        terms = pairs[cm]
+        # the terms with a unit factor are m (x) 1 and 1 (x) m, once each
+        units = sorted(p for p in terms if p <= low or not p & low)
+        if units != ([cm, cm << width] if cm else [0]):
+            counit.fail({"monomial": repr(m)})
+        # sum m_(1) S(m_(2)); a product with a common tau is zero
+        total: set[int] = set()
+        for p in terms:
+            pa = p & low
+            total.symmetric_difference_update(
+                [pa + c for c in antipodes[p >> width] if not pa & c & tau_mask]
+            )
+        if total != ({0} if m.is_unit else set()):
+            antipode.fail({"monomial": repr(m)})
+    steps["counit_antipode"] = clock() - start
+    start = clock()
+    if counit.verdict and pairs[0] == [0]:
+        # D(m) = m (x) 1 + 1 (x) m + Dbar(m) for m != 1, and D(1) = 1 (x) 1:
+        # the triples the unit terms give cancel in pairs, so (D (x) 1) D and
+        # (1 (x) D) D differ exactly where (Dbar (x) 1) Dbar and
+        # (1 (x) Dbar) Dbar do, and the loop below reads the reduced
+        # coproducts Dbar.  When the counit fails it reads the full ones.
+        for cm, terms in pairs.items():
+            pairs[cm] = [p for p in terms if p > low and p & low]
+    for m, cm in codes.items():
         # (D (x) 1) D and (1 (x) D) D XORed into one set of packed triples,
         # which is empty iff they agree.  symmetric_difference_update makes
         # a set of its argument first, so each call takes one term's triples
         # of one side: two terms, or two sides, may share a triple, and in
         # one call that triple would count once instead of cancelling.
         diff: set[int] = set()
-        for pa, pb in terms:
-            diff.symmetric_difference_update(map((pb << 2 * width).__or__, pairs[pa]))
-            diff.symmetric_difference_update(map(pa.__or__, map(width.__rlshift__, pairs[pb])))
+        for p in pairs[cm]:
+            pa, high = p & low, p >> width << 2 * width
+            diff.symmetric_difference_update([high | q for q in pairs[pa]])
+            diff.symmetric_difference_update([pa | q << width for q in pairs[p >> width]])
         if diff:
             coassoc.fail({"monomial": repr(m)})
-        units_left = {pb for pa, pb in terms if not pa}
-        units_right = {pa for pa, pb in terms if not pb}
-        if units_left != {cm} or units_right != {cm}:
-            counit.fail({"monomial": repr(m)})
-        # sum m_(1) S(m_(2)); a product with a common tau is zero
-        total: set[int] = set()
-        for pa, pb in terms:
-            total.symmetric_difference_update(
-                [pa + c for c in antipodes[pb] if not pa & c & tau_mask]
-            )
-        if total != ({0} if m.is_unit else set()):
-            antipode.fail({"monomial": repr(m)})
+    steps["coassociativity"] = clock() - start
+    start = clock()
 
     duality = VerificationReport(
         "product_coproduct_duality",
@@ -183,6 +215,7 @@ def suite_hopf(config: VerifyConfig) -> list[VerificationReport]:
             got = (ab.bits >> i) & 1
             if got != want:
                 duality.fail({"monomial": repr(m), "d1": d1, "d2": d2})
+    steps["duality"] = clock() - start
     return [coassoc, counit, antipode, duality]
 
 
@@ -419,16 +452,19 @@ def run_suites(
     """Run the named suites in order; every name is checked before any runs.
 
     ``progress``, when given, is called after each suite with a plain dict:
-    the suite name, its seconds, and [check, verdict] for each report.
+    the suite name, its seconds, the seconds of its steps (config.steps;
+    empty for a suite without steps), and [check, verdict] for each report.
     """
     reports: list[VerificationReport] = []
     for name in suite_names(names):
         start = time.perf_counter()
+        config.steps.clear()
         done = SUITES[name](config)
         if progress is not None:
             progress({
                 "suite": name,
                 "seconds": round(time.perf_counter() - start, 3),
+                "steps": {step: round(s, 3) for step, s in config.steps.items()},
                 "checks": [[r.check, "pass" if r.verdict else "fail"] for r in done],
             })
         reports.extend(done)

@@ -377,6 +377,18 @@ def test_verify_out_bytes_pinned_at_32(tmp_path, capsys):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == VERIFY_32_SHA256
 
 
+# SHA-256 of `verify --suite hopf --max-stem 40 --out F`: the Hopf checks at a
+# window where the coassociativity loop reads about 3.0 M packed triples
+VERIFY_HOPF_40_SHA256 = "2505f2b731cf5830753c7af3b28cce9b7ee360c581b7802636fa841726d97f2f"
+
+
+def test_verify_hopf_out_bytes_pinned_at_40(tmp_path, capsys):
+    path = tmp_path / "hopf40.json"
+    code, _, _ = run(capsys, "verify", "--suite", "hopf", "--max-stem", "40", "--out", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == VERIFY_HOPF_40_SHA256
+
+
 def test_verify_progress_changes_no_bytes(tmp_path, capsys):
     plain, flagged = tmp_path / "plain.json", tmp_path / "progress.json"
     code, out, err = run(capsys, "verify", "--max-stem", "12", "--out", str(plain))
@@ -393,6 +405,9 @@ def test_verify_progress_changes_no_bytes(tmp_path, capsys):
     reports = json.loads(plain.read_text())["reports"]
     assert checks == [[r["check"], r["verdict"]] for r in reports]
     assert all(line["seconds"] >= 0 for line in lines)
+    hopf_steps = {"coproducts", "counit_antipode", "coassociativity", "duality"}
+    assert [set(line["steps"]) for line in lines] == [hopf_steps] + [set()] * (len(SUITES) - 1)
+    assert all(s >= 0 for s in lines[0]["steps"].values())
 
 
 def test_resolve_progress_changes_no_bytes(tmp_path, capsys, monkeypatch):

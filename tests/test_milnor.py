@@ -119,6 +119,17 @@ def test_coproduct_unit():
     assert coproduct_monomial(UNIT_MONOMIAL) == ((UNIT_MONOMIAL, UNIT_MONOMIAL),)
 
 
+def test_coproduct_refuses_monomials_past_the_packed_layout():
+    # the packed terms hold tau_0..tau_15 and xi exponents below 2^16, which
+    # every term of a monomial of stem <= 2^17 - 2 = 131070 fits; xi_2^(2^15)
+    # has a term xi_1^(2^16) (x) 1
+    for m in (tau_monomial(16), xi_monomial(1, 1 << 16), xi_monomial(2, 1 << 15)):
+        with pytest.raises(WindowError, match="131070"):
+            coproduct_monomial(m)
+    big = xi_monomial(1, 1 << 15)
+    assert coproduct_monomial(big) == ((UNIT_MONOMIAL, big), (big, UNIT_MONOMIAL))
+
+
 def coproduct_from_factors(m):
     """D(m) multiplied out from the coproducts of all its generator powers,
     starting from the unit: the reference for the cached coproduct_monomial,

@@ -2,9 +2,11 @@ import sys
 
 from wsteenrod import milnor, verify
 from wsteenrod.milnor import (
+    UNIT_MONOMIAL,
     BiDegree,
     DualMonomial,
     antipode_monomial,
+    bidegree_basis,
     coproduct_monomial,
     monomial,
     multiply_monomials,
@@ -104,23 +106,32 @@ def test_coassociativity_matches_two_set_reference(monkeypatch):
     added = (xi_monomial(2), monomial((0,), (0, 1)))
     assert added not in terms
     assert added[0].degree + added[1].degree == TARGET.degree
+    stray = next(m for m in bidegree_basis(TARGET.degree) if m != TARGET)
+    unit = UNIT_MONOMIAL
     cases = {
-        "unbroken": terms,
-        "drop": terms[:k] + terms[k + 1:],
-        "swap": terms[:k] + (term[::-1],) + terms[k + 1:],
-        "add": tuple(sorted(terms + (added,))),
+        "unbroken": (TARGET, terms),
+        "drop": (TARGET, terms[:k] + terms[k + 1:]),
+        "swap": (TARGET, terms[:k] + (term[::-1],) + terms[k + 1:]),
+        "add": (TARGET, tuple(sorted(terms + (added,)))),
+        # the counit fails, so the suite reads the full coproducts
+        "drop counit term": (TARGET, tuple(t for t in terms if t != (TARGET, unit))),
+        "stray unit term": (TARGET, tuple(sorted(terms + ((unit, stray),)))),
+        # the counit holds, but D(1) is not 1 (x) 1 alone
+        "unit": (unit, ((unit, unit), (xi_monomial(1), xi_monomial(1)))),
     }
-    for name, broken in cases.items():
-        def coproduct(m, broken=broken):
-            return broken if m == TARGET else coproduct_monomial(m)
+    counit_broken = {"drop counit term", "stray unit term"}
+    for name, (target, broken) in cases.items():
+        def coproduct(m, target=target, broken=broken):
+            return broken if m == target else coproduct_monomial(m)
 
         want = two_set_coassociativity(20, coproduct)
         with monkeypatch.context() as mp:
             mp.setattr(verify, "coproduct_monomial", coproduct)
-            report = suite_hopf(VerifyConfig(max_stem=20))[0]
+            report, counit = suite_hopf(VerifyConfig(max_stem=20))[:2]
         assert report.check == "hopf_coassociativity"
         assert report.witnesses == want, name
         assert bool(want) == (name != "unbroken"), name
+        assert counit.verdict == (name not in counit_broken), name
 
 
 def _patch_sweep(monkeypatch, fn):

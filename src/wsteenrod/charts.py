@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from typing import Iterable
 
+from ._record import Record
 from .milnor import BiDegree, xi_degree
 
 
@@ -22,7 +23,7 @@ def _sort_key(key: tuple[int, int, int]):
     return (stem, s, weight)
 
 
-class ExtChart:
+class ExtChart(Record):
     """Multiset of (s, stem, weight) classes with provenance.
 
     Charts compare by value and, being mutable, are unhashable.
@@ -37,20 +38,7 @@ class ExtChart:
         self.max_stem = max_stem
         self.classes = {} if classes is None else classes
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.module, self.max_stem, self.classes) == (
-            other.module, other.max_stem, other.classes
-        )
-
     __hash__ = None
-
-    def __repr__(self) -> str:
-        return (
-            f"ExtChart(module={self.module!r}, max_stem={self.max_stem!r}, "
-            f"classes={self.classes!r})"
-        )
 
     def add(self, s: int, stem: int, weight: int, mult: int = 1) -> None:
         key = (s, stem, weight)
@@ -87,13 +75,6 @@ class ExtChart:
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ExtChart":
-        chart = cls(str(data["module"]), int(data["max_stem"]))
-        for entry in data["classes"]:
-            chart.add(int(entry["s"]), int(entry["stem"]), int(entry["weight"]), int(entry["mult"]))
-        return chart
-
     def to_tsv(self) -> str:
         lines = ["stem\ts\tweight\tmult"]
         for s, stem, weight, mult in self.sorted_classes():
@@ -115,7 +96,19 @@ class ChartFormatError(ValueError):
     """A chart file violated the schema; the message names the field."""
 
 
+def _integer(fields: dict, key: str) -> int:
+    """fields[key] when it is a JSON integer; a float, string or boolean
+    raises ChartFormatError."""
+    value = fields[key]
+    if type(value) is not int:
+        raise ChartFormatError(f"non-integer field {key!r}: {value!r}")
+    return value
+
+
 def chart_file_loads(text: str) -> ExtChart:
+    """The chart of a chart file.  Every number must be a JSON integer and
+    every multiplicity at least 1; s and stem may be negative, as in the
+    Laurent charts."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -125,18 +118,23 @@ def chart_file_loads(text: str) -> ExtChart:
     for fieldname in ("format_version", "module", "max_stem", "classes"):
         if fieldname not in data:
             raise ChartFormatError(f"missing field {fieldname!r}")
-    if data["format_version"] != FORMAT_VERSION:
-        raise ChartFormatError(f"unsupported format_version {data['format_version']!r}")
+    version = data["format_version"]
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ChartFormatError(f"unsupported format_version {version!r}")
+    if not isinstance(data["module"], str):
+        raise ChartFormatError(f"field 'module' must be a string, got {data['module']!r}")
     if not isinstance(data["classes"], list):
         raise ChartFormatError("field 'classes' must be a list")
+    chart = ExtChart(data["module"], _integer(data, "max_stem"))
     for entry in data["classes"]:
         for key in ("s", "stem", "weight", "mult"):
             if not isinstance(entry, dict) or key not in entry:
                 raise ChartFormatError(f"class entry missing field {key!r}")
-    try:
-        return ExtChart.from_json_dict(data)
-    except (TypeError, ValueError) as exc:
-        raise ChartFormatError(f"non-integer field: {exc}") from None
+        s, stem, weight, mult = (_integer(entry, key) for key in ("s", "stem", "weight", "mult"))
+        if mult < 1:
+            raise ChartFormatError(f"field 'mult' must be >= 1, got {mult}")
+        chart.add(s, stem, weight, mult)
+    return chart
 
 
 def _monomial_chart(
@@ -193,7 +191,7 @@ def polynomial_chart(gens: Iterable[BiDegree | tuple[int, int]], max_stem: int, 
     return _monomial_chart(name, [(1, g) for g in degs], max_stem)
 
 
-class ChartDiff:
+class ChartDiff(Record):
     """The (key, left, right) multiplicities where two charts differ;
     compared by value and unhashable, like ExtChart."""
 
@@ -209,20 +207,7 @@ class ChartDiff:
         self.max_filt = max_filt
         self.mismatches = [] if mismatches is None else mismatches
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.max_stem, self.max_filt, self.mismatches) == (
-            other.max_stem, other.max_filt, other.mismatches
-        )
-
     __hash__ = None
-
-    def __repr__(self) -> str:
-        return (
-            f"ChartDiff(max_stem={self.max_stem!r}, max_filt={self.max_filt!r}, "
-            f"mismatches={self.mismatches!r})"
-        )
 
     def is_empty(self) -> bool:
         return not self.mismatches

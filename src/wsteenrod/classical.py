@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from ._record import Record
 from .milnor import SteenrodElement, _trim
 
 
-class ClassicalElement:
+class ClassicalElement(Record):
     """F2 span of classical Milnor basis elements Sq(R), graded by weight."""
 
     __slots__ = ("weight", "terms")
@@ -28,17 +29,6 @@ class ClassicalElement:
     def __init__(self, weight: int, terms: frozenset[tuple[int, ...]]):
         self.weight = weight
         self.terms = terms
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.weight == other.weight and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.weight, self.terms))
-
-    def __repr__(self) -> str:
-        return f"ClassicalElement(weight={self.weight!r}, terms={self.terms!r})"
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, NamedTuple
 
+from ._record import Record
+
 
 class DimensionMismatch(ValueError):
     """Raised when an operand has the wrong ambient dimension."""
@@ -38,7 +40,7 @@ def _mask(n: int) -> int:
     return (1 << n) - 1
 
 
-class BitVector:
+class BitVector(Record):
     """A vector over GF(2) of fixed length, packed into one integer."""
 
     __slots__ = ("length", "bits")
@@ -66,26 +68,11 @@ class BitVector:
 
     __add__ = __xor__
 
-    def dot(self, other: "BitVector") -> int:
-        if self.length != other.length:
-            raise DimensionMismatch(f"length {self.length} vs {other.length}")
-        return (self.bits & other.bits).bit_count() & 1
-
     def is_zero(self) -> bool:
         return self.bits == 0
 
     def support(self) -> tuple[int, ...]:
         return tuple(j for j in range(self.length) if (self.bits >> j) & 1)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitVector)
-            and self.length == other.length
-            and self.bits == other.bits
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.length, self.bits))
 
     def __repr__(self) -> str:
         return f"BitVector({self.length}, 0b{self.bits:0{max(self.length, 1)}b})"
@@ -126,9 +113,6 @@ class BitMatrix:
 
     def row(self, i: int) -> BitVector:
         return BitVector(self.ncols, self.rows[i])
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
 
     def mul_vec(self, v: BitVector) -> BitVector:
         """Matrix times column vector: coordinate i is row_i . v."""
@@ -277,7 +261,7 @@ def rank(m: BitMatrix) -> int:
     return len(pivots)
 
 
-class Subspace:
+class Subspace(Record):
     """A subspace of GF(2)^n given by a reduced row echelon basis."""
 
     __slots__ = ("ambient_dim", "basis", "pivots")
@@ -286,24 +270,6 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.basis = basis
         self.pivots = pivots
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
-            and self.pivots == other.pivots
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis, self.pivots))
-
-    def __repr__(self) -> str:
-        return (
-            f"Subspace(ambient_dim={self.ambient_dim!r}, basis={self.basis!r}, "
-            f"pivots={self.pivots!r})"
-        )
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[BitVector]) -> "Subspace":

@@ -22,6 +22,7 @@ from .milnor import (
     SteenrodElement,
     WindowError,
     ZERO_DEGREE,
+    _monomial_bits,
     basis_index,
     monomial,
     tau_degree,
@@ -199,11 +200,7 @@ def _assemble(monomials: list[DualMonomial], algebra: MilnorAlgebra) -> tuple[Bi
                 f"terms of unequal bidegree: {degree} vs {m.degree}"
             )
     algebra.require(degree)
-    index = basis_index(degree)
-    bits = 0
-    for m in monomials:
-        bits ^= 1 << index[m]
-    return degree, bits
+    return degree, _monomial_bits(basis_index(degree), monomials)
 
 
 def parse_steenrod(text: str, algebra: MilnorAlgebra) -> SteenrodElement:

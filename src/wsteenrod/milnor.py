@@ -51,6 +51,7 @@ from functools import lru_cache
 from operator import add, xor
 from typing import Iterable, Iterator, NamedTuple
 
+from ._record import Record
 from .gf2 import BitMatrix, BitVector
 
 
@@ -611,8 +612,9 @@ def _product_bits(
 # elements
 
 
-class DualElement:
-    """An F2 combination of dual monomials in one bidegree, as packed bits."""
+class _Element(Record):
+    """An F2 combination of the monomials of one bidegree, as packed bits:
+    bit i is the coefficient of the i-th canonical monomial."""
 
     __slots__ = ("degree", "bits")
 
@@ -620,71 +622,50 @@ class DualElement:
         self.degree = degree
         self.bits = bits
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.degree == other.degree and self.bits == other.bits
-
-    def __hash__(self) -> int:
-        return hash((self.degree, self.bits))
-
-    def __repr__(self) -> str:
-        return f"DualElement(degree={self.degree!r}, bits={self.bits!r})"
-
     def is_zero(self) -> bool:
         return self.bits == 0
 
     def coeffs(self) -> BitVector:
         return BitVector(bidegree_dim(self.degree), self.bits)
 
-    def monomials(self) -> tuple[DualMonomial, ...]:
+    def _monomials(self) -> tuple[DualMonomial, ...]:
         basis = bidegree_basis(self.degree)
         return tuple(basis[i] for i in range(len(basis)) if (self.bits >> i) & 1)
 
-    def __add__(self, other: "DualElement") -> "DualElement":
+    def __add__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
         if self.degree != other.degree:
             raise BidegreeMismatch(f"{self.degree} vs {other.degree}")
-        return DualElement(self.degree, self.bits ^ other.bits)
+        return self.__class__(self.degree, self.bits ^ other.bits)
 
 
-class SteenrodElement:
+class DualElement(_Element):
+    """An F2 combination of dual monomials in one bidegree, as packed bits."""
+
+    __slots__ = ()
+
+    monomials = _Element._monomials
+
+
+class SteenrodElement(_Element):
     """An operation: a functional on the dual monomials of one bidegree.
 
     Coordinate i is the value on the i-th canonical monomial, so P^R is the
     unit vector at xi^R and Q(i) the unit vector at tau_i.
     """
 
-    __slots__ = ("degree", "bits")
+    __slots__ = ()
 
-    def __init__(self, degree: BiDegree, bits: int):
-        self.degree = degree
-        self.bits = bits
+    dual_monomials = _Element._monomials
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.degree == other.degree and self.bits == other.bits
 
-    def __hash__(self) -> int:
-        return hash((self.degree, self.bits))
-
-    def __repr__(self) -> str:
-        return f"SteenrodElement(degree={self.degree!r}, bits={self.bits!r})"
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def coeffs(self) -> BitVector:
-        return BitVector(bidegree_dim(self.degree), self.bits)
-
-    def dual_monomials(self) -> tuple[DualMonomial, ...]:
-        basis = bidegree_basis(self.degree)
-        return tuple(basis[i] for i in range(len(basis)) if (self.bits >> i) & 1)
-
-    def __add__(self, other: "SteenrodElement") -> "SteenrodElement":
-        if self.degree != other.degree:
-            raise BidegreeMismatch(f"{self.degree} vs {other.degree}")
-        return SteenrodElement(self.degree, self.bits ^ other.bits)
+def _monomial_bits(index: dict[DualMonomial, int], monomials: Iterable[DualMonomial]) -> int:
+    """The sum of the monomials, as bits over index."""
+    bits = 0
+    for m in monomials:
+        bits ^= 1 << index[m]
+    return bits
 
 
 def dual_element(monomials: Iterable[DualMonomial], degree: BiDegree | None = None) -> DualElement:
@@ -693,13 +674,10 @@ def dual_element(monomials: Iterable[DualMonomial], degree: BiDegree | None = No
         if not monomials:
             raise ValueError("degree required for an empty combination")
         degree = monomials[0].degree
-    index = basis_index(degree)
-    bits = 0
     for m in monomials:
         if m.degree != degree:
             raise BidegreeMismatch(f"{m} not in bidegree {degree}")
-        bits ^= 1 << index[m]
-    return DualElement(degree, bits)
+    return DualElement(degree, _monomial_bits(basis_index(degree), monomials))
 
 
 def steenrod_element(duals: Iterable[DualMonomial], degree: BiDegree | None = None) -> SteenrodElement:
@@ -780,38 +758,32 @@ class MilnorAlgebra:
     def dim(self, d: BiDegree) -> int:
         return len(bidegree_basis(BiDegree(*d)))
 
-    def coproduct(self, m: DualMonomial) -> tuple[tuple[DualMonomial, DualMonomial], ...]:
-        return coproduct_monomial(m)
-
     def antipode_dual(self, x: DualElement) -> DualElement:
         """The antipode of x, from its own monomials only."""
         index = basis_index(self.require(x.degree))
-        bits = 0
-        for m in x.monomials():
-            for t in antipode_monomial(m):
-                bits ^= 1 << index[t]
-        return DualElement(x.degree, bits)
+        terms = (t for m in x.monomials() for t in antipode_monomial(m))
+        return DualElement(x.degree, _monomial_bits(index, terms))
 
     def antipode_matrix(self, d: BiDegree) -> BitMatrix:
         """Row i is the antipode of the i-th monomial of the bidegree."""
         d = self.require(d)
         mat = self._antipode.get(d)
         if mat is None:
-            basis = bidegree_basis(d)
             index = basis_index(d)
-            rows = []
-            for m in basis:
-                bits = 0
-                for t in antipode_monomial(m):
-                    bits ^= 1 << index[t]
-                rows.append(bits)
-            mat = BitMatrix(len(basis), rows)
+            rows = [_monomial_bits(index, antipode_monomial(m)) for m in bidegree_basis(d)]
+            mat = BitMatrix(len(index), rows)
             self._antipode[d] = mat
         return mat
 
     # -- pairing and products -------------------------------------------
 
     def pair(self, a: SteenrodElement, x: DualElement) -> int:
+        """The value of the operation a on the dual element x."""
+        if not (isinstance(a, SteenrodElement) and isinstance(x, DualElement)):
+            raise TypeError(
+                "pair takes an operation and a dual element, not "
+                f"{type(a).__name__} and {type(x).__name__}"
+            )
         if a.degree != x.degree:
             raise BidegreeMismatch(f"{a.degree} vs {x.degree}")
         return (a.bits & x.bits).bit_count() & 1

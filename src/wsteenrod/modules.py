@@ -1,7 +1,6 @@
 """Bidegree-wise graded left modules over the motivic Steenrod algebra.
 
-A module exposes per-bidegree dimensions with stable basis labels and the
-left action as matrices; everything is assembled from exact bit-packed
+A module exposes per-bidegree dimensions and the left action as matrices; everything is assembled from exact bit-packed
 linear algebra.  Quotients by exterior subalgebras are computed per
 bidegree as cokernels of right multiplication, never from closed-form
 monomial combinatorics, so the rank tests in the suite certify the bases.
@@ -11,7 +10,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .gf2 import BitMatrix, BitVector, Subspace, rank
+from ._record import Record
+from .gf2 import BitMatrix, BitVector, Subspace, quotient, rank
 from .milnor import (
     BiDegree,
     MilnorAlgebra,
@@ -31,7 +31,7 @@ class InvariantViolation(AssertionError):
 
 
 class GradedModule:
-    """Contract: dims per bidegree, labelled bases, left action matrices."""
+    """Contract: dims per bidegree and left action matrices."""
 
     algebra: MilnorAlgebra
     name: str = "module"
@@ -41,9 +41,6 @@ class GradedModule:
         return self.algebra.max_stem
 
     def dim(self, d: BiDegree) -> int:
-        raise NotImplementedError
-
-    def label(self, d: BiDegree, i: int) -> str:
         raise NotImplementedError
 
     def op_matrix(self, a: SteenrodElement, d: BiDegree) -> BitMatrix:
@@ -80,11 +77,6 @@ class AlgebraModule(GradedModule):
     def dim(self, d: BiDegree) -> int:
         return self.algebra.dim(d)
 
-    def label(self, d: BiDegree, i: int) -> str:
-        from .grammar import format_monomial_steenrod
-
-        return format_monomial_steenrod(bidegree_basis(BiDegree(*d))[i])
-
     def op_matrix(self, a: SteenrodElement, d: BiDegree) -> BitMatrix:
         return self.algebra.left_mult_matrix(a, d)
 
@@ -102,9 +94,6 @@ class TrivialModule(GradedModule):
 
     def dim(self, d: BiDegree) -> int:
         return 1 if BiDegree(*d) == ZERO_DEGREE else 0
-
-    def label(self, d: BiDegree, i: int) -> str:
-        return "1"
 
     def op_matrix(self, a: SteenrodElement, d: BiDegree) -> BitMatrix:
         d = BiDegree(*d)
@@ -126,7 +115,7 @@ class TrivialModule(GradedModule):
         return BitMatrix(target, (0,) * n)
 
 
-class ExteriorProfile:
+class ExteriorProfile(Record):
     """Index set for an exterior subalgebra on the P_t, or the window-cofinite
     marker covering every t whose P_t fits the window."""
 
@@ -134,17 +123,6 @@ class ExteriorProfile:
 
     def __init__(self, indices: frozenset[int] | None = None):
         self.indices = indices
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.indices == other.indices
-
-    def __hash__(self) -> int:
-        return hash((self.indices,))
-
-    def __repr__(self) -> str:
-        return f"ExteriorProfile(indices={self.indices!r})"
 
     @classmethod
     def of(cls, *ts: int) -> "ExteriorProfile":
@@ -201,19 +179,18 @@ class QuotientModule(GradedModule):
                     continue
                 rows.extend(self.algebra.right_pt_matrix(t, src).rows)
             sub = Subspace.from_matrix_rows(BitMatrix(n, rows))
-            pivot_set = set(sub.pivots)
-            reps = tuple(j for j in range(n) if j not in pivot_set)
+            reps, project = quotient(n, sub)
             rep_pos = {j: k for k, j in enumerate(reps)}
             proj_rows = []
             for i in range(n):
-                reduced = sub.reduce(BitVector(n, 1 << i)).bits
+                reduced = project(BitVector(n, 1 << i)).bits
                 out = 0
                 while reduced:
                     j = (reduced & -reduced).bit_length() - 1
                     out |= 1 << rep_pos[j]
                     reduced &= reduced - 1
                 proj_rows.append(out)
-            data = (sub, reps, BitMatrix(len(reps), proj_rows))
+            data = (sub, tuple(reps), BitMatrix(len(reps), proj_rows))
             self._data[d] = data
         return data
 
@@ -233,12 +210,6 @@ class QuotientModule(GradedModule):
 
     def dim(self, d: BiDegree) -> int:
         return len(self._bidegree_data(d)[1])
-
-    def label(self, d: BiDegree, i: int) -> str:
-        from .grammar import format_monomial_steenrod
-
-        reps = self.representatives(d)
-        return "[" + format_monomial_steenrod(bidegree_basis(BiDegree(*d))[reps[i]]) + "]"
 
     def op_matrix(self, a: SteenrodElement, d: BiDegree) -> BitMatrix:
         d = BiDegree(*d)
@@ -308,10 +279,6 @@ class TensorModule(GradedModule):
 
     def dim(self, d: BiDegree) -> int:
         return len(self.basis_layout(d))
-
-    def label(self, d: BiDegree, i: int) -> str:
-        dl, li, rj = self.basis_layout(d)[i]
-        return f"{self.left.label(dl, li)}(x){self.right.label(BiDegree(*d) - dl, rj)}"
 
     def op_matrix(self, a: SteenrodElement, d: BiDegree) -> BitMatrix:
         d = BiDegree(*d)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from ._record import Record
 from .charts import ExtChart, w_class_degree
 from .gf2 import BitMatrix, BitVector, rank
 from .milnor import (
@@ -223,7 +224,7 @@ def k_invariant_check(algebra: MilnorAlgebra, n: int, m: int) -> VerificationRep
 # the wBP complex
 
 
-class SequenceR:
+class SequenceR(Record):
     """A finite exponent sequence starting at a stated index."""
 
     __slots__ = ("start", "exps")
@@ -231,17 +232,6 @@ class SequenceR:
     def __init__(self, start: int, exps: tuple[int, ...]):
         self.start = start
         self.exps = exps
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.start == other.start and self.exps == other.exps
-
-    def __hash__(self) -> int:
-        return hash((self.start, self.exps))
-
-    def __repr__(self) -> str:
-        return f"SequenceR(start={self.start!r}, exps={self.exps!r})"
 
     @property
     def length(self) -> int:

@@ -220,20 +220,46 @@ def test_chart_schema_error(tmp_path, capsys):
     assert "format_version" in err
 
 
-NON_INTEGER_CLASS = json.dumps(
-    {
-        "format_version": 1,
-        "module": "x",
-        "max_stem": 2,
-        "classes": [{"s": "a", "stem": 0, "weight": 0, "mult": 1}],
-    }
-)
+def chart_text(top=None, **entry):
+    """A one-class chart file, with top-level and class fields overridden."""
+    data = {"format_version": 1, "module": "x", "max_stem": 2}
+    data["classes"] = [dict({"s": 0, "stem": 0, "weight": 0, "mult": 1}, **entry)]
+    data.update(top or {})
+    return json.dumps(data)
 
 
 @pytest.mark.parametrize(
     "text",
-    [None, "{not json", "[1, 2]", "null", NON_INTEGER_CLASS],
-    ids=["missing", "not-json", "list", "null", "non-integer"],
+    [
+        None,
+        "{not json",
+        "[1, 2]",
+        "null",
+        chart_text(s="a"),
+        chart_text(s=2.5),
+        chart_text(stem="7"),
+        chart_text(weight=True),
+        chart_text(mult=-3),
+        chart_text(mult=0),
+        chart_text({"format_version": True}),
+        chart_text({"max_stem": 2.0}),
+        chart_text({"module": 5}),
+    ],
+    ids=[
+        "missing",
+        "not-json",
+        "list",
+        "null",
+        "non-integer",
+        "float-s",
+        "string-stem",
+        "bool-weight",
+        "negative-mult",
+        "zero-mult",
+        "bool-version",
+        "float-max-stem",
+        "non-string-module",
+    ],
 )
 def test_chart_bad_input_exit_2(tmp_path, capsys, text):
     path = tmp_path / "in.json"
@@ -242,7 +268,7 @@ def test_chart_bad_input_exit_2(tmp_path, capsys, text):
     code, out, err = run(capsys, "chart", "--in", str(path))
     assert code == 2
     assert out == ""
-    assert "chart file" in err
+    assert ("cannot read chart file" if text is None else "bad chart file: ") in err
 
 
 @pytest.mark.parametrize(

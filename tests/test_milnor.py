@@ -194,6 +194,23 @@ def test_pairing(alg16):
     assert alg16.pair(alg16.unit(), dual_element([UNIT_MONOMIAL])) == 1
     with pytest.raises(Exception):
         alg16.pair(p1, dual_element([tau_monomial(0)]))
+    # an operation pairs with a dual element only, in that order
+    x1 = DualElement(p1.degree, p1.bits)
+    with pytest.raises(TypeError):
+        alg16.pair(p1, p1)
+    with pytest.raises(TypeError):
+        alg16.pair(x1, p1)
+
+
+def test_operations_and_dual_elements_do_not_add(alg16):
+    p1 = alg16.pt(1)
+    x1 = DualElement(p1.degree, 1)
+    with pytest.raises(TypeError):
+        p1 + x1
+    with pytest.raises(TypeError):
+        x1 + p1
+    assert x1 + x1 == DualElement(p1.degree, 0)
+    assert p1 + p1 == alg16.zero(p1.degree)
 
 
 def test_window_error():

@@ -179,9 +179,6 @@ class _BadModule(GradedModule):
         d = BiDegree(*d)
         return 1 if 0 <= d.weight * 2 <= d.stem else 0
 
-    def label(self, d, i):
-        return "x"
-
     def op_matrix(self, a, d):
         d = BiDegree(*d)
         target = self.dim(d + a.degree)

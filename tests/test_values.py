@@ -1,15 +1,23 @@
 """Value semantics of the library's record types.
 
 Value types compare and hash by their fields, never equal an instance of
-another type, and print as ``Name(field=value, ...)``.  Mutable holders
-compare by identity.
+another type, and print as ``Name(field=value, ...)`` (a BitVector prints
+its bits).  They derive from one base, Record, which writes these methods
+once; only BitMatrix, whose hash leaves out its derived row count, writes
+its own.  Mutable holders compare by identity.
 """
+
+import importlib
+import inspect
+import pkgutil
 
 import pytest
 
+import wsteenrod
+from wsteenrod._record import Record
 from wsteenrod.charts import ChartDiff, ExtChart
 from wsteenrod.classical import ClassicalElement
-from wsteenrod.gf2 import BitMatrix, Subspace
+from wsteenrod.gf2 import BitMatrix, BitVector, Subspace
 from wsteenrod.milnor import BiDegree, DualElement, MilnorAlgebra, SteenrodElement
 from wsteenrod.modules import ExteriorProfile, MargolisReport
 from wsteenrod.resolution import FreeModule, ModuleMap, Resolution
@@ -55,6 +63,11 @@ HASHABLE = [
         ClassicalElement(3, frozenset()),
         "ClassicalElement(weight=3, terms=frozenset({(0, 1)}))",
     ),
+    (
+        lambda: BitVector(3, 5),
+        BitVector(4, 5),
+        "BitVector(3, 0b101)",
+    ),
 ]
 
 UNHASHABLE = [
@@ -80,6 +93,8 @@ def test_value_types_compare_and_hash_by_fields(make, other, text):
     assert len({a, b, other}) == 2
     assert a != other
     assert repr(a) == text
+    fields = inspect.signature(type(a)).parameters
+    assert hash(a) == hash(tuple(getattr(a, name) for name in fields))
 
 
 @pytest.mark.parametrize("make, other, text", UNHASHABLE)
@@ -131,3 +146,29 @@ def test_holders_compare_by_identity():
         assert a == a
         assert a != make()
         assert len({a, make()}) == 2
+
+
+def _library_classes():
+    for info in pkgutil.iter_modules(wsteenrod.__path__):
+        module = importlib.import_module(f"wsteenrod.{info.name}")
+        for value in vars(module).values():
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                yield value
+
+
+def test_value_semantics_are_written_once():
+    # __hash__ = None, which makes a mutable record unhashable, is allowed
+    writers = {
+        cls.__name__
+        for cls in _library_classes()
+        if "__eq__" in vars(cls) or vars(cls).get("__hash__") is not None
+    }
+    assert writers == {"Record", "BitMatrix"}
+
+
+def test_record_fields_are_init_parameters():
+    records = [cls for cls in _library_classes() if issubclass(cls, Record)]
+    cases = {type(make()) for make, _, _ in HASHABLE + UNHASHABLE}
+    assert cases <= set(records)
+    for cls in records:
+        assert cls._fields == tuple(inspect.signature(cls).parameters), cls

@@ -106,8 +106,9 @@ def _integer(fields: dict, key: str) -> int:
 
 
 def chart_file_loads(text: str) -> ExtChart:
-    """The chart of a chart file.  Every number must be a JSON integer and
-    every multiplicity at least 1; s and stem may be negative, as in the
+    """The chart of a chart file.  Every number must be a JSON integer,
+    every multiplicity at least 1, every stem at most max_stem and every
+    class listed once; s, stem and weight may be negative, as in the
     Laurent charts."""
     try:
         data = json.loads(text)
@@ -133,6 +134,10 @@ def chart_file_loads(text: str) -> ExtChart:
         s, stem, weight, mult = (_integer(entry, key) for key in ("s", "stem", "weight", "mult"))
         if mult < 1:
             raise ChartFormatError(f"field 'mult' must be >= 1, got {mult}")
+        if stem > chart.max_stem:
+            raise ChartFormatError(f"class stem {stem} exceeds max_stem {chart.max_stem}")
+        if (s, stem, weight) in chart.classes:
+            raise ChartFormatError(f"class (s, stem, weight) = {(s, stem, weight)} listed twice")
         chart.add(s, stem, weight, mult)
     return chart
 

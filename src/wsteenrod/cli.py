@@ -184,13 +184,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_module(spec: tuple[str, int | None], algebra: MilnorAlgebra, chart_stem: int):
+def _resolve_module(spec: tuple[str, int | None], algebra: MilnorAlgebra):
     kind, n = spec
     if kind == "sphere":
         return TrivialModule(algebra), "sphere"
     if spec == ("wbp", None):
-        ts = ExteriorProfile.cofinite().resolve(chart_stem)
-        return quotient_by_exterior(ExteriorProfile.of(*ts), algebra), "wbp"
+        # every P_t of the algebra window: the resolver reads internal stem max-stem + 1
+        return quotient_by_exterior(ExteriorProfile.cofinite(), algebra), "wbp"
     if kind == "kw":
         return quotient_by_exterior(ExteriorProfile.of(n + 1), algebra), f"kw:{n}"
     # an index past the window kills nothing and the quotient drops it
@@ -265,7 +265,7 @@ def cmd_algebra(args) -> int:
 def cmd_resolve(args) -> int:
     max_stem = args.max_stem
     alg = MilnorAlgebra(max_stem + 2)
-    module, name = _resolve_module(args.module, alg, max_stem)
+    module, name = _resolve_module(args.module, alg)
     try:
         _, chart = minimal_resolution(
             module,

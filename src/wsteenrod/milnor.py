@@ -29,11 +29,12 @@ and cached at module level: bidegree_basis and basis_index by bidegree,
 coproduct_monomial and antipode_monomial by monomial.  A coproduct is the
 coproduct of the monomial's first generator power times the cached
 coproduct of the rest, multiplied as packed ints: tau_i one bit and each
-xi_j exponent a 16-bit field, so products are sums of codes.  That layout
-holds every coproduct term of a monomial of stem <= 131070, and
-coproduct_monomial refuses larger ones with a WindowError.  Coproduct terms
-are interned by code: equal monomials across all cached coproducts are one
-shared object.
+xi_j exponent a 16-bit field, so products are sums of codes.  The first
+factor's terms are built as codes too, one tensor slot per binary digit of
+its exponent, never as monomials.  That layout holds every coproduct term
+of a monomial of stem <= 131070, and coproduct_monomial refuses larger ones
+with a WindowError.  Coproduct terms are interned by code: equal monomials
+across all cached coproducts are one shared object.
 
 A MilnorAlgebra instance adds a stem window, guards against leaving it,
 and keeps the product caches, which live and die with it: the classical
@@ -295,47 +296,6 @@ def bidegree_dim(d: BiDegree) -> int:
 # coproduct and antipode
 
 
-def _delta_xi_power(j: int, e: int) -> list[tuple[DualMonomial, DualMonomial]]:
-    """Coproduct of xi_j^e: assign each binary digit of e to a tensor slot.
-
-    Slot i contributes xi_{j-i}^(2^i c) on the left and xi_i^c on the right;
-    distinct digit assignments give distinct compositions, which is exactly
-    the odd-multinomial (Lucas) condition, so no parity bookkeeping is
-    needed here.
-    """
-    digits = [1 << k for k in range(e.bit_length()) if (e >> k) & 1]
-    terms = []
-
-    def rec(idx: int, comp: list[int]):
-        if idx == len(digits):
-            left = UNIT_MONOMIAL
-            right = UNIT_MONOMIAL
-            for i, c in enumerate(comp):
-                if c == 0:
-                    continue
-                if j - i > 0:
-                    left = multiply_monomials(left, xi_monomial(j - i, (2**i) * c))
-                if i > 0:
-                    right = multiply_monomials(right, xi_monomial(i, c))
-            terms.append((left, right))
-            return
-        for i in range(j + 1):
-            comp[i] += digits[idx]
-            rec(idx + 1, comp)
-            comp[i] -= digits[idx]
-
-    rec(0, [0] * (j + 1))
-    return terms
-
-
-def _delta_tau(i: int) -> list[tuple[DualMonomial, DualMonomial]]:
-    terms = [(tau_monomial(i), UNIT_MONOMIAL)]
-    for k in range(i + 1):
-        left = xi_monomial(i - k, 2**k) if i - k > 0 else UNIT_MONOMIAL
-        terms.append((left, tau_monomial(k)))
-    return terms
-
-
 # Coproduct terms are multiplied as packed ints.  A monomial's code has
 # tau_i at bit i and the exponent of xi_j in the 16-bit field at bit 16*j,
 # so the product of two monomials with no common tau is the sum of their
@@ -352,15 +312,36 @@ _SIDE = (1 << _PAIR) - 1
 _PAIR_TAUS = _TAUS << _PAIR | _TAUS
 
 
-def _pack(m: DualMonomial) -> int:
-    """The code of a monomial that fits the packed layout."""
-    eps, r = m
-    code = 0
-    for i in eps:
-        code |= 1 << i
-    for j, e in enumerate(r, start=1):
-        code |= e << _FIELD * j
-    return code
+def _delta_xi_power(j: int, e: int) -> list[int]:
+    """Coproduct of xi_j^e as packed terms: assign each binary digit of e
+    to a tensor slot.
+
+    Slot i contributes xi_{j-i}^(2^i c) on the left and xi_i^c on the right;
+    distinct digit assignments give distinct compositions, which is exactly
+    the odd-multinomial (Lucas) condition, so no parity bookkeeping is
+    needed here.  The digits of one slot are distinct bits, so adding their
+    codes never carries.
+    """
+    terms = [0]
+    for c in (1 << k for k in range(e.bit_length()) if e >> k & 1):
+        slots = []
+        for i in range(j + 1):
+            left = (c << i) << _FIELD * (j - i) if i < j else 0
+            right = c << _FIELD * i if i > 0 else 0
+            slots.append(left << _PAIR | right)
+        terms = [t + slot for t in terms for slot in slots]
+    return terms
+
+
+def _delta_tau(i: int) -> list[int]:
+    """Coproduct of tau_i as packed terms: tau_i (x) 1 plus
+    xi_{i-k}^(2^k) (x) tau_k for k = 0..i."""
+    terms = [(1 << i) << _PAIR]
+    for k in range(i + 1):
+        left = (1 << k) << _FIELD * (i - k) if k < i else 0
+        right = 1 << k
+        terms.append(left << _PAIR | right)
+    return terms
 
 
 class _Canon(dict):
@@ -397,21 +378,20 @@ def coproduct_monomial(m: DualMonomial) -> tuple[tuple[DualMonomial, DualMonomia
     any two cached coproducts are the same object.
     """
     eps, r = m
-    if r:
-        j = next(j for j, e in enumerate(r, start=1) if e)
-        factor = _delta_xi_power(j, r[j - 1])
-        rest = DualMonomial(eps, _trim(r[: j - 1] + (0,) + r[j:]))
-    elif eps:
-        factor = _delta_tau(eps[0])
-        rest = DualMonomial(eps[1:], r)
-    else:
+    if not (eps or r):
         unit = _CANON[0]
         return ((unit, unit),)
     if m.degree.stem > _PACK_MAX_STEM:
         raise WindowError(
             f"coproduct of {m!r} exceeds stem <= {_PACK_MAX_STEM}, the bound of its packed terms"
         )
-    factor = [_pack(fl) << _PAIR | _pack(fr) for fl, fr in factor]
+    if r:
+        j = next(j for j, e in enumerate(r, start=1) if e)
+        factor = _delta_xi_power(j, r[j - 1])
+        rest = DualMonomial(eps, _trim(r[: j - 1] + (0,) + r[j:]))
+    else:
+        factor = _delta_tau(eps[0])
+        rest = DualMonomial(eps[1:], r)
     code = _CODE
     acc: set[int] = set()
     # the products of one rest term with the distinct factor terms are
@@ -593,6 +573,14 @@ def milnor_product(m1: DualMonomial, m2: DualMonomial) -> tuple[DualMonomial, ..
     return tuple(sorted(m for m, odd in out.items() if odd))
 
 
+def _monomial_bits(index: dict[DualMonomial, int], monomials: Iterable[DualMonomial]) -> int:
+    """The sum of the monomials, as bits over index."""
+    bits = 0
+    for m in monomials:
+        bits ^= 1 << index[m]
+    return bits
+
+
 def _product_bits(
     index: dict[DualMonomial, int],
     lefts: Iterable[DualMonomial],
@@ -600,12 +588,8 @@ def _product_bits(
     xi: _XiMemo,
 ) -> int:
     """The sum of the products of lefts by rights, as bits over index."""
-    bits = 0
-    for m1 in lefts:
-        for m2 in rights:
-            for m in _product_terms(m1, m2, xi):
-                bits ^= 1 << index[m]
-    return bits
+    terms = (m for m1 in lefts for m2 in rights for m in _product_terms(m1, m2, xi))
+    return _monomial_bits(index, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -660,14 +644,6 @@ class SteenrodElement(_Element):
     dual_monomials = _Element._monomials
 
 
-def _monomial_bits(index: dict[DualMonomial, int], monomials: Iterable[DualMonomial]) -> int:
-    """The sum of the monomials, as bits over index."""
-    bits = 0
-    for m in monomials:
-        bits ^= 1 << index[m]
-    return bits
-
-
 def dual_element(monomials: Iterable[DualMonomial], degree: BiDegree | None = None) -> DualElement:
     monomials = list(monomials)
     if degree is None:
@@ -704,7 +680,6 @@ class MilnorAlgebra:
     - _rmul: (d1, |m2|, the bit of m2 in its basis) -> the unit block of
       x -> x . m2 on the basis of d1 (right_unit_blocks); right_mult_matrix
       and the resolver's matrix assembly add these up.
-    - _antipode: bidegree -> antipode_matrix.
     - _weights: stem -> the weights with a nonempty basis.
     - _sweep: every monomial of the window with its bidegree, from one
       enumerate_window_monomials sweep (window_sweep).
@@ -716,7 +691,6 @@ class MilnorAlgebra:
         self.max_stem = max_stem
         self._rmul: dict[tuple[BiDegree, BiDegree, int], BitMatrix] = {}
         self._xi: _XiMemo = {}
-        self._antipode: dict[BiDegree, BitMatrix] = {}
         self._weights: dict[int, tuple[int, ...]] = {}
         self._sweep: tuple[tuple[DualMonomial, BiDegree], ...] | None = None
 
@@ -763,17 +737,6 @@ class MilnorAlgebra:
         index = basis_index(self.require(x.degree))
         terms = (t for m in x.monomials() for t in antipode_monomial(m))
         return DualElement(x.degree, _monomial_bits(index, terms))
-
-    def antipode_matrix(self, d: BiDegree) -> BitMatrix:
-        """Row i is the antipode of the i-th monomial of the bidegree."""
-        d = self.require(d)
-        mat = self._antipode.get(d)
-        if mat is None:
-            index = basis_index(d)
-            rows = [_monomial_bits(index, antipode_monomial(m)) for m in bidegree_basis(d)]
-            mat = BitMatrix(len(index), rows)
-            self._antipode[d] = mat
-        return mat
 
     # -- pairing and products -------------------------------------------
 
@@ -895,9 +858,15 @@ class MilnorAlgebra:
         return out
 
     def conjugate(self, a: SteenrodElement) -> SteenrodElement:
-        """Transpose of the dual antipode: <c(a), x> = <a, c(x)>."""
-        mat = self.antipode_matrix(a.degree)
-        return SteenrodElement(a.degree, mat.mul_vec(a.coeffs()).bits)
+        """Transpose of the dual antipode: <c(a), x> = <a, c(x)>.  Bit j is
+        set when a meets S(m_j), the antipode of the j-th basis monomial, an
+        odd number of times."""
+        index = basis_index(self.require(a.degree))
+        bits = 0
+        for j, m in enumerate(bidegree_basis(a.degree)):
+            if (a.bits & _monomial_bits(index, antipode_monomial(m))).bit_count() & 1:
+                bits |= 1 << j
+        return SteenrodElement(a.degree, bits)
 
     # -- named elements ---------------------------------------------------
 

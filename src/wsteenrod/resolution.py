@@ -186,17 +186,16 @@ class ModuleMap:
     def matrix(
         self,
         d: BiDegree,
-        exclude_units: bool = False,
         *,
         source_layout: Layout | None = None,
         target_layout: Layout | None = None,
     ) -> BitMatrix:
-        """The full matrix of the map at bidegree d.
+        """The matrix of the map at bidegree d, one block of rows per
+        generator of the source layout.
 
-        With exclude_units, blocks of generators sitting at d itself are
-        dropped, leaving the part of the map defined over the augmentation
-        ideal.  A caller that holds the layout of the source or of a free
-        target at d passes it, and it is not assembled again.
+        A caller that holds the layout of the source or of a free target at
+        d passes it, and it is not assembled again.  A source layout that
+        leaves generators out drops their rows.
         """
         d = BiDegree(*d)
         free_target = isinstance(self.target, FreeModule)
@@ -210,8 +209,6 @@ class ModuleMap:
             source_layout = self.source.layout(d)
         rows: list[int] = []
         for g, n, _ in source_layout:
-            if exclude_units and g.degree == d:
-                continue
             if free_target:
                 rows.extend(self._free_block(g, d - g.degree, n, out_offsets))
             else:
@@ -304,8 +301,10 @@ class Resolution:
                     if n == 0:
                         continue
                     r_out = rank(self.maps[s].matrix(d, source_layout=layout))
+                    # d_{s+1} over the augmentation ideal: no generator at d
+                    ideal = [e for e in self.frees[s + 1].layout(d) if e[0].degree != d]
                     r_in = rank(
-                        self.maps[s + 1].matrix(d, exclude_units=True, target_layout=layout)
+                        self.maps[s + 1].matrix(d, source_layout=ideal, target_layout=layout)
                     )
                     born = born_at[d]
                     if r_out + r_in + born != n:

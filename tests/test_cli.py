@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from wsteenrod import resolution
+from wsteenrod.charts import chart_file_loads, compare_charts, polynomial_chart, w_class_degree
 from wsteenrod.cli import MAX_STEM, main
 from wsteenrod.towers import KwComplex
 from wsteenrod.verify import SUITES
@@ -138,6 +139,19 @@ def test_resolve_wbp1(tmp_path, capsys):
     assert got == want
 
 
+@pytest.mark.parametrize("n", [*range(15), 29])
+def test_resolve_wbp_is_polynomial_on_the_w_classes(tmp_path, capsys, n):
+    # w_k sits at stem 2^(k+2) - 3, so at n = 1, 5, 13, 29 the top stem holds
+    # a w_k whose P_{k+1} the resolver reads at internal stem n + 1
+    out = tmp_path / "wbp.json"
+    argv = ["resolve", "--module", "wbp", "--max-stem", str(n), "--max-filt", str(n + 2)]
+    code, _, _ = run(capsys, *argv, "--out", str(out))
+    assert code == 0
+    chart = chart_file_loads(out.read_text())
+    oracle = polynomial_chart([w for w in map(w_class_degree, range(5)) if w.stem <= n], n)
+    assert compare_charts(chart, oracle, n, n + 2).is_empty()
+
+
 def test_resolve_partial_flag(tmp_path, capsys):
     out = tmp_path / "partial.json"
     code, _, err = run(
@@ -244,6 +258,8 @@ def chart_text(top=None, **entry):
         chart_text({"format_version": True}),
         chart_text({"max_stem": 2.0}),
         chart_text({"module": 5}),
+        chart_text({"classes": [{"s": 0, "stem": 0, "weight": 0, "mult": 1}] * 2}),
+        chart_text(stem=3),
     ],
     ids=[
         "missing",
@@ -259,6 +275,8 @@ def chart_text(top=None, **entry):
         "bool-version",
         "float-max-stem",
         "non-string-module",
+        "duplicate-class",
+        "stem-above-max-stem",
     ],
 )
 def test_chart_bad_input_exit_2(tmp_path, capsys, text):

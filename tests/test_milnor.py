@@ -4,10 +4,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from wsteenrod.gf2 import BitMatrix, BitVector
 from wsteenrod.milnor import (
     BiDegree,
     DualMonomial,
     MilnorAlgebra,
+    SteenrodElement,
     UNIT_MONOMIAL,
     WindowError,
     DualElement,
@@ -23,7 +25,7 @@ from wsteenrod.milnor import (
     xi_degree,
     xi_monomial,
 )
-from wsteenrod.milnor import _delta_tau, _delta_xi_power
+from wsteenrod.milnor import _CANON, _PAIR, _SIDE, _delta_tau, _delta_xi_power
 
 
 def test_generator_degrees():
@@ -130,12 +132,62 @@ def test_coproduct_refuses_monomials_past_the_packed_layout():
     assert coproduct_monomial(big) == ((UNIT_MONOMIAL, big), (big, UNIT_MONOMIAL))
 
 
+def decoded(codes):
+    """Packed coproduct terms as (left, right) monomial pairs."""
+    return [(_CANON[code >> _PAIR], _CANON[code & _SIDE]) for code in codes]
+
+
+def delta_xi_power_by_compositions(j, e):
+    """D(xi_j^e) as monomial pairs, one per assignment of the binary digits
+    of e to the slots 0..j: the reference for the packed _delta_xi_power."""
+    digits = [1 << k for k in range(e.bit_length()) if (e >> k) & 1]
+    terms = []
+
+    def rec(idx, comp):
+        if idx == len(digits):
+            left = UNIT_MONOMIAL
+            right = UNIT_MONOMIAL
+            for i, c in enumerate(comp):
+                if c == 0:
+                    continue
+                if j - i > 0:
+                    left = multiply_monomials(left, xi_monomial(j - i, (2**i) * c))
+                if i > 0:
+                    right = multiply_monomials(right, xi_monomial(i, c))
+            terms.append((left, right))
+            return
+        for i in range(j + 1):
+            comp[i] += digits[idx]
+            rec(idx + 1, comp)
+            comp[i] -= digits[idx]
+
+    rec(0, [0] * (j + 1))
+    return terms
+
+
+def delta_tau_by_monomials(i):
+    """D(tau_i) as monomial pairs: the reference for the packed _delta_tau."""
+    terms = [(tau_monomial(i), UNIT_MONOMIAL)]
+    for k in range(i + 1):
+        left = xi_monomial(i - k, 2**k) if i - k > 0 else UNIT_MONOMIAL
+        terms.append((left, tau_monomial(k)))
+    return terms
+
+
+def test_packed_factors_match_monomial_builders():
+    for j in range(1, 6):
+        for e in range(1, 34):
+            assert decoded(_delta_xi_power(j, e)) == delta_xi_power_by_compositions(j, e), (j, e)
+    for i in range(12):
+        assert decoded(_delta_tau(i)) == delta_tau_by_monomials(i), i
+
+
 def coproduct_from_factors(m):
     """D(m) multiplied out from the coproducts of all its generator powers,
     starting from the unit: the reference for the cached coproduct_monomial,
     which multiplies one factor onto the cached coproduct of the rest."""
-    factors = [_delta_xi_power(j, e) for j, e in enumerate(m.r, start=1) if e]
-    factors += [_delta_tau(i) for i in m.eps]
+    factors = [decoded(_delta_xi_power(j, e)) for j, e in enumerate(m.r, start=1) if e]
+    factors += [decoded(_delta_tau(i)) for i in m.eps]
     acc = {(UNIT_MONOMIAL, UNIT_MONOMIAL): 1}
     for factor in factors:
         nxt = {}
@@ -185,6 +237,34 @@ def test_antipode_matches_recursion():
     memo = {}
     for m in enumerate_window_monomials(32):
         assert antipode_monomial(m) == antipode_by_recursion(m, memo), m
+
+
+def conjugate_by_transpose(a):
+    """c(a) as the transpose of the antipode matrix, whose row i is S(m_i)
+    over the basis: the XOR of the columns that a selects."""
+    basis = bidegree_basis(a.degree)
+    index = basis_index(a.degree)
+    rows = []
+    for m in basis:
+        bits = 0
+        for t in antipode_monomial(m):
+            bits ^= 1 << index[t]
+        rows.append(bits)
+    columns = BitMatrix(len(basis), rows).transpose()
+    return SteenrodElement(a.degree, columns.vec_mul(BitVector(len(basis), a.bits)).bits)
+
+
+def test_conjugate_matches_antipode_transpose():
+    alg = MilnorAlgebra(32)
+    for d in alg.bidegrees(24):
+        for a in alg.basis_functionals(d):
+            assert alg.conjugate(a) == conjugate_by_transpose(a), a
+    rng = random.Random(5)
+    for w in alg.weights(32):
+        d = BiDegree(32, w)
+        for _ in range(3):
+            a = SteenrodElement(d, rng.getrandbits(alg.dim(d)))
+            assert alg.conjugate(a) == conjugate_by_transpose(a), a
 
 
 def test_pairing(alg16):

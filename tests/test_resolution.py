@@ -225,8 +225,8 @@ def test_only_nonzero_cells_are_visited(alg24, monkeypatch, case):
     source = {}
     matrix, eliminate = ModuleMap.matrix, resolution.extend_image
 
-    def recording_matrix(self, d, exclude_units=False, **layouts):
-        m = matrix(self, d, exclude_units, **layouts)
+    def recording_matrix(self, d, **layouts):
+        m = matrix(self, d, **layouts)
         source[id(m)] = (self.source.filtration, BiDegree(*d))
         return m
 
@@ -260,17 +260,15 @@ def test_each_matrix_assembled_once(alg24, monkeypatch):
     carried = []
     original = ModuleMap.matrix
 
-    def recording(self, d, exclude_units=False, *, source_layout=None, target_layout=None):
-        seen.append((self.source.filtration, tuple(d), exclude_units))
+    def recording(self, d, *, source_layout=None, target_layout=None):
+        seen.append((self.source.filtration, tuple(d)))
         # a layout handed in is the one the free module gives at d
         if source_layout is not None:
             assert source_layout == self.source.layout(d)
         if target_layout is not None:
             assert target_layout == self.target.layout(d)
             carried.append(d)
-        return original(
-            self, d, exclude_units, source_layout=source_layout, target_layout=target_layout
-        )
+        return original(self, d, source_layout=source_layout, target_layout=target_layout)
 
     monkeypatch.setattr(ModuleMap, "matrix", recording)
     minimal_resolution(TrivialModule(alg24), 20, 12)

@@ -114,16 +114,6 @@ class BitMatrix:
     def row(self, i: int) -> BitVector:
         return BitVector(self.ncols, self.rows[i])
 
-    def mul_vec(self, v: BitVector) -> BitVector:
-        """Matrix times column vector: coordinate i is row_i . v."""
-        if v.length != self.ncols:
-            raise DimensionMismatch(f"vector length {v.length} vs {self.ncols} columns")
-        bits = 0
-        for i, r in enumerate(self.rows):
-            if (r & v.bits).bit_count() & 1:
-                bits |= 1 << i
-        return BitVector(self.nrows, bits)
-
     def vec_mul(self, v: BitVector) -> BitVector:
         """Row vector times matrix: XOR of the rows selected by v."""
         if v.length != self.nrows:

@@ -26,15 +26,16 @@ reading any coproduct.
 
 Bases, coproducts and antipodes are intrinsic to a bidegree or a monomial
 and cached at module level: bidegree_basis and basis_index by bidegree,
-coproduct_monomial and antipode_monomial by monomial.  A coproduct is the
-coproduct of the monomial's first generator power times the cached
-coproduct of the rest, multiplied as packed ints: tau_i one bit and each
-xi_j exponent a 16-bit field, so products are sums of codes.  The first
-factor's terms are built as codes too, one tensor slot per binary digit of
-its exponent, never as monomials.  That layout holds every coproduct term
-of a monomial of stem <= 131070, and coproduct_monomial refuses larger ones
-with a WindowError.  Coproduct terms are interned by code: equal monomials
-across all cached coproducts are one shared object.
+coproduct_monomial and antipode_monomial by monomial.  Both Hopf maps
+multiply cached terms as packed ints, through the one product _times:
+tau_i is one bit and each xi_j exponent a 16-bit field, so products are
+sums of codes.  A coproduct is the coproduct of the monomial's first
+generator power, built as codes (one tensor slot per binary digit of its
+exponent), times the cached coproduct of the rest; an antipode is the
+product of cached sub-antipodes.  That layout holds every term of a
+monomial of stem <= 131070, and both maps refuse larger ones with a
+WindowError.  Terms are interned by code: equal monomials across all
+cached coproducts and antipodes are one shared object.
 
 A MilnorAlgebra instance adds a stem window, guards against leaving it,
 and keeps the product caches, which live and die with it: the classical
@@ -296,18 +297,19 @@ def bidegree_dim(d: BiDegree) -> int:
 # coproduct and antipode
 
 
-# Coproduct terms are multiplied as packed ints.  A monomial's code has
-# tau_i at bit i and the exponent of xi_j in the 16-bit field at bit 16*j,
-# so the product of two monomials with no common tau is the sum of their
-# codes.  A term left (x) right is left << _PAIR | right, and the product of
-# two terms is again the sum when neither side shares a tau.  Every factor
-# of a coproduct term of m has stem <= |m|, so every field holds for |m| <=
-# _PACK_MAX_STEM: tau_16 has stem 2^17 - 1, xi_1^(2^16) stem 2^17, and an
-# xi_j of stem <= 2^17 has j <= 15, below bit _PAIR.
+# Coproduct and antipode terms are multiplied as packed ints.  A monomial's
+# code has tau_i at bit i and the exponent of xi_j in the 16-bit field at
+# bit 16*j, so the product of two monomials with no common tau is the sum
+# of their codes.  A term left (x) right is left << _PAIR | right, and the
+# product of two terms is again the sum when neither side shares a tau.
+# Every factor of a coproduct or antipode term of m has stem <= |m|, so
+# every field holds for |m| <= _PACK_MAX_STEM: tau_16 has stem 2^17 - 1,
+# xi_1^(2^16) stem 2^17, and an xi_j of stem <= _PACK_MAX_STEM has j <= 16,
+# its field below bit _PAIR.
 _FIELD = 16
 _PACK_MAX_STEM = (1 << (_FIELD + 1)) - 2
 _TAUS = (1 << _FIELD) - 1
-_PAIR = _FIELD * _FIELD
+_PAIR = _FIELD * (_FIELD + 1)
 _SIDE = (1 << _PAIR) - 1
 _PAIR_TAUS = _TAUS << _PAIR | _TAUS
 
@@ -344,9 +346,19 @@ def _delta_tau(i: int) -> list[int]:
     return terms
 
 
+def _times(xs: Iterable[int], ys: list[int], taus: int) -> set[int]:
+    """The F2 sum of x + y over the pairs of codes that share no bit of
+    taus: the packed product (sum xs) . (sum ys).  For one x the sums with
+    distinct ys are distinct, so one update per x adds each product once."""
+    acc: set[int] = set()
+    for x in xs:
+        acc.symmetric_difference_update([x + y for y in ys if not x & y & taus])
+    return acc
+
+
 class _Canon(dict):
     """code -> the one shared monomial of that code, decoded on first use;
-    every monomial in a cached coproduct is one of these."""
+    every monomial in a cached coproduct or antipode is one of these."""
 
     def __missing__(self, code: int) -> DualMonomial:
         eps = tuple(i for i in range(_FIELD) if code >> i & 1)
@@ -361,7 +373,7 @@ class _Canon(dict):
 
 
 _CANON = _Canon()
-# the code of each shared monomial, read back for the rest's coproduct terms
+# the code of each shared monomial, read back when cached terms are multiplied
 _CODE: dict[DualMonomial, int] = {}
 
 
@@ -392,29 +404,9 @@ def coproduct_monomial(m: DualMonomial) -> tuple[tuple[DualMonomial, DualMonomia
     else:
         factor = _delta_tau(eps[0])
         rest = DualMonomial(eps[1:], r)
-    code = _CODE
-    acc: set[int] = set()
-    # the products of one rest term with the distinct factor terms are
-    # distinct, so one call per rest term adds each product once
-    for l, r in coproduct_monomial(rest):
-        p = code[l] << _PAIR | code[r]
-        acc.symmetric_difference_update([p + f for f in factor if not p & f & _PAIR_TAUS])
-    canon = _CANON
-    return tuple(sorted([(canon[p >> _PAIR], canon[p & _SIDE]) for p in acc]))
-
-
-def _sum_of_products(
-    pairs: Iterable[tuple[Iterable[DualMonomial], Iterable[DualMonomial]]]
-) -> tuple[DualMonomial, ...]:
-    """sum over (xs, ys) of (sum xs) . (sum ys) in the dual algebra, sorted."""
-    acc: dict[DualMonomial, int] = {}
-    for xs, ys in pairs:
-        for x in xs:
-            for y in ys:
-                t = multiply_monomials(x, y)
-                if t is not None:
-                    acc[t] = acc.get(t, 0) ^ 1
-    return tuple(sorted(t for t, odd in acc.items() if odd))
+    tails = [_CODE[l] << _PAIR | _CODE[r] for l, r in coproduct_monomial(rest)]
+    acc = _times(tails, factor, _PAIR_TAUS)
+    return tuple(sorted([(_CANON[p >> _PAIR], _CANON[p & _SIDE]) for p in acc]))
 
 
 @lru_cache(maxsize=None)
@@ -429,34 +421,42 @@ def antipode_monomial(m: DualMonomial) -> tuple[DualMonomial, ...]:
 
     and squaring is additive mod 2, so S(xi_j^(2e)) is S(xi_j^e) with its
     exponents doubled.  No coproduct is read, which keeps the antipode
-    axiom in the Hopf suite an independent check.
+    axiom in the Hopf suite an independent check.  The sub-antipodes are
+    multiplied as packed ints by _times, like coproduct terms, so a
+    monomial of stem above _PACK_MAX_STEM = 131070 raises WindowError, and
+    the terms are interned by code like coproduct factors.
     """
     if m.is_unit:
-        return (UNIT_MONOMIAL,)
-    eps, r = m.eps, m.r
+        return (_CANON[0],)
+    if m.degree.stem > _PACK_MAX_STEM:
+        raise WindowError(
+            f"antipode of {m!r} exceeds stem <= {_PACK_MAX_STEM}, the bound of its packed terms"
+        )
+    eps, r = m
     if len(eps) + len(r) - r.count(0) > 1:  # two or more generator powers
         if eps:
             first, rest = tau_monomial(eps[0]), DualMonomial(eps[1:], r)
         else:
             first, rest = xi_monomial(len(r), r[-1]), DualMonomial((), _trim(r[:-1]))
-        return _sum_of_products([(antipode_monomial(first), antipode_monomial(rest))])
-    if not eps and r[-1] > 1:
+        acc = _times(_antipode_codes(first), _antipode_codes(rest), _TAUS)
+    elif not eps and r[-1] > 1:
         j, e = len(r), r[-1]
-        if e % 2:
-            return _sum_of_products(
-                [(antipode_monomial(xi_monomial(j)), antipode_monomial(xi_monomial(j, e - 1)))]
-            )
-        half = antipode_monomial(xi_monomial(j, e // 2))
-        return tuple(DualMonomial((), tuple(2 * x for x in t.r)) for t in half)
-    # a generator: tau_n (its terms run from k = 0) or xi_n (from k = 1)
-    n, generator, low = (eps[0], tau_monomial, 0) if eps else (len(r), xi_monomial, 1)
-    return _sum_of_products(
-        [((m,), (UNIT_MONOMIAL,))]
-        + [
-            ((xi_monomial(n - k, 2**k),), antipode_monomial(generator(k)))
-            for k in range(low, n)
-        ]
-    )
+        if e % 2 == 0:
+            # tau-free, so doubling every exponent doubles the code
+            return tuple(_CANON[c << 1] for c in _antipode_codes(xi_monomial(j, e // 2)))
+        first, rest = xi_monomial(j), xi_monomial(j, e - 1)
+        acc = _times(_antipode_codes(first), _antipode_codes(rest), _TAUS)
+    else:
+        # a generator: tau_n (its terms run from k = 0) or xi_n (from k = 1)
+        n, generator, low = (eps[0], tau_monomial, 0) if eps else (len(r), xi_monomial, 1)
+        acc = {1 << n if eps else 1 << _FIELD * n}
+        for k in range(low, n):
+            acc ^= _times([(1 << k) << _FIELD * (n - k)], _antipode_codes(generator(k)), _TAUS)
+    return tuple(sorted([_CANON[c] for c in acc]))
+
+
+def _antipode_codes(m: DualMonomial) -> list[int]:
+    return [_CODE[t] for t in antipode_monomial(m)]
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,7 @@ from .milnor import (
 
 
 class InvariantViolation(AssertionError):
-    """A machine-checked structural claim failed; carries witnesses."""
-
-    def __init__(self, message: str, witnesses=None):
-        super().__init__(message)
-        self.witnesses = witnesses or []
+    """A machine-checked structural claim failed; the message says where."""
 
 
 class GradedModule:
@@ -328,19 +324,12 @@ class MargolisReport:
 
     __slots__ = ("module", "t", "max_stem", "margin", "dims")
 
-    def __init__(
-        self,
-        module: str,
-        t: int,
-        max_stem: int,
-        margin: int,
-        dims: dict[BiDegree, int] | None = None,
-    ):
+    def __init__(self, module: str, t: int, max_stem: int, margin: int):
         self.module = module
         self.t = t
         self.max_stem = max_stem
         self.margin = margin
-        self.dims = {} if dims is None else dims
+        self.dims: dict[BiDegree, int] = {}
 
     @property
     def safe_stem(self) -> int:

@@ -87,9 +87,9 @@ class FreeModule:
 
     __slots__ = ("filtration", "generators")
 
-    def __init__(self, filtration: int, generators: list[Generator] | None = None):
+    def __init__(self, filtration: int):
         self.filtration = filtration
-        self.generators = [] if generators is None else generators
+        self.generators: list[Generator] = []
 
     def add_generator(self, degree: BiDegree) -> Generator:
         g = Generator(len(self.generators), BiDegree(*degree), self.filtration)
@@ -131,27 +131,19 @@ class ModuleMap:
     __slots__ = ("algebra", "source", "target", "images", "_split")
 
     def __init__(
-        self,
-        algebra: MilnorAlgebra,
-        source: FreeModule,
-        target: "FreeModule | GradedModule",
-        images: list[int] | None = None,
+        self, algebra: MilnorAlgebra, source: FreeModule, target: "FreeModule | GradedModule"
     ):
         self.algebra = algebra
         self.source = source
         self.target = target
-        self.images = [] if images is None else images
+        self.images: list[int] = []
         # generator index -> the nonzero (target generator, coefficient) blocks
         self._split: dict[int, list[tuple[int, SteenrodElement]]] = {}
 
     def set_image(self, g: Generator, bits: int) -> None:
-        while len(self.images) < g.index:
-            self.images.append(0)
-        if len(self.images) == g.index:
-            self.images.append(bits)
-        else:
-            self.images[g.index] = bits
-        self._split.pop(g.index, None)
+        """Give the source's newest generator g its image."""
+        assert g.index == len(self.images), "images are set in generator order"
+        self.images.append(bits)
 
     def _components(self, g: Generator) -> list[tuple[int, SteenrodElement]]:
         """The nonzero (target generator index, coefficient) blocks of image(g)."""
@@ -224,21 +216,16 @@ class Resolution:
 
     __slots__ = ("algebra", "module", "max_stem", "max_filt", "frees", "maps")
 
-    def __init__(
-        self,
-        algebra: MilnorAlgebra,
-        module: GradedModule,
-        max_stem: int,
-        max_filt: int,
-        frees: list[FreeModule] | None = None,
-        maps: list[ModuleMap] | None = None,
-    ):
+    def __init__(self, algebra: MilnorAlgebra, module: GradedModule, max_stem: int, max_filt: int):
         self.algebra = algebra
         self.module = module
         self.max_stem = max_stem
         self.max_filt = max_filt
-        self.frees = [] if frees is None else frees
-        self.maps = [] if maps is None else maps
+        # F_0..F_max_filt, and d_0: F_0 -> module, d_s: F_s -> F_{s-1}
+        self.frees = [FreeModule(s) for s in range(max_filt + 1)]
+        self.maps = [ModuleMap(algebra, self.frees[0], module)] + [
+            ModuleMap(algebra, self.frees[s], self.frees[s - 1]) for s in range(1, max_filt + 1)
+        ]
 
     def chart(self) -> ExtChart:
         chart = ExtChart(self.module.name, self.max_stem)
@@ -366,10 +353,6 @@ def minimal_resolution(
             f"{max_stem} needs coefficients through stem {max_stem + 2}"
         )
     res = Resolution(algebra, module, max_stem, max_filt)
-    res.frees = [FreeModule(s) for s in range(max_filt + 1)]
-    res.maps = [ModuleMap(algebra, res.frees[0], module)]
-    for s in range(1, max_filt + 1):
-        res.maps.append(ModuleMap(algebra, res.frees[s], res.frees[s - 1]))
     clock = perf_counter if progress is not None else (lambda: 0.0)
 
     def cover(s: int, d: BiDegree, below: tuple[list[int], Layout] | None) -> None:

@@ -93,13 +93,11 @@ class KwHomologyReport:
 
     __slots__ = ("n", "m", "window", "degrees")
 
-    def __init__(
-        self, n: int, m: int, window: int, degrees: dict[int, dict[BiDegree, int]] | None = None
-    ):
+    def __init__(self, n: int, m: int, window: int):
         self.n = n
         self.m = m
         self.window = window
-        self.degrees = {} if degrees is None else degrees
+        self.degrees: dict[int, dict[BiDegree, int]] = {}
 
     def safe_coefficient_stem(self, q: int) -> int:
         margin = 0 if q == 0 else xi_degree(self.n + 1).stem
@@ -107,20 +105,6 @@ class KwHomologyReport:
 
     def dims_at(self, q: int) -> dict[BiDegree, int]:
         return self.degrees.get(q, {})
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "window": self.window,
-            "degrees": {
-                str(q): [
-                    {"stem": d.stem, "weight": d.weight, "dim": v}
-                    for d, v in sorted(dims.items())
-                ]
-                for q, dims in sorted(self.degrees.items())
-            },
-        }
 
 
 def kw_homology(algebra: MilnorAlgebra, n: int, m: int) -> KwHomologyReport:

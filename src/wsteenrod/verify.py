@@ -267,9 +267,10 @@ def suite_pst(config: VerifyConfig) -> list[VerificationReport]:
 # classical oracle suite
 
 
-def suite_classical(config: VerifyConfig, samples: int = 120) -> list[VerificationReport]:
+def suite_classical(config: VerifyConfig) -> list[VerificationReport]:
     from .classical import classical_product, milnor_product, to_classical
 
+    samples = 120
     alg = MilnorAlgebra(config.max_stem)
     report = VerificationReport(
         "classical_oracle",

@@ -25,7 +25,7 @@ from wsteenrod.milnor import (
     xi_degree,
     xi_monomial,
 )
-from wsteenrod.milnor import _CANON, _PAIR, _SIDE, _delta_tau, _delta_xi_power
+from wsteenrod.milnor import _CANON, _CODE, _PAIR, _SIDE, _delta_tau, _delta_xi_power
 
 
 def test_generator_degrees():
@@ -124,12 +124,20 @@ def test_coproduct_unit():
 def test_coproduct_refuses_monomials_past_the_packed_layout():
     # the packed terms hold tau_0..tau_15 and xi exponents below 2^16, which
     # every term of a monomial of stem <= 2^17 - 2 = 131070 fits; xi_2^(2^15)
-    # has a term xi_1^(2^16) (x) 1
-    for m in (tau_monomial(16), xi_monomial(1, 1 << 16), xi_monomial(2, 1 << 15)):
-        with pytest.raises(WindowError, match="131070"):
-            coproduct_monomial(m)
+    # has a term xi_1^(2^16) (x) 1, and its antipode the term xi_1^(3*2^15)
+    for hopf_map in (coproduct_monomial, antipode_monomial):
+        for m in (tau_monomial(16), xi_monomial(1, 1 << 16), xi_monomial(2, 1 << 15)):
+            with pytest.raises(WindowError, match="131070"):
+                hopf_map(m)
     big = xi_monomial(1, 1 << 15)
     assert coproduct_monomial(big) == ((UNIT_MONOMIAL, big), (big, UNIT_MONOMIAL))
+    assert antipode_monomial(big) == (big,)
+    # xi_16 has stem 131070, the bound itself: its field sits at bit 256,
+    # and the right-hand term 1 (x) xi_16 must not spill into the left code
+    top = xi_monomial(16)
+    want = [(top, UNIT_MONOMIAL), (UNIT_MONOMIAL, top)]
+    want += [(xi_monomial(16 - i, 1 << i), xi_monomial(i)) for i in range(1, 16)]
+    assert coproduct_monomial(top) == tuple(sorted(want))
 
 
 def decoded(codes):
@@ -237,6 +245,14 @@ def test_antipode_matches_recursion():
     memo = {}
     for m in enumerate_window_monomials(32):
         assert antipode_monomial(m) == antipode_by_recursion(m, memo), m
+
+
+def test_antipode_terms_interned():
+    # antipode terms are the shared monomials of their codes, like coproduct
+    # factors, so equal terms across all cached antipodes are one object
+    for m in enumerate_window_monomials(24):
+        for t in antipode_monomial(m):
+            assert t is _CANON[_CODE[t]], (m, t)
 
 
 def conjugate_by_transpose(a):

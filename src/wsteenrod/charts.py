@@ -58,10 +58,10 @@ class ExtChart(Record):
     def total(self) -> int:
         return sum(self.classes.values())
 
-    def restricted(self, max_stem: int, max_filt: int | None = None) -> "ExtChart":
+    def restricted(self, max_stem: int) -> "ExtChart":
         out = ExtChart(self.module, min(self.max_stem, max_stem))
         for (s, stem, weight), mult in self.classes.items():
-            if stem <= max_stem and (max_filt is None or s <= max_filt):
+            if stem <= max_stem:
                 out.add(s, stem, weight, mult)
         return out
 
@@ -142,13 +142,11 @@ def chart_file_loads(text: str) -> ExtChart:
     return chart
 
 
-def _monomial_chart(
-    name: str, gens: list[tuple[int, BiDegree]], max_stem: int
-) -> ExtChart:
-    """Chart of a polynomial algebra on filtration-graded generators.
+def _monomial_chart(name: str, gens: list[BiDegree], max_stem: int) -> ExtChart:
+    """Chart of a polynomial algebra on generators of filtration 1.
 
-    Each generator contributes (filtration, stem, weight); monomials add
-    degrees, enumerated up to the stem bound.
+    Each generator contributes (1, stem, weight); monomials add degrees,
+    enumerated up to the stem bound.
     """
     chart = ExtChart(name, max_stem)
 
@@ -156,10 +154,10 @@ def _monomial_chart(
         if i == len(gens):
             chart.add(s, stem, weight)
             return
-        filt, deg = gens[i]
+        deg = gens[i]
         e = 0
         while stem + e * deg.stem <= max_stem:
-            rec(i + 1, s + e * filt, stem + e * deg.stem, weight + e * deg.weight)
+            rec(i + 1, s + e, stem + e * deg.stem, weight + e * deg.weight)
             e += 1
 
     rec(0, 0, 0, 0)
@@ -183,17 +181,17 @@ def koszul_chart(ts: Iterable[int], max_stem: int) -> ExtChart:
     ts = tuple(sorted(set(ts)))
     if any(t < 1 for t in ts):
         raise ValueError("exterior indices must be >= 1")
-    gens = [(1, w_class_degree(t - 1)) for t in ts]
+    gens = [w_class_degree(t - 1) for t in ts]
     name = "koszul(" + ",".join(str(t) for t in ts) + ")"
     return _monomial_chart(name, gens, max_stem)
 
 
-def polynomial_chart(gens: Iterable[BiDegree | tuple[int, int]], max_stem: int, name: str = "polynomial") -> ExtChart:
+def polynomial_chart(gens: Iterable[BiDegree | tuple[int, int]], max_stem: int) -> ExtChart:
     """Additive chart of a polynomial ring on classes of filtration 1."""
     degs = [BiDegree(*g) for g in gens]
     if any(g.stem < 1 for g in degs):
         raise ValueError("polynomial chart generators need stem >= 1")
-    return _monomial_chart(name, [(1, g) for g in degs], max_stem)
+    return _monomial_chart("polynomial", degs, max_stem)
 
 
 class ChartDiff(Record):

@@ -3,15 +3,16 @@
 Subcommands: ``algebra`` (element arithmetic), ``resolve`` (minimal
 resolutions to chart files), ``verify`` (the check suites, exit code 0 iff
 everything passes), ``chart`` (chart file to SVG/TSV).  Window flags
-default to max-stem 24 / max-filt 16; the WSTEENROD_MAX_STEM environment
-variable overrides the default window.  A stem window, from the flag or the
-variable, is at most MAX_STEM (255).  Identical flags produce identical
-bytes.  Malformed flags (negative windows or counts, stem windows above
-MAX_STEM, unknown modules or suites, a ``--suite`` list naming none)
-exit with code 2 and a usage message; an unreadable or malformed
-``chart --in`` file exits with code 2 and a message on stderr, as do
-elements that do not parse, leave the window or are paired across
-bidegrees.
+default to max-stem 24 / max-filt 16 and are read only from the command
+line; ``algebra`` takes ``--max-stem`` alone.  A stem window is at most
+MAX_STEM (255) and a filtration bound at most MAX_FILT (1024).  Identical
+flags produce identical bytes.  Malformed flags (negative windows or
+counts, windows above those bounds, unknown modules or suites, a
+``--suite`` list naming none) exit with code 2 and a usage message; an
+unreadable or malformed ``chart --in`` file, or one with a class at
+|stem| > MAX_STEM or |s| > MAX_FILT, exits with code 2 and a message on
+stderr, as do elements that do not parse, leave the window or are paired
+across bidegrees.
 
 Importing this module loads what ``resolve`` and ``verify`` run (charts,
 milnor, gf2, modules, resolution, verify); the element grammar is loaded
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .charts import ChartFormatError, chart_file_dumps, chart_file_loads
@@ -36,6 +36,9 @@ from .verify import SUITES, VerifyConfig, run_suites, suite_names
 # in well under a second, while windows far beyond it would spend minutes
 # or more listing bases before any output.
 MAX_STEM = 255
+# The largest filtration bound accepted.  Each filtration costs a few KB
+# even at stem 0, so an unbounded one could exhaust memory before any output.
+MAX_FILT = 1024
 
 
 def _bounded_int(low: int, high: int | None = None):
@@ -54,17 +57,6 @@ def _bounded_int(low: int, high: int | None = None):
 
 
 _nonnegative = _bounded_int(0)
-_stem_window = _bounded_int(0, MAX_STEM)
-
-
-def _default_max_stem(parser: argparse.ArgumentParser) -> int:
-    env = os.environ.get("WSTEENROD_MAX_STEM")
-    if env is None:
-        return 24
-    try:
-        return _stem_window(env)
-    except argparse.ArgumentTypeError as exc:
-        parser.error(f"WSTEENROD_MAX_STEM {exc}")
 
 
 def _module_spec(text: str) -> tuple[str, int | None]:
@@ -95,14 +87,23 @@ def _suite_list(text: str) -> list[str]:
     return names
 
 
-def _add_window_flags(p: argparse.ArgumentParser) -> None:
+def _add_max_stem(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--max-stem",
-        type=_stem_window,
-        default=None,
+        type=_bounded_int(0, MAX_STEM),
+        default=24,
         help=f"stem window (default 24, at most {MAX_STEM})",
     )
-    p.add_argument("--max-filt", type=_nonnegative, default=16, help="filtration bound (default 16)")
+
+
+def _add_window_flags(p: argparse.ArgumentParser) -> None:
+    _add_max_stem(p)
+    p.add_argument(
+        "--max-filt",
+        type=_bounded_int(0, MAX_FILT),
+        default=16,
+        help=f"filtration bound (default 16, at most {MAX_FILT})",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     alg = sub.add_parser("algebra", help="element arithmetic in the Milnor basis")
-    _add_window_flags(alg)
+    _add_max_stem(alg)
     algsub = alg.add_subparsers(dest="subcommand", required=True)
 
     p_basis = algsub.add_parser("basis", help="print the basis of one bidegree")
@@ -263,13 +264,12 @@ def cmd_algebra(args) -> int:
 
 
 def cmd_resolve(args) -> int:
-    max_stem = args.max_stem
-    alg = MilnorAlgebra(max_stem + 2)
+    alg = MilnorAlgebra(args.max_stem + 2)
     module, name = _resolve_module(args.module, alg)
     try:
         _, chart = minimal_resolution(
             module,
-            max_stem,
+            args.max_stem,
             args.max_filt,
             max_gens_per_bidegree=args.max_gens,
             progress=_json_lines if args.progress else None,
@@ -284,12 +284,11 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    max_stem = args.max_stem
-    config = VerifyConfig(max_stem=max_stem, max_filt=args.max_filt)
+    config = VerifyConfig(max_stem=args.max_stem, max_filt=args.max_filt)
     names = args.suite
     reports, ok = run_suites(names, config, _json_lines if args.progress else None)
     payload = {
-        "max_stem": max_stem,
+        "max_stem": args.max_stem,
         "suites": names,
         "verdict": "pass" if ok else "fail",
         "reports": [r.to_json() for r in reports],
@@ -311,6 +310,12 @@ def cmd_chart(args) -> int:
     try:
         with open(args.infile, encoding="utf-8") as fh:
             chart = chart_file_loads(fh.read())
+        for s, stem, _ in chart.classes:
+            # the SVG draws a grid line per stem and per filtration it spans
+            if abs(stem) > MAX_STEM or abs(s) > MAX_FILT:
+                raise ChartFormatError(
+                    f"class (s, stem) = {(s, stem)} outside |stem| <= {MAX_STEM}, |s| <= {MAX_FILT}"
+                )
     except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read chart file {args.infile}: {exc}", file=sys.stderr)
         return 2
@@ -337,8 +342,6 @@ def cmd_chart(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "max_stem", 0) is None:
-        args.max_stem = _default_max_stem(parser)
     try:
         if args.command == "algebra":
             from .grammar import GrammarError

@@ -45,7 +45,7 @@ class BitVector(Record):
 
     __slots__ = ("length", "bits")
 
-    def __init__(self, length: int, bits: int = 0):
+    def __init__(self, length: int, bits: int):
         if length < 0:
             raise DimensionMismatch(f"negative length {length}")
         if bits < 0 or bits >> length:
@@ -194,9 +194,9 @@ class _Echelon:
 
     __slots__ = ("rows", "pivot_mask", "low_mask")
 
-    def __init__(self, ncols: int, rows: Iterable[int] = (), pivots: Iterable[int] = ()):
-        self.rows = {1 << p: r for r, p in zip(rows, pivots)}
-        self.pivot_mask = sum(self.rows)
+    def __init__(self, ncols: int):
+        self.rows: dict[int, int] = {}
+        self.pivot_mask = 0
         self.low_mask = _mask(ncols)
 
     def insert(self, v: int) -> int:

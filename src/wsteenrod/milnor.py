@@ -685,7 +685,7 @@ class MilnorAlgebra:
       enumerate_window_monomials sweep (window_sweep).
     """
 
-    def __init__(self, max_stem: int = 24):
+    def __init__(self, max_stem: int):
         if max_stem < 0:
             raise ValueError("max_stem must be >= 0")
         self.max_stem = max_stem
@@ -702,9 +702,10 @@ class MilnorAlgebra:
             raise WindowError(f"bidegree {d} exceeds window stem<={self.max_stem}")
         return d
 
-    def bidegrees(self, max_stem: int | None = None) -> Iterator[BiDegree]:
-        """Bidegrees with nonempty basis and stem within the window."""
-        top = self.max_stem if max_stem is None else min(max_stem, self.max_stem)
+    def bidegrees(self, max_stem: int) -> Iterator[BiDegree]:
+        """Bidegrees with nonempty basis and stem at most max_stem, within
+        the window."""
+        top = min(max_stem, self.max_stem)
         for s in range(top + 1):
             for w in self.weights(s):
                 yield BiDegree(s, w)

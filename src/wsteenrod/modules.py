@@ -117,7 +117,7 @@ class ExteriorProfile(Record):
 
     __slots__ = ("indices",)
 
-    def __init__(self, indices: frozenset[int] | None = None):
+    def __init__(self, indices: frozenset[int] | None):
         self.indices = indices
 
     @classmethod
@@ -231,12 +231,7 @@ class QuotientModule(GradedModule):
         return full.compose(self.projection_matrix(d1 + d2))
 
 
-def quotient_by_exterior(
-    profile: ExteriorProfile | frozenset[int] | tuple[int, ...],
-    algebra: MilnorAlgebra,
-) -> QuotientModule:
-    if not isinstance(profile, ExteriorProfile):
-        profile = ExteriorProfile.of(*profile)
+def quotient_by_exterior(profile: ExteriorProfile, algebra: MilnorAlgebra) -> QuotientModule:
     return QuotientModule(algebra, profile)
 
 
@@ -355,32 +350,18 @@ class MargolisReport:
         }
 
 
-def margolis(
-    module: GradedModule,
-    t: int,
-    max_stem: int | None = None,
-    margin: int | None = None,
-) -> MargolisReport:
+def margolis(module: GradedModule, t: int) -> MargolisReport:
     """ker/im dimensions of the left P_t action, inside the safe sub-window.
 
-    Truncation creates spurious homology near the cutoff, so reporting is
-    refused outside stem <= max_stem - margin with margin at least the stem
-    of P_t.  Exteriority of the action is verified as far as the window
-    allows composing P_t twice.
+    Truncation creates spurious homology near the cutoff, so homology is
+    reported only at stems <= window - |P_t|, the module's window less the
+    stem of P_t.  Exteriority of the action is verified as far as the
+    window allows composing P_t twice.
     """
-    alg = module.algebra
-    pt_stem = xi_degree(t).stem
-    if max_stem is None:
-        max_stem = module.window
-    if margin is None:
-        margin = pt_stem
-    if margin < pt_stem:
-        raise ValueError(f"margin {margin} below |P_{t}| stem {pt_stem}")
-    if max_stem > module.window:
-        raise ValueError(f"max_stem {max_stem} beyond module window {module.window}")
-    pt = alg.pst(0, t)
+    max_stem = module.window
+    pt = module.algebra.pst(0, t)
     dt = pt.degree
-    safe = max_stem - margin
+    safe = max_stem - dt.stem
     mats: dict[BiDegree, BitMatrix] = {}
 
     def op(d: BiDegree) -> BitMatrix:
@@ -388,14 +369,14 @@ def margolis(
             mats[d] = module.op_matrix(pt, d)
         return mats[d]
 
-    for d in module.support(max_stem - 2 * pt_stem):
+    for d in module.support(max_stem - 2 * dt.stem):
         d = BiDegree(*d)
         if not op(d).compose(op(d + dt)).is_zero():
             raise InvariantViolation(
                 f"P_{t} is not exterior on {module.name} at {d}"
             )
 
-    report = MargolisReport(module.name, t, max_stem, margin)
+    report = MargolisReport(module.name, t, max_stem, dt.stem)
     for d in module.support(safe):
         d = BiDegree(*d)
         rank_out = rank(op(d))

@@ -245,13 +245,11 @@ class SequenceR(Record):
 
 
 class WbpLayer:
-    """Basis of the i-th exterior-monomial layer inside the window."""
+    """Basis of one exterior-monomial layer inside the window."""
 
-    __slots__ = ("i", "window", "basis")
+    __slots__ = ("basis",)
 
-    def __init__(self, i: int, window: int, basis: tuple[SequenceR, ...]):
-        self.i = i
-        self.window = window
+    def __init__(self, basis: tuple[SequenceR, ...]):
         self.basis = basis
 
     def degrees(self) -> list[BiDegree]:
@@ -266,20 +264,15 @@ def _xi_sequences(max_stem: int) -> Iterator[tuple[int, ...]]:
             yield m.r
 
 
-def vi_basis(i: int, max_stem: int, max_index: int | None = None) -> WbpLayer:
+def vi_basis(i: int, max_stem: int) -> WbpLayer:
     """Sequences over indices j >= 2 of length i with degree stem <= max_stem,
-    in lexicographic order; max_index truncates the alphabet (for wBP<n>
-    use n + 1)."""
+    in lexicographic order."""
     if i < 0:
         raise ValueError("need i >= 0")
     seqs = sorted(
-        r[1:]
-        for r in _xi_sequences(max_stem)
-        if r[:1] in ((), (0,))
-        and sum(r) == i
-        and (max_index is None or len(r) <= max_index)
+        r[1:] for r in _xi_sequences(max_stem) if r[:1] in ((), (0,)) and sum(r) == i
     )
-    return WbpLayer(i, max_stem, tuple(SequenceR(2, exps) for exps in seqs))
+    return WbpLayer(tuple(SequenceR(2, exps) for exps in seqs))
 
 
 class WbpComplex:
@@ -290,19 +283,11 @@ class WbpComplex:
     the complex carries the left action on the quotient factor.
     """
 
-    def __init__(
-        self,
-        algebra: MilnorAlgebra,
-        i_max: int,
-        max_stem: int | None = None,
-    ):
+    def __init__(self, algebra: MilnorAlgebra, i_max: int):
         self.algebra = algebra
         self.i_max = i_max
-        self.max_stem = algebra.max_stem if max_stem is None else max_stem
-        if self.max_stem > algebra.max_stem:
-            raise ValueError("complex window exceeds the algebra window")
         self.quotient = quotient_by_exterior(ExteriorProfile.of(1), algebra)
-        self.layers = [vi_basis(i, self.max_stem) for i in range(i_max + 1)]
+        self.layers = [vi_basis(i, algebra.max_stem) for i in range(i_max + 1)]
         self._pt_cache: dict[tuple[int, BiDegree], BitMatrix] = {}
 
     def layer_layout(self, i: int, d: BiDegree) -> list[tuple[SequenceR, int, int]]:
@@ -366,9 +351,7 @@ class WbpComplex:
         raise ValueError(f"generator {seq} outside the window")
 
 
-def wbp_complex_check(
-    algebra: MilnorAlgebra, i_max: int, max_stem: int | None = None
-) -> VerificationReport:
+def wbp_complex_check(algebra: MilnorAlgebra, i_max: int) -> VerificationReport:
     """d.d = 0 on every generator, position-0 homology equal to the full
     quotient, positions 1..i_max-1 exact, and the layer connectivity bound.
 
@@ -376,8 +359,8 @@ def wbp_complex_check(
     it: a basis element [x] (x) e_R at bidegree d has |e_R| <= d, so every
     sequence that could contribute is present.
     """
-    cx = WbpComplex(algebra, i_max, max_stem)
-    window = cx.max_stem
+    cx = WbpComplex(algebra, i_max)
+    window = algebra.max_stem
     report = VerificationReport("wbp_complex", {"i_max": i_max, "window": window})
 
     for i in range(2, i_max + 1):
@@ -425,9 +408,7 @@ def wbp_complex_check(
     return report
 
 
-def wbp_differential_check(
-    algebra: MilnorAlgebra, i_max: int = 2, max_stem: int | None = None
-) -> VerificationReport:
+def wbp_differential_check(algebra: MilnorAlgebra, i_max: int) -> VerificationReport:
     """Conjugation identities behind the factored wBP differential.
 
     Verifies, inside the quotient by right P_1 multiples:
@@ -443,9 +424,7 @@ def wbp_differential_check(
     bidegree grounds before any arithmetic; that finding is recorded in the
     report.
     """
-    window = algebra.max_stem if max_stem is None else max_stem
-    if window > algebra.max_stem:
-        raise WindowError(f"check window {window} exceeds the algebra window {algebra.max_stem}")
+    window = algebra.max_stem
     quotient = quotient_by_exterior(ExteriorProfile.of(1), algebra)
     report = VerificationReport(
         "wbp_differential",
@@ -514,17 +493,12 @@ def _short_sequences(max_len: int, window: int) -> list[tuple[int, ...]]:
     return sorted(r for r in _xi_sequences((window - 2) // 2) if 1 <= sum(r) <= max_len)
 
 
-def smash_chow_check(
-    algebra: MilnorAlgebra,
-    n: int | None,
-    power: int,
-    max_stem: int | None = None,
-) -> VerificationReport:
+def smash_chow_check(algebra: MilnorAlgebra, n: int | None, power: int) -> VerificationReport:
     """Tensor powers of the kw_n quotient (or the full quotient for n None)
     have dimension one at (0,0) and nothing in negative Chow degree."""
     if power < 1:
         raise ValueError("need power >= 1")
-    window = algebra.max_stem if max_stem is None else max_stem
+    window = algebra.max_stem
     profile = (
         ExteriorProfile.cofinite() if n is None else ExteriorProfile.of(n + 1)
     )

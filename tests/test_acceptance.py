@@ -93,7 +93,7 @@ def test_criterion_04_margolis_exactness():
         alg = shared_algebra(30)
         module = AlgebraModule(alg)
         for t in (1, 2, 3):
-            rep = margolis(module, t, 30)
+            rep = margolis(module, t)
             assert rep.safe_stem == 30 - xi_degree(t).stem
             assert rep.is_zero(), (t, rep.dims)
 
@@ -149,7 +149,7 @@ def test_criterion_07_kw_tower_checks():
 def test_criterion_08_wbp_complex():
     with criterion(8, "wBP complex: d^2 = 0 (i<=3), resolution in stems <= 24"):
         alg = shared_algebra(24)
-        rep = wbp_complex_check(alg, 3, 24)
+        rep = wbp_complex_check(alg, 3)
         assert rep.verdict, rep.witnesses[:5]
 
 
@@ -186,10 +186,9 @@ def test_criterion_10_classical_oracle():
 
 def test_criterion_11_smash_chow():
     with criterion(11, "smash squares and cubes of kw quotients, n <= 1"):
-        alg = shared_algebra(16)
         for n in (0, 1):
-            assert smash_chow_check(alg, n, 2, 14).verdict, n
-            assert smash_chow_check(alg, n, 3, 10).verdict, n
+            assert smash_chow_check(shared_algebra(14), n, 2).verdict, n
+            assert smash_chow_check(shared_algebra(10), n, 3).verdict, n
 
 
 def test_criterion_12_cli_contract(tmp_path, capsys):

@@ -110,8 +110,9 @@ def test_chart_format_errors():
 
 def test_restricted():
     chart = koszul_chart((1,), 10)
-    small = chart.restricted(4, 3)
-    assert sorted(small.classes) == [(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)]
+    small = chart.restricted(4)
+    assert small.max_stem == 4
+    assert sorted(small.classes) == [(s, s, s) for s in range(5)]
 
 
 def test_svg_handles_negative_stems_and_multiplicity():

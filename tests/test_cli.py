@@ -260,6 +260,7 @@ def chart_text(top=None, **entry):
         chart_text({"module": 5}),
         chart_text({"classes": [{"s": 0, "stem": 0, "weight": 0, "mult": 1}] * 2}),
         chart_text(stem=3),
+        chart_text(s=-1000000000),
     ],
     ids=[
         "missing",
@@ -277,6 +278,7 @@ def chart_text(top=None, **entry):
         "non-string-module",
         "duplicate-class",
         "stem-above-max-stem",
+        "s-beyond-max-filt",
     ],
 )
 def test_chart_bad_input_exit_2(tmp_path, capsys, text):
@@ -369,9 +371,9 @@ def test_verify_repeated_suite_runs_once(tmp_path, capsys):
 # suites from verify.SUITES
 HELP_SHA256 = {
     (): "d637937ac6af9e47fa711decc504540fdbbbab236fa826f753b2846bcac6347f",
-    ("resolve",): "a87ade70def2b159e948e1af848399d3c250aaf1665d804640d2d712b016b32a",
-    ("verify",): "47a9cfb797c407d16baa9102a842a1ed8a16c1e1cc63e72d37620f0afb4edf3a",
-    ("algebra",): "932002c85d2405336f021e6a84f9b47d95cd226a26c2a6f356654c227e251b63",
+    ("resolve",): "e6d28cdba4c24a198c0c0ad09156107236628604ef1690127f52a310f3c2de5a",
+    ("verify",): "0e8e1f74e145a20891d96c3e1d00846ecabe1e9da003dd98cde47905eeab5068",
+    ("algebra",): "7ae9cb638232202780d1132894f39a239c0201a11792409efe998e854fe4795e",
 }
 
 
@@ -526,13 +528,6 @@ def test_verify_small_windows(max_stem):
     assert proc.stdout.endswith("verdict: pass\n")
 
 
-def test_env_window(monkeypatch, capsys):
-    monkeypatch.setenv("WSTEENROD_MAX_STEM", "4")
-    code, out, err = run(capsys, "algebra", "mul", "P(2)", "P(2)")
-    assert code == 2
-    assert "window" in err
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -548,6 +543,9 @@ def test_env_window(monkeypatch, capsys):
         ["algebra", "--max-stem", "-3", "pst", "--t", "1"],
         ["algebra", "pst", "--t", "0"],
         ["algebra", "pst", "--s", "-1", "--t", "1"],
+        ["resolve", "--module", "sphere", "--max-filt", "1025"],
+        ["verify", "--max-filt", "1025"],
+        ["algebra", "--max-filt", "7", "basis", "--stem", "0", "--weight", "0"],
     ],
 )
 def test_hostile_flags_exit_2(capsys, argv):
@@ -648,12 +646,3 @@ def test_largest_window_accepted(capsys):
     code, out, _ = run(capsys, "algebra", "--max-stem", str(MAX_STEM), "pst", "--t", "1")
     assert code == 0
     assert out == "P(1)\n"
-
-
-@pytest.mark.parametrize("value", ["-2", "x", "256", "1" + "0" * 20])
-def test_hostile_env_window_exit_2(monkeypatch, capsys, value):
-    monkeypatch.setenv("WSTEENROD_MAX_STEM", value)
-    with pytest.raises(SystemExit) as exc:
-        main(["algebra", "pst", "--t", "1"])
-    assert exc.value.code == 2
-    assert "WSTEENROD_MAX_STEM" in capsys.readouterr().err

@@ -27,7 +27,9 @@ def extend(span, vectors):
     The plain reference for ``extend_image``'s remainders.
     """
     n = span.ambient_dim
-    ech = _Echelon(n, span.basis.rows, span.pivots)
+    ech = _Echelon(n)
+    for row in span.basis.rows:
+        ech.insert(row)
     kept = []
     for v in vectors:
         if v < 0 or v >> n:

@@ -146,17 +146,12 @@ def test_margolis_trivial_module(alg16):
 
 
 def test_margolis_trivial_module_respects_window():
-    # a safe window below stem 0 holds no class, not even the unit
-    trivial = TrivialModule(MilnorAlgebra(8))
-    rep = margolis(trivial, 1, max_stem=1)
-    assert (rep.safe_stem, rep.dims) == (-1, {})
-    rep = margolis(trivial, 1)
+    # the safe window is the module's window less |P_t|; at window 2 it
+    # holds stem 0 alone, where the unit is
+    rep = margolis(TrivialModule(MilnorAlgebra(2)), 1)
+    assert (rep.safe_stem, rep.dims) == (0, {BiDegree(0, 0): 1})
+    rep = margolis(TrivialModule(MilnorAlgebra(8)), 1)
     assert (rep.safe_stem, rep.dims) == (6, {BiDegree(0, 0): 1})
-
-
-def test_margolis_margin_validation(alg16):
-    with pytest.raises(ValueError, match="margin"):
-        margolis(AlgebraModule(alg16), 1, margin=1)
 
 
 def test_margolis_nonzero_on_quotient(alg16):

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -95,3 +96,58 @@ def test_every_lru_cache_is_known_to_the_cold_run_guard():
                     caches.add((module.__name__, qualname))
     assert caches
     assert caches <= {("wsteenrod.milnor", name) for name in child.COLD_CACHES}
+
+
+# every parameter of the library that has a default, as (module, function,
+# parameter); a new default is a new knob, so it is added here on purpose
+DEFAULTED_PARAMETERS = {
+    ("charts", "ChartDiff.__init__", "mismatches"),
+    ("charts", "ExtChart.__init__", "classes"),
+    ("charts", "ExtChart.add", "mult"),
+    ("charts", "chart_file_dumps", "completed_stem"),
+    ("charts", "chart_file_dumps", "partial"),
+    ("charts", "compare_charts", "max_filt"),
+    ("cli", "_bounded_int", "high"),
+    ("cli", "main", "argv"),
+    ("milnor", "dual_element", "degree"),
+    ("milnor", "monomial", "eps"),
+    ("milnor", "monomial", "r"),
+    ("milnor", "steenrod_element", "degree"),
+    ("milnor", "xi_monomial", "e"),
+    ("modules", "GradedModule.support", "max_stem"),
+    ("resolution", "ModuleMap.matrix", "source_layout"),
+    ("resolution", "ModuleMap.matrix", "target_layout"),
+    ("resolution", "minimal_resolution", "max_gens_per_bidegree"),
+    ("resolution", "minimal_resolution", "progress"),
+    ("verify", "VerificationReport.__init__", "verdict"),
+    ("verify", "VerificationReport.__init__", "witnesses"),
+    ("verify", "VerifyConfig.__init__", "max_filt"),
+    ("verify", "VerifyConfig.__init__", "max_stem"),
+    ("verify", "VerifyConfig.__init__", "seed"),
+    ("verify", "run_suites", "progress"),
+}
+
+
+def _defaulted_parameters(module: str, tree: ast.AST, prefix: str = ""):
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            yield from _defaulted_parameters(module, node, f"{prefix}{node.name}.")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            name = prefix + getattr(node, "name", "<lambda>")
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            for arg in defaulted:
+                yield module, name, arg.arg
+            yield from _defaulted_parameters(module, node, f"{name}.")
+        else:
+            yield from _defaulted_parameters(module, node, prefix)
+
+
+def test_defaulted_parameters_are_known():
+    found = set()
+    for path in sorted((ROOT / "src" / "wsteenrod").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= set(_defaulted_parameters(path.stem, tree))
+    assert found == DEFAULTED_PARAMETERS

@@ -3,7 +3,6 @@ import pytest
 from wsteenrod.milnor import (
     BiDegree,
     MilnorAlgebra,
-    WindowError,
     enumerate_window_monomials,
     pst_degree,
     xi_degree,
@@ -133,30 +132,16 @@ def test_vi_basis_examples():
     assert vi_basis(0, -1).basis == ()
 
 
-def test_vi_basis_truncated():
-    layer = vi_basis(1, 20, max_index=2)
-    assert [s.exps for s in layer.basis] == [(1,)]
-
-
 def test_sequence_enumerations_match_window_sweep():
     # the independent raw-loop sweep, filtered to xi monomials, is the oracle
     xis = [(m.r, m.degree) for m in enumerate_window_monomials(48) if not m.eps]
     for window in range(49):
         here = [(r, d) for r, d in xis if d.stem <= window]
         for i in range(6):
-            for max_index in (None, 2, 3):
-                # no xi_1 factor, i factors, highest index at most max_index
-                expected = sorted(
-                    (r[1:], d)
-                    for r, d in here
-                    if not any(r[:1])
-                    and sum(r) == i
-                    and (max_index is None or len(r) <= max_index)
-                )
-                layer = vi_basis(i, window, max_index)
-                assert [(s.exps, s.degree()) for s in layer.basis] == expected, (
-                    window, i, max_index
-                )
+            # no xi_1 factor, i factors
+            expected = sorted((r[1:], d) for r, d in here if not any(r[:1]) and sum(r) == i)
+            layer = vi_basis(i, window)
+            assert [(s.exps, s.degree()) for s in layer.basis] == expected, (window, i)
         for max_len in range(1, 6):
             # P_1 . c(P^{2R}) sits at stem 2 + 2|R|
             expected = sorted(
@@ -188,7 +173,7 @@ def test_wbp_differential_on_generator(alg16):
 
 
 def test_wbp_d_squared_examples(alg24):
-    cx = WbpComplex(alg24, 2, 24)
+    cx = WbpComplex(alg24, 2)
     for exps in ((2,), (1, 1)):
         seq = SequenceR(2, exps)
         d, v = cx.generator_vector(seq)
@@ -197,13 +182,13 @@ def test_wbp_d_squared_examples(alg24):
         assert twice.is_zero(), exps
 
 
-def test_wbp_complex_check(alg16):
-    rep = wbp_complex_check(alg16, 2, 14)
+def test_wbp_complex_check():
+    rep = wbp_complex_check(MilnorAlgebra(14), 2)
     assert rep.verdict
 
 
-def test_wbp_position0_at_origin(alg16):
-    cx = WbpComplex(alg16, 1, 14)
+def test_wbp_position0_at_origin():
+    cx = WbpComplex(MilnorAlgebra(14), 1)
     d = BiDegree(0, 0)
     from wsteenrod.gf2 import rank
 
@@ -216,10 +201,6 @@ def test_wbp_differential_check(alg24):
     assert rep.verdict
     assert rep.params["covered_j"] == [2, 3]
     assert "doubled" in rep.params["convention"]
-    # every product of the check fits the algebra at window 25, but the
-    # window is still refused
-    with pytest.raises(WindowError, match="exceeds the algebra window"):
-        wbp_differential_check(alg24, max_stem=25)
 
 
 def test_wbp_differential_reports_broken_identity(monkeypatch):
@@ -266,14 +247,14 @@ def test_undoubled_convention_fails_on_bidegree():
     assert xi_degree(2) == (6, 3)
 
 
-def test_smash_chow(alg16):
+def test_smash_chow():
     for n in (0, 1):
-        rep = smash_chow_check(alg16, n, 2, 12)
+        rep = smash_chow_check(MilnorAlgebra(12), n, 2)
         assert rep.verdict
-    rep = smash_chow_check(alg16, 0, 3, 9)
+    rep = smash_chow_check(MilnorAlgebra(9), 0, 3)
     assert rep.verdict
 
 
-def test_layer_connectivity_bound(alg24):
-    rep = wbp_complex_check(alg24, 3, 20)
+def test_layer_connectivity_bound():
+    rep = wbp_complex_check(MilnorAlgebra(20), 3)
     assert rep.verdict  # includes the 5i+1 connectivity assertion

@@ -49,7 +49,7 @@ HASHABLE = [
         "ExteriorProfile(indices=frozenset({1, 2}))",
     ),
     (
-        lambda: ExteriorProfile(),
+        lambda: ExteriorProfile(None),
         ExteriorProfile.of(1),
         "ExteriorProfile(indices=None)",
     ),
@@ -117,7 +117,6 @@ def test_equal_fields_of_another_type_are_unequal():
 def test_optional_fields_keep_their_defaults():
     assert ExtChart("x", 2).classes == {}
     assert ChartDiff(2, None).mismatches == []
-    assert ExteriorProfile().indices is None
     report = VerificationReport("c", {})
     assert (report.verdict, report.witnesses) == (True, [])
     assert repr(report) == "VerificationReport(check='c', params={}, verdict=True, witnesses=[])"
@@ -137,7 +136,7 @@ def test_holders_compare_by_identity():
         lambda: Resolution(alg, None, 4, 2),
         lambda: VerificationReport("c", {}),
         lambda: KwHomologyReport(0, 1, 4),
-        lambda: WbpLayer(0, 4, ()),
+        lambda: WbpLayer(()),
         lambda: MargolisReport("A", 1, 4, 2),
         lambda: VerifyConfig(),
     ]

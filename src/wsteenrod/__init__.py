@@ -53,7 +53,6 @@ _SOURCES = {
     "TrivialModule": "modules",
     "margolis": "modules",
     "quotient_by_exterior": "modules",
-    "tensor_diagonal": "modules",
     "tensor_power": "modules",
     "FreeModule": "resolution",
     "ModuleMap": "resolution",
@@ -61,13 +60,10 @@ _SOURCES = {
     "Resolution": "resolution",
     "minimal_resolution": "resolution",
     "KwComplex": "towers",
-    "SequenceR": "towers",
     "WbpComplex": "towers",
-    "WbpLayer": "towers",
     "k_invariant_check": "towers",
     "kw_chow_check": "towers",
     "kw_homology": "towers",
-    "laurent_chart": "towers",
     "smash_chow_check": "towers",
     "vi_basis": "towers",
     "wbp_complex_check": "towers",

@@ -108,8 +108,7 @@ def _integer(fields: dict, key: str) -> int:
 def chart_file_loads(text: str) -> ExtChart:
     """The chart of a chart file.  Every number must be a JSON integer,
     every multiplicity at least 1, every stem at most max_stem and every
-    class listed once; s, stem and weight may be negative, as in the
-    Laurent charts."""
+    class listed once; s, stem and weight may be negative."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

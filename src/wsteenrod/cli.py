@@ -2,14 +2,14 @@
 
 Subcommands: ``algebra`` (element arithmetic), ``resolve`` (minimal
 resolutions to chart files), ``verify`` (the check suites, exit code 0 iff
-everything passes), ``chart`` (chart file to SVG/TSV).  Window flags
-default to max-stem 24 / max-filt 16 and are read only from the command
-line; ``algebra`` takes ``--max-stem`` alone.  A stem window is at most
-MAX_STEM (255) and a filtration bound at most MAX_FILT (1024).  Identical
-flags produce identical bytes.  Malformed flags (negative windows or
-counts, windows above those bounds, unknown modules or suites, a
-``--suite`` list naming none) exit with code 2 and a usage message; an
-unreadable or malformed ``chart --in`` file, or one with a class at
+everything passes), ``chart`` (chart file to SVG/TSV).  Window flags are
+read only from the command line: ``--max-stem`` (default 24, at most
+MAX_STEM = 255) on all but ``chart``, and ``--max-filt`` (default 16, at
+most MAX_FILT = 1024) on ``resolve`` alone.  Identical flags produce
+identical bytes.  Malformed flags (negative windows or counts, windows
+above those bounds, unknown flags, modules or suites, a ``--suite`` list
+naming none) exit with code 2 and a usage message that names the bad
+token; an unreadable or malformed ``chart --in`` file, or one with a class at
 |stem| > MAX_STEM or |s| > MAX_FILT, exits with code 2 and a message on
 stderr, as do elements that do not parse, leave the window or are paired
 across bidegrees.
@@ -96,16 +96,6 @@ def _add_max_stem(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_window_flags(p: argparse.ArgumentParser) -> None:
-    _add_max_stem(p)
-    p.add_argument(
-        "--max-filt",
-        type=_bounded_int(0, MAX_FILT),
-        default=16,
-        help=f"filtration bound (default 16, at most {MAX_FILT})",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wsteenrod",
@@ -141,7 +131,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_pair.add_argument("x")
 
     res = sub.add_parser("resolve", help="minimal resolution to a chart file")
-    _add_window_flags(res)
+    _add_max_stem(res)
+    res.add_argument(
+        "--max-filt",
+        type=_bounded_int(0, MAX_FILT),
+        default=16,
+        help=f"filtration bound (default 16, at most {MAX_FILT})",
+    )
     res.add_argument(
         "--module",
         required=True,
@@ -163,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     ver = sub.add_parser("verify", help="run verification suites")
-    _add_window_flags(ver)
+    _add_max_stem(ver)
     ver.add_argument(
         "--suite",
         default="all",
@@ -284,7 +280,7 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = VerifyConfig(max_stem=args.max_stem, max_filt=args.max_filt)
+    config = VerifyConfig(max_stem=args.max_stem)
     names = args.suite
     reports, ok = run_suites(names, config, _json_lines if args.progress else None)
     payload = {
@@ -339,8 +335,30 @@ def cmd_chart(args) -> int:
     return 0
 
 
+# the names argparse reads as algebra's subcommand
+_ALGEBRA_SUBCOMMANDS = ("basis", "mul", "antipode", "conjugate", "pst", "pair")
+
+
+def _unknown_algebra_flag(tokens: list[str]) -> str | None:
+    """The first flag before algebra's subcommand that is not -h nor a
+    prefix of --help or --max-stem.  argparse would read the token after
+    it as the subcommand and name that token instead."""
+    for tok in tokens:
+        if tok in _ALGEBRA_SUBCOMMANDS:
+            return None
+        name = tok.partition("=")[0]
+        prefix = len(name) > 2 and any(f.startswith(name) for f in ("--help", "--max-stem"))
+        if tok[:1] == "-" and not tok[1:].isdigit() and name != "-h" and not prefix:
+            return tok
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    flag = _unknown_algebra_flag(argv[1:]) if argv[:1] == ["algebra"] else None
+    if flag is not None:
+        parser.error(f"unrecognized arguments: {flag}")
     args = parser.parse_args(argv)
     try:
         if args.command == "algebra":

@@ -301,10 +301,6 @@ class TensorModule(GradedModule):
         return BitMatrix(len(target_layout), rows)
 
 
-def tensor_diagonal(left: GradedModule, right: GradedModule) -> TensorModule:
-    return TensorModule(left, right)
-
-
 def tensor_power(m: GradedModule, power: int) -> GradedModule:
     if power < 1:
         raise ValueError("power must be >= 1")

@@ -4,9 +4,9 @@ The kw-side model is the truncated complex of free rank-one modules whose
 differential is right multiplication by P_{n+1}; homology lives in
 coefficient degrees, so a term shifted by q copies of |P_{n+1}| - (1,0)
 can be examined far beyond the table window.  The wBP-side model is the
-complex (A mod right P_1 multiples) tensor V_i, where V_i has one basis
-sequence per monomial in P_2, P_3, ... of length i and the differential
-peels one index at a time.
+complex (A mod right P_1 multiples) tensor V_i; a generator e_R of V_i is
+an xi monomial xi^(0, R) of length i with no xi_1 factor (one per monomial
+in P_2, P_3, ...), and the differential peels one index at a time.
 
 Every check returns a ``verify.VerificationReport`` serializing to
 {"check", "params", "verdict", "witnesses"}; a failed check returns
@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ._record import Record
-from .charts import ExtChart, w_class_degree
+from .charts import w_class_degree
 from .gf2 import BitMatrix, BitVector, rank
 from .milnor import (
     BiDegree,
+    DualMonomial,
     MilnorAlgebra,
     SteenrodElement,
     WindowError,
@@ -56,7 +56,7 @@ class KwComplex:
         self.n = n
         self.m = m
         self.r = xi_degree(n + 1)
-        self.shift = self.r - BiDegree(1, 0)
+        self.shift = w_class_degree(n)
 
     def generator_degree(self, q: int) -> BiDegree:
         return self.shift.times(q)
@@ -208,71 +208,38 @@ def k_invariant_check(algebra: MilnorAlgebra, n: int, m: int) -> VerificationRep
 # the wBP complex
 
 
-class SequenceR(Record):
-    """A finite exponent sequence starting at a stated index."""
-
-    __slots__ = ("start", "exps")
-
-    def __init__(self, start: int, exps: tuple[int, ...]):
-        self.start = start
-        self.exps = exps
-
-    @property
-    def length(self) -> int:
-        return sum(self.exps)
-
-    def degree(self) -> BiDegree:
-        d = BiDegree(0, 0)
-        for k, e in enumerate(self.exps):
-            if e:
-                d = d + xi_degree(self.start + k).times(e)
-        return d
-
-    def indices(self) -> list[int]:
-        return [self.start + k for k, e in enumerate(self.exps) if e]
-
-    def minus(self, j: int) -> "SequenceR | None":
-        """R - Delta_j, or None when the j entry is zero."""
-        k = j - self.start
-        if k < 0 or k >= len(self.exps) or self.exps[k] == 0:
-            return None
-        exps = list(self.exps)
-        exps[k] -= 1
-        return SequenceR(self.start, _trim(exps))
-
-    def label(self) -> str:
-        return "e(" + ",".join(str(e) for e in self.exps) + ")"
-
-
-class WbpLayer:
-    """Basis of one exterior-monomial layer inside the window."""
-
-    __slots__ = ("basis",)
-
-    def __init__(self, basis: tuple[SequenceR, ...]):
-        self.basis = basis
-
-    def degrees(self) -> list[BiDegree]:
-        return [r.degree() for r in self.basis]
-
-
-def _xi_sequences(max_stem: int) -> Iterator[tuple[int, ...]]:
-    """Exponent sequences r of the xi monomials xi^r of stem <= max_stem: the
-    bases of the bidegrees (2w, w), where Chow degree 0 leaves no tau."""
+def _xi_monomials(max_stem: int) -> Iterator[DualMonomial]:
+    """The xi monomials of stem <= max_stem: the bases of the bidegrees
+    (2w, w), where Chow degree 0 leaves no tau."""
     for w in range(max_stem // 2 + 1):
-        for m in bidegree_basis(BiDegree(2 * w, w)):
-            yield m.r
+        yield from bidegree_basis(BiDegree(2 * w, w))
 
 
-def vi_basis(i: int, max_stem: int) -> WbpLayer:
-    """Sequences over indices j >= 2 of length i with degree stem <= max_stem,
-    in lexicographic order."""
+def _indices(m: DualMonomial) -> list[int]:
+    """The j with xi_j dividing m."""
+    return [j for j, e in enumerate(m.r, start=1) if e]
+
+
+def _divide(m: DualMonomial, j: int) -> DualMonomial:
+    """m / xi_j, for xi_j dividing m."""
+    r = list(m.r)
+    r[j - 1] -= 1
+    return DualMonomial((), _trim(r))
+
+
+def _label(m: DualMonomial) -> str:
+    """The name e(R) of the layer generator m = xi^(0, R)."""
+    return "e(" + ",".join(str(e) for e in m.r[1:]) + ")"
+
+
+def vi_basis(i: int, max_stem: int) -> tuple[DualMonomial, ...]:
+    """Generators of V_i: the xi monomials of length i with no xi_1 factor
+    and stem <= max_stem, in basis order."""
     if i < 0:
         raise ValueError("need i >= 0")
-    seqs = sorted(
-        r[1:] for r in _xi_sequences(max_stem) if r[:1] in ((), (0,)) and sum(r) == i
+    return tuple(
+        sorted(m for m in _xi_monomials(max_stem) if m.r[:1] in ((), (0,)) and sum(m.r) == i)
     )
-    return WbpLayer(tuple(SequenceR(2, exps) for exps in seqs))
 
 
 class WbpComplex:
@@ -290,19 +257,19 @@ class WbpComplex:
         self.layers = [vi_basis(i, algebra.max_stem) for i in range(i_max + 1)]
         self._pt_cache: dict[tuple[int, BiDegree], BitMatrix] = {}
 
-    def layer_layout(self, i: int, d: BiDegree) -> list[tuple[SequenceR, int, int]]:
+    def layer_layout(self, i: int, d: BiDegree) -> list[tuple[DualMonomial, int, int]]:
         if not 0 <= i <= self.i_max:
             return []
         d = BiDegree(*d)
         out = []
         offset = 0
-        for seq in self.layers[i].basis:
-            x = d - seq.degree()
+        for gen in self.layers[i]:
+            x = d - gen.degree
             if x.stem < 0 or x.weight < 0:
                 continue
             n = self.quotient.dim(x)
             if n:
-                out.append((seq, n, offset))
+                out.append((gen, n, offset))
                 offset += n
         return out
 
@@ -322,15 +289,14 @@ class WbpComplex:
         d = BiDegree(*d)
         source = self.layer_layout(i + 1, d)
         target = self.layer_layout(i, d)
-        offsets = {seq: off for seq, _, off in target}
+        offsets = {gen: off for gen, _, off in target}
         ncols = sum(n for _, n, _ in target)
         rows: list[int] = []
-        for seq, n, _ in source:
-            x = d - seq.degree()
+        for gen, n, _ in source:
+            x = d - gen.degree
             block_rows = [0] * n
-            for j in seq.indices():
-                tgt = seq.minus(j)
-                off = offsets.get(tgt)
+            for j in _indices(gen):
+                off = offsets.get(_divide(gen, j))
                 if off is None:
                     continue
                 mat = self._qpt(j, x)
@@ -339,16 +305,16 @@ class WbpComplex:
             rows.extend(block_rows)
         return BitMatrix(ncols, rows)
 
-    def generator_vector(self, seq: SequenceR) -> tuple[BiDegree, BitVector]:
+    def generator_vector(self, gen: DualMonomial) -> tuple[BiDegree, BitVector]:
         """[1] (x) e_R as a coordinate vector of C_{l(R)} at |e_R|."""
-        d = seq.degree()
-        layout = self.layer_layout(seq.length, d)
-        for s, n, off in layout:
-            if s == seq:
+        d = gen.degree
+        length = sum(gen.r)
+        for g, n, off in self.layer_layout(length, d):
+            if g == gen:
                 # the coefficient block is the quotient at (0,0), which is
                 # one dimensional with representative [1]
-                return d, BitVector(self.dim(seq.length, d), 1 << off)
-        raise ValueError(f"generator {seq} outside the window")
+                return d, BitVector(self.dim(length, d), 1 << off)
+        raise ValueError(f"generator {_label(gen)} outside the window")
 
 
 def wbp_complex_check(algebra: MilnorAlgebra, i_max: int) -> VerificationReport:
@@ -364,17 +330,16 @@ def wbp_complex_check(algebra: MilnorAlgebra, i_max: int) -> VerificationReport:
     report = VerificationReport("wbp_complex", {"i_max": i_max, "window": window})
 
     for i in range(2, i_max + 1):
-        for seq in cx.layers[i].basis:
-            d, v = cx.generator_vector(seq)
+        for gen in cx.layers[i]:
+            d, v = cx.generator_vector(gen)
             once = cx.differential_matrix(i - 1, d).vec_mul(v)
             twice = cx.differential_matrix(i - 2, d).vec_mul(once)
             if not twice.is_zero():
-                report.fail({"dd_nonzero_at": seq.label()})
+                report.fail({"dd_nonzero_at": _label(gen)})
 
     for i in range(1, i_max + 1):
-        degs = cx.layers[i].degrees()
-        if degs:
-            low = min(deg.stem for deg in degs) - (i - 1)
+        if cx.layers[i]:
+            low = min(gen.degree.stem for gen in cx.layers[i]) - (i - 1)
             if low < 5 * i + 1:
                 report.fail({"layer": i, "connectivity": low, "bound": 5 * i + 1})
 
@@ -459,27 +424,25 @@ def wbp_differential_check(algebra: MilnorAlgebra, i_max: int) -> VerificationRe
     report.params["covered_j"] = list(identity_holds)
 
     checked_sequences = 0
-    for exps in _short_sequences(2, window):
-        seq = SequenceR(1, exps)
-        lhs_el = algebra.product(p1, conj_doubled(seq.exps))
+    for seq in _short_sequences(2, window):
+        lhs_el = algebra.product(p1, conj_doubled(seq.r))
         acc_bits = 0
-        for k in seq.indices():
-            rest = seq.minus(k)
+        for k in _indices(seq):
             term = algebra.product(
-                conj_doubled(rest.exps),
+                conj_doubled(_divide(seq, k).r),
                 algebra.product(p1, conj_doubled(xi_monomial(k).r)),
             )
             acc_bits ^= project(term)[1]
         if project(lhs_el)[1] != acc_bits:
-            report.fail({"identity": "summed conjugation relation", "R": seq.exps})
+            report.fail({"identity": "summed conjugation relation", "R": seq.r})
         checked_sequences += 1
     report.params["sequences_checked"] = checked_sequences
 
     for i in range(1, i_max + 1):
-        for seq in vi_basis(i, window).basis:
-            for j in seq.indices():
+        for gen in vi_basis(i, window):
+            for j in _indices(gen):
                 if not identity_holds[j]:
-                    report.fail({"generator": seq.label(), "component": j})
+                    report.fail({"generator": _label(gen), "component": j})
     report.params["convention"] = (
         "doubled exponents c(P^{2 Delta_{j-1}}) hold; undoubled variants are "
         "rejected by bidegree mismatch"
@@ -487,10 +450,10 @@ def wbp_differential_check(algebra: MilnorAlgebra, i_max: int) -> VerificationRe
     return report
 
 
-def _short_sequences(max_len: int, window: int) -> list[tuple[int, ...]]:
-    """Exponent tuples over indices >= 1 of length 1..max_len whose doubled
-    P-element keeps P_1 . c(P^{2R}) inside the window."""
-    return sorted(r for r in _xi_sequences((window - 2) // 2) if 1 <= sum(r) <= max_len)
+def _short_sequences(max_len: int, window: int) -> list[DualMonomial]:
+    """The xi monomials xi^R of length 1..max_len whose doubled P-element
+    keeps P_1 . c(P^{2R}) inside the window."""
+    return sorted(m for m in _xi_monomials((window - 2) // 2) if 1 <= sum(m.r) <= max_len)
 
 
 def smash_chow_check(algebra: MilnorAlgebra, n: int | None, power: int) -> VerificationReport:
@@ -517,16 +480,3 @@ def smash_chow_check(algebra: MilnorAlgebra, n: int | None, power: int) -> Verif
                 report.fail({"stem": s, "weight": w, "chow": d.chow, "dim": module.dim(d)})
     return report
 
-
-def laurent_chart(n: int, max_stem: int) -> ExtChart:
-    """The chart of a Laurent line on the class w_n: one class at every
-    integer power whose stem fits the window, positive and negative."""
-    w = w_class_degree(n)
-    chart = ExtChart(f"K(w_{n})", max_stem)
-    chart.add(0, 0, 0)
-    k = 1
-    while k * w.stem <= max_stem:
-        chart.add(k, k * w.stem, k * w.weight)
-        chart.add(-k, -k * w.stem, -k * w.weight)
-        k += 1
-    return chart

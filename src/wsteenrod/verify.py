@@ -75,18 +75,17 @@ class VerificationReport:
 
 
 class VerifyConfig:
-    """The window, filtration bound and random seed every suite reads.
+    """The window and random seed every suite reads.
 
     ``steps`` is where a suite records the seconds of its steps (the Hopf
     suite's, by step name); run_suites empties it before each suite and
     puts it in that suite's progress line.  No report carries it.
     """
 
-    __slots__ = ("max_stem", "max_filt", "seed", "steps")
+    __slots__ = ("max_stem", "seed", "steps")
 
-    def __init__(self, max_stem: int = 24, max_filt: int = 16, seed: int = 20170927):
+    def __init__(self, max_stem: int = 24, seed: int = 20170927):
         self.max_stem = max_stem
-        self.max_filt = max_filt
         self.seed = seed
         self.steps: dict[str, float] = {}
 
@@ -200,8 +199,6 @@ def suite_hopf(config: VerifyConfig) -> list[VerificationReport]:
     for _ in range(200):
         d1 = rng.choice(degrees)
         d2 = rng.choice(degrees)
-        if (d1 + d2).stem > config.max_stem:
-            continue
         a = SteenrodElement(d1, rng.getrandbits(alg.dim(d1)))
         b = SteenrodElement(d2, rng.getrandbits(alg.dim(d2)))
         ab = alg.product(a, b)
@@ -411,7 +408,7 @@ def suite_charts(config: VerifyConfig) -> list[VerificationReport]:
     for n in (0, 1):
         alg = MilnorAlgebra(chart_stem + 2)
         module = quotient_by_exterior(ExteriorProfile.of(n + 1), alg)
-        max_filt = min(chart_stem // max(w_class_degree(n).stem, 1) + 1, config.max_filt)
+        max_filt = chart_stem // w_class_degree(n).stem + 1
         _, chart = minimal_resolution(module, chart_stem, max_filt)
         oracle = koszul_chart((n + 1,), chart_stem)
         diff = compare_charts(chart, oracle, chart_stem, max_filt)

@@ -11,7 +11,6 @@ from wsteenrod.charts import (
     w_class_degree,
 )
 from wsteenrod.milnor import BiDegree
-from wsteenrod.towers import laurent_chart
 
 
 def test_w_class_degrees():
@@ -54,15 +53,6 @@ def test_polynomial_chart_examples():
         polynomial_chart([BiDegree(0, 0)], 4)
 
 
-def test_laurent_chart():
-    chart = laurent_chart(0, 4)
-    assert sorted(chart.classes) == [(s, s, s) for s in range(-4, 5)]
-    assert chart.mult(0, 0, 0) == 1
-    chart1 = laurent_chart(1, 6)
-    assert chart1.mult(-1, -5, -3) == 1
-    assert chart1.mult(1, 5, 3) == 1
-
-
 def test_compare_identity_and_mismatch():
     a = koszul_chart((1,), 6)
     assert compare_charts(a, a, 6).is_empty()
@@ -72,9 +62,17 @@ def test_compare_identity_and_mismatch():
     assert diff.first()[0] == (1, 1, 1)
 
 
+def _signed_chart(max_stem: int) -> ExtChart:
+    """Classes at k times (1, 5, 3) for |5k| <= max_stem: negative s, stem
+    and weight, which chart files may hold."""
+    chart = ExtChart("signed", max_stem)
+    for k in range(-(max_stem // 5), max_stem // 5 + 1):
+        chart.add(k, 5 * k, 3 * k)
+    return chart
+
+
 def test_chart_json_roundtrip():
-    # the Laurent chart has negative s and stem, which files may hold
-    for chart in (koszul_chart((1, 2), 10), laurent_chart(1, 6)):
+    for chart in (koszul_chart((1, 2), 10), _signed_chart(6)):
         text = chart_file_dumps(chart)
         again = chart_file_loads(text)
         assert again == chart
@@ -118,7 +116,8 @@ def test_restricted():
 def test_svg_handles_negative_stems_and_multiplicity():
     from wsteenrod.svg import render_chart_svg
 
-    chart = laurent_chart(1, 10)
+    chart = _signed_chart(10)
+    assert chart.mult(-2, -10, -6) == 1
     chart.add(2, 10, 6)  # force a multiplicity-2 spot next to (2,10,6)
     svg = render_chart_svg(chart)
     assert svg.startswith("<?xml")

@@ -9,7 +9,7 @@ import pytest
 
 from wsteenrod import resolution
 from wsteenrod.charts import chart_file_loads, compare_charts, polynomial_chart, w_class_degree
-from wsteenrod.cli import MAX_STEM, main
+from wsteenrod.cli import _ALGEBRA_SUBCOMMANDS, MAX_STEM, main
 from wsteenrod.towers import KwComplex
 from wsteenrod.verify import SUITES
 
@@ -372,7 +372,7 @@ def test_verify_repeated_suite_runs_once(tmp_path, capsys):
 HELP_SHA256 = {
     (): "d637937ac6af9e47fa711decc504540fdbbbab236fa826f753b2846bcac6347f",
     ("resolve",): "e6d28cdba4c24a198c0c0ad09156107236628604ef1690127f52a310f3c2de5a",
-    ("verify",): "0e8e1f74e145a20891d96c3e1d00846ecabe1e9da003dd98cde47905eeab5068",
+    ("verify",): "9c3fadd1c0cb556adb06d2ef9d54fbb879ee3f0e28262d0ee957ffb69ac8381d",
     ("algebra",): "7ae9cb638232202780d1132894f39a239c0201a11792409efe998e854fe4795e",
 }
 
@@ -387,16 +387,14 @@ def test_help_bytes_pinned(capsys, monkeypatch, command):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == HELP_SHA256[command]
 
 
-@pytest.mark.parametrize("max_filt, expected", [(0, [0, 0]), (1, [1, 1]), (16, [13, 3])])
-def test_verify_max_filt_caps_charts(capsys, max_filt, expected):
-    # the change-of-rings bounds are 13 (n = 0) and 3 (n = 1) at chart stem 12
-    code, out, _ = run(
-        capsys, "verify", "--suite", "charts", "--max-stem", "14", "--max-filt", str(max_filt)
-    )
+def test_verify_max_filt_caps_charts(capsys):
+    # the change-of-rings bounds are 13 (n = 0) and 3 (n = 1) at chart stem
+    # 12: one filtration past the most copies of |w_n| that fit
+    code, out, _ = run(capsys, "verify", "--suite", "charts", "--max-stem", "14")
     assert code == 0
     params = [json.loads(line.split(" ", 2)[2]) for line in out.splitlines()[:-1]]
     assert [p["n"] for p in params] == [0, 1]
-    assert [p["max_filt"] for p in params] == expected
+    assert [p["max_filt"] for p in params] == [13, 3]
     assert out.endswith("verdict: pass\n")
 
 
@@ -539,13 +537,11 @@ def test_verify_small_windows(max_stem):
         ["resolve", "--module", "sphere", "--max-filt", "-1"],
         ["resolve", "--module", "sphere", "--max-gens", "-1"],
         ["verify", "--max-stem", "-3"],
-        ["verify", "--max-filt", "-2"],
+        ["verify", "--max-stem", "x"],
         ["algebra", "--max-stem", "-3", "pst", "--t", "1"],
         ["algebra", "pst", "--t", "0"],
         ["algebra", "pst", "--s", "-1", "--t", "1"],
         ["resolve", "--module", "sphere", "--max-filt", "1025"],
-        ["verify", "--max-filt", "1025"],
-        ["algebra", "--max-filt", "7", "basis", "--stem", "0", "--weight", "0"],
     ],
 )
 def test_hostile_flags_exit_2(capsys, argv):
@@ -555,6 +551,34 @@ def test_hostile_flags_exit_2(capsys, argv):
     err = capsys.readouterr().err
     assert "error: argument" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["algebra", "--max-filt", "7", "basis", "--stem", "0", "--weight", "0"], "--max-filt"),
+        (["algebra", "--max-stem", "7", "-x", "7", "pst", "--t", "1"], "-x"),
+        (["verify", "--max-filt", "-2"], "--max-filt"),
+        (["verify", "--max-filt", "1025"], "--max-filt"),
+    ],
+)
+def test_unknown_flags_named_exit_2(capsys, argv, flag):
+    # only resolve takes --max-filt; an unknown flag before algebra's
+    # subcommand is named, not the value after it
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: unrecognized arguments: {flag}" in err
+    assert "Traceback" not in err
+
+
+def test_algebra_subcommand_names_match_parser(capsys):
+    # main scans algebra's flags up to the first of these names, so a
+    # subcommand missing here would have its own flags refused
+    with pytest.raises(SystemExit):
+        main(["algebra", "--help"])
+    assert "{" + ",".join(_ALGEBRA_SUBCOMMANDS) + "}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -9,10 +9,10 @@ from wsteenrod.modules import (
     ExteriorProfile,
     GradedModule,
     InvariantViolation,
+    TensorModule,
     TrivialModule,
     margolis,
     quotient_by_exterior,
-    tensor_diagonal,
     tensor_power,
 )
 
@@ -103,7 +103,7 @@ def test_cofinite_profile(alg24):
 
 def test_tensor_diagonal_examples(alg16):
     q = quotient_by_exterior(ExteriorProfile.of(1), alg16)
-    t = tensor_diagonal(q, q)
+    t = TensorModule(q, q)
     assert t.dim(BiDegree(0, 0)) == 1
     p1 = alg16.pst(0, 1)
     assert t.act(p1, BiDegree(0, 0), BitVector(1, 1)).is_zero()

@@ -121,7 +121,6 @@ DEFAULTED_PARAMETERS = {
     ("resolution", "minimal_resolution", "progress"),
     ("verify", "VerificationReport.__init__", "verdict"),
     ("verify", "VerificationReport.__init__", "witnesses"),
-    ("verify", "VerifyConfig.__init__", "max_filt"),
     ("verify", "VerifyConfig.__init__", "max_stem"),
     ("verify", "VerifyConfig.__init__", "seed"),
     ("verify", "run_suites", "progress"),

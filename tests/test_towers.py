@@ -1,17 +1,22 @@
 import pytest
 
 from wsteenrod.milnor import (
+    UNIT_MONOMIAL,
     BiDegree,
     MilnorAlgebra,
     enumerate_window_monomials,
+    monomial,
     pst_degree,
     xi_degree,
+    xi_monomial,
 )
 from wsteenrod.modules import ExteriorProfile, quotient_by_exterior
 from wsteenrod.towers import (
     KwComplex,
-    SequenceR,
     WbpComplex,
+    _divide,
+    _indices,
+    _label,
     _short_sequences,
     k_invariant_check,
     kw_chow_check,
@@ -113,23 +118,25 @@ def test_kw_complex_d_squared(alg16):
 
 def test_vi_basis_examples():
     layer0 = vi_basis(0, 20)
-    assert [s.exps for s in layer0.basis] == [()]
-    assert layer0.basis[0].degree() == (0, 0)
+    assert layer0 == (UNIT_MONOMIAL,)
+    assert layer0[0].degree == (0, 0)
 
+    # e_R is the xi monomial xi^(0, R), of the same degree
     layer1 = vi_basis(1, 20)
-    assert {(s.exps, tuple(s.degree())) for s in layer1.basis} == {
-        ((1,), (6, 3)),
-        ((0, 1), (14, 7)),
+    assert {(m.r, tuple(m.degree)) for m in layer1} == {
+        ((0, 1), (6, 3)),
+        ((0, 0, 1), (14, 7)),
     }
     layer2 = vi_basis(2, 20)
-    assert {(s.exps, tuple(s.degree())) for s in layer2.basis} == {
-        ((2,), (12, 6)),
-        ((1, 1), (20, 10)),
+    assert {(m.r, tuple(m.degree)) for m in layer2} == {
+        ((0, 2), (12, 6)),
+        ((0, 1, 1), (20, 10)),
     }
-    # lexicographic order on the exponent tuples
-    assert [s.exps for s in layer2.basis] == [(1, 1), (2,)]
-    # even the unit sequence has stem 0, outside a negative window
-    assert vi_basis(0, -1).basis == ()
+    # lexicographic order on the exponent tuples R
+    assert [_label(m) for m in layer2] == ["e(1,1)", "e(2)"]
+    assert _label(UNIT_MONOMIAL) == "e()"
+    # even the unit has stem 0, outside a negative window
+    assert vi_basis(0, -1) == ()
 
 
 def test_sequence_enumerations_match_window_sweep():
@@ -141,28 +148,30 @@ def test_sequence_enumerations_match_window_sweep():
             # no xi_1 factor, i factors
             expected = sorted((r[1:], d) for r, d in here if not any(r[:1]) and sum(r) == i)
             layer = vi_basis(i, window)
-            assert [(s.exps, s.degree()) for s in layer.basis] == expected, (window, i)
+            assert all(not m.eps for m in layer)
+            assert [(m.r[1:], m.degree) for m in layer] == expected, (window, i)
         for max_len in range(1, 6):
             # P_1 . c(P^{2R}) sits at stem 2 + 2|R|
             expected = sorted(
                 r for r, d in here if 1 <= sum(r) <= max_len and 2 + 2 * d.stem <= window
             )
-            assert _short_sequences(max_len, window) == expected, (window, max_len)
+            got = [m.r for m in _short_sequences(max_len, window)]
+            assert got == expected, (window, max_len)
 
 
 def test_sequence_minus():
-    seq = SequenceR(2, (1, 1))
-    assert seq.minus(2) == SequenceR(2, (0, 1))
-    assert seq.minus(3) == SequenceR(2, (1,))
-    assert seq.minus(4) is None
-    assert SequenceR(2, (1,)).minus(2) == SequenceR(2, ())
+    # e_R -> e_{R - D_j} is division by xi_j
+    gen = monomial(r=(0, 1, 1))
+    assert _indices(gen) == [2, 3]
+    assert _divide(gen, 2) == monomial(r=(0, 0, 1))
+    assert _divide(gen, 3) == monomial(r=(0, 1))
+    assert _divide(xi_monomial(2), 2) == UNIT_MONOMIAL
 
 
 def test_wbp_differential_on_generator(alg16):
     # d(e_{D2}) = [P_2] (x) e_0
     cx = WbpComplex(alg16, 2)
-    seq = SequenceR(2, (1,))
-    d, v = cx.generator_vector(seq)
+    d, v = cx.generator_vector(xi_monomial(2))
     assert d == (6, 3)
     image = cx.differential_matrix(0, d).vec_mul(v)
     q = cx.quotient
@@ -174,12 +183,11 @@ def test_wbp_differential_on_generator(alg16):
 
 def test_wbp_d_squared_examples(alg24):
     cx = WbpComplex(alg24, 2)
-    for exps in ((2,), (1, 1)):
-        seq = SequenceR(2, exps)
-        d, v = cx.generator_vector(seq)
+    for r in ((0, 2), (0, 1, 1)):
+        d, v = cx.generator_vector(monomial(r=r))
         once = cx.differential_matrix(1, d).vec_mul(v)
         twice = cx.differential_matrix(0, d).vec_mul(once)
-        assert twice.is_zero(), exps
+        assert twice.is_zero(), r
 
 
 def test_wbp_complex_check():

@@ -21,7 +21,7 @@ from wsteenrod.gf2 import BitMatrix, BitVector, Subspace
 from wsteenrod.milnor import BiDegree, DualElement, MilnorAlgebra, SteenrodElement
 from wsteenrod.modules import ExteriorProfile, MargolisReport
 from wsteenrod.resolution import FreeModule, ModuleMap, Resolution
-from wsteenrod.towers import KwHomologyReport, SequenceR, WbpLayer
+from wsteenrod.towers import KwHomologyReport
 from wsteenrod.verify import VerificationReport, VerifyConfig
 
 D = BiDegree(3, 1)
@@ -52,11 +52,6 @@ HASHABLE = [
         lambda: ExteriorProfile(None),
         ExteriorProfile.of(1),
         "ExteriorProfile(indices=None)",
-    ),
-    (
-        lambda: SequenceR(2, (1, 0, 2)),
-        SequenceR(3, (1, 0, 2)),
-        "SequenceR(start=2, exps=(1, 0, 2))",
     ),
     (
         lambda: ClassicalElement(3, frozenset({(0, 1)})),
@@ -110,7 +105,7 @@ def test_charts_compare_by_fields_and_are_unhashable(make, other, text):
 def test_equal_fields_of_another_type_are_unequal():
     assert SteenrodElement(D, 5) != DualElement(D, 5)
     assert DualElement(D, 5) != SteenrodElement(D, 5)
-    assert SequenceR(2, ()) != (2, ())
+    assert ClassicalElement(3, frozenset()) != (3, frozenset())
     assert ExtChart("x", 2) != ChartDiff(2, None)
 
 
@@ -121,7 +116,7 @@ def test_optional_fields_keep_their_defaults():
     assert (report.verdict, report.witnesses) == (True, [])
     assert repr(report) == "VerificationReport(check='c', params={}, verdict=True, witnesses=[])"
     config = VerifyConfig()
-    assert (config.max_stem, config.max_filt, config.seed) == (24, 16, 20170927)
+    assert (config.max_stem, config.seed) == (24, 20170927)
     # fresh containers per instance, never a shared default
     assert ExtChart("x", 2).classes is not ExtChart("x", 2).classes
     assert VerificationReport("c", {}).witnesses is not report.witnesses
@@ -136,7 +131,6 @@ def test_holders_compare_by_identity():
         lambda: Resolution(alg, None, 4, 2),
         lambda: VerificationReport("c", {}),
         lambda: KwHomologyReport(0, 1, 4),
-        lambda: WbpLayer(()),
         lambda: MargolisReport("A", 1, 4, 2),
         lambda: VerifyConfig(),
     ]

@@ -32,7 +32,6 @@ _SOURCES = {
     "BitVector": "gf2",
     "Subspace": "gf2",
     "kernel": "gf2",
-    "quotient": "gf2",
     "rank": "gf2",
     "rref": "gf2",
     "solve": "gf2",
@@ -45,14 +44,12 @@ _SOURCES = {
     "algebra": "milnor",
     "bidegree_basis": "milnor",
     "AlgebraModule": "modules",
-    "ExteriorProfile": "modules",
     "GradedModule": "modules",
     "InvariantViolation": "modules",
     "MargolisReport": "modules",
     "QuotientModule": "modules",
     "TrivialModule": "modules",
     "margolis": "modules",
-    "quotient_by_exterior": "modules",
     "tensor_power": "modules",
     "FreeModule": "resolution",
     "ModuleMap": "resolution",

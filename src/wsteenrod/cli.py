@@ -27,7 +27,7 @@ import sys
 
 from .charts import ChartFormatError, chart_file_dumps, chart_file_loads
 from .milnor import BiDegree, BidegreeMismatch, MilnorAlgebra, WindowError, bidegree_basis
-from .modules import ExteriorProfile, InvariantViolation, quotient_by_exterior, TrivialModule
+from .modules import InvariantViolation, QuotientModule, TrivialModule
 from .resolution import PartialResultError, minimal_resolution
 from .verify import SUITES, VerifyConfig, run_suites, suite_names
 
@@ -185,15 +185,13 @@ def _resolve_module(spec: tuple[str, int | None], algebra: MilnorAlgebra):
     kind, n = spec
     if kind == "sphere":
         return TrivialModule(algebra), "sphere"
-    if spec == ("wbp", None):
-        # every P_t of the algebra window: the resolver reads internal stem max-stem + 1
-        return quotient_by_exterior(ExteriorProfile.cofinite(), algebra), "wbp"
     if kind == "kw":
-        return quotient_by_exterior(ExteriorProfile.of(n + 1), algebra), f"kw:{n}"
-    # an index past the window kills nothing and the quotient drops it
-    # (ExteriorProfile.resolve), so a huge N lists no more than the window
-    ts = range(1, min(n + 1, algebra.max_stem) + 1)
-    return quotient_by_exterior(ExteriorProfile.of(*ts), algebra), f"wbp:{n}"
+        return QuotientModule(algebra, (n + 1,)), f"kw:{n}"
+    # wbp kills every P_t of the algebra window (the resolver reads internal
+    # stem max-stem + 1), wbp:N kills P_1 .. P_{N+1}; the quotient drops an
+    # index past the window, so capping the range there keeps a huge N cheap
+    top = algebra.max_stem if n is None else min(n + 1, algebra.max_stem)
+    return QuotientModule(algebra, range(1, top + 1)), "wbp" if n is None else f"wbp:{n}"
 
 
 class _WriteError(Exception):

@@ -27,7 +27,7 @@ threads.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from ._record import Record
 
@@ -369,18 +369,3 @@ def solve(m: BitMatrix, b: BitVector) -> BitVector | None:
     if rem & _mask(n):
         return None
     return BitVector(m.nrows, rem >> n)
-
-
-def quotient(
-    ambient_dim: int, s: Subspace
-) -> tuple[list[int], Callable[[BitVector], BitVector]]:
-    """Quotient of GF(2)^ambient_dim by the subspace ``s``.
-
-    Returns the non-pivot coordinates (one coset representative per index)
-    and a linear idempotent projection whose kernel is exactly ``s``.
-    """
-    if s.ambient_dim != ambient_dim:
-        raise DimensionMismatch(f"subspace ambient {s.ambient_dim} vs {ambient_dim}")
-    pivot_set = set(s.pivots)
-    reps = [j for j in range(ambient_dim) if j not in pivot_set]
-    return reps, s.reduce

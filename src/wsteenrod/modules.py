@@ -1,17 +1,17 @@
 """Bidegree-wise graded left modules over the motivic Steenrod algebra.
 
-A module exposes per-bidegree dimensions and the left action as matrices; everything is assembled from exact bit-packed
-linear algebra.  Quotients by exterior subalgebras are computed per
-bidegree as cokernels of right multiplication, never from closed-form
-monomial combinatorics, so the rank tests in the suite certify the bases.
+A module exposes its dimension at each bidegree and its left action as
+matrices, all built from exact bit-packed linear algebra.  A quotient
+A//E(P_t : t in ts) is computed per bidegree as the cokernel of right
+multiplication by the P_t, never from closed-form monomial combinatorics,
+so the rank tests in the suite certify its bases.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from ._record import Record
-from .gf2 import BitMatrix, BitVector, Subspace, quotient, rank
+from .gf2 import BitMatrix, BitVector, Subspace, rank
 from .milnor import (
     BiDegree,
     MilnorAlgebra,
@@ -24,6 +24,16 @@ from .milnor import (
 
 class InvariantViolation(AssertionError):
     """A machine-checked structural claim failed; the message says where."""
+
+
+class NotExterior(InvariantViolation):
+    """P_t squares to nonzero at ``degree``; ``report`` is the empty
+    Margolis report the check was filling (module, t, safe window)."""
+
+    def __init__(self, report: "MargolisReport", degree: BiDegree):
+        super().__init__(f"P_{report.t} is not exterior on {report.module} at {degree}")
+        self.report = report
+        self.degree = degree
 
 
 class GradedModule:
@@ -111,56 +121,27 @@ class TrivialModule(GradedModule):
         return BitMatrix(target, (0,) * n)
 
 
-class ExteriorProfile(Record):
-    """Index set for an exterior subalgebra on the P_t, or the window-cofinite
-    marker covering every t whose P_t fits the window."""
-
-    __slots__ = ("indices",)
-
-    def __init__(self, indices: frozenset[int] | None):
-        self.indices = indices
-
-    @classmethod
-    def of(cls, *ts: int) -> "ExteriorProfile":
-        if any(t < 1 for t in ts):
-            raise ValueError("exterior indices must be >= 1")
-        return cls(frozenset(ts))
-
-    @classmethod
-    def cofinite(cls) -> "ExteriorProfile":
-        return cls(None)
-
-    def resolve(self, max_stem: int) -> tuple[int, ...]:
-        """The indices, ascending, whose P_t has stem <= max_stem.
-
-        A P_t past the window kills nothing in it, so dropping its index
-        leaves the quotient the same.  t <= max_stem is tested first, since
-        |P_t| = 2^(t+1) - 2 > t: a huge index is dropped without computing
-        its degree.
-        """
-        ts = range(1, max_stem + 1) if self.indices is None else sorted(self.indices)
-        return tuple(t for t in ts if t <= max_stem and xi_degree(t).stem <= max_stem)
-
-    def describe(self) -> str:
-        if self.indices is None:
-            return "A//E(P_t : all t in window)"
-        return "A//E(" + ",".join(f"P_{t}" for t in sorted(self.indices)) + ")"
-
-
 class QuotientModule(GradedModule):
-    """A modulo the right multiples A.P_t for t in a profile.
+    """A//E(P_t : t in ts): A modulo the right multiples A.P_t.
 
-    Per bidegree the killed subspace is spanned by the rows of the right
-    multiplication matrices; coset representatives are the non-pivot
-    coordinates of its echelon basis.  The left action descends because
-    a.(b.P_t) = (a.b).P_t.
+    ``ts`` is any iterable of indices >= 1.  A P_t past the window kills
+    nothing in it, so its index is dropped; ``self.ts`` keeps the rest,
+    ascending, and the name lists them.  Per bidegree the killed subspace
+    is spanned by the rows of the right multiplication matrices; coset
+    representatives are the non-pivot coordinates of its reduced echelon
+    basis.  The left action descends because a.(b.P_t) = (a.b).P_t.
     """
 
-    def __init__(self, algebra: MilnorAlgebra, profile: ExteriorProfile):
+    def __init__(self, algebra: MilnorAlgebra, ts: Iterable[int]):
+        ts = sorted(set(ts))
+        if ts and ts[0] < 1:
+            raise ValueError("exterior indices must be >= 1")
+        top = algebra.max_stem
         self.algebra = algebra
-        self.profile = profile
-        self.ts = profile.resolve(algebra.max_stem)
-        self.name = profile.describe()
+        # t <= top is tested first: |P_t| = 2^(t+1) - 2 > t, so a huge index
+        # is dropped without computing its degree
+        self.ts = tuple(t for t in ts if t <= top and xi_degree(t).stem <= top)
+        self.name = "A//E(" + ",".join(f"P_{t}" for t in self.ts) + ")"
         self._data: dict[BiDegree, tuple[Subspace, tuple[int, ...], BitMatrix]] = {}
 
     def _bidegree_data(self, d: BiDegree):
@@ -175,18 +156,22 @@ class QuotientModule(GradedModule):
                     continue
                 rows.extend(self.algebra.right_pt_matrix(t, src).rows)
             sub = Subspace.from_matrix_rows(BitMatrix(n, rows))
-            reps, project = quotient(n, sub)
+            pivot_rows = dict(zip(sub.pivots, sub.basis.rows))
+            reps = tuple(j for j in range(n) if j not in pivot_rows)
             rep_pos = {j: k for k, j in enumerate(reps)}
+            # e_i projects to itself off the pivots, and at pivot i to its
+            # echelon row less e_i, whose bits, the echelon being reduced,
+            # all lie on representatives
             proj_rows = []
             for i in range(n):
-                reduced = project(BitVector(n, 1 << i)).bits
+                rest = pivot_rows.get(i, 0) ^ (1 << i)
                 out = 0
-                while reduced:
-                    j = (reduced & -reduced).bit_length() - 1
+                while rest:
+                    j = (rest & -rest).bit_length() - 1
                     out |= 1 << rep_pos[j]
-                    reduced &= reduced - 1
+                    rest &= rest - 1
                 proj_rows.append(out)
-            data = (sub, tuple(reps), BitMatrix(len(reps), proj_rows))
+            data = (sub, reps, BitMatrix(len(reps), proj_rows))
             self._data[d] = data
         return data
 
@@ -229,10 +214,6 @@ class QuotientModule(GradedModule):
         b = SteenrodElement(d2, lifted.bits)
         full = self.algebra.right_mult_matrix(d1, b)
         return full.compose(self.projection_matrix(d1 + d2))
-
-
-def quotient_by_exterior(profile: ExteriorProfile, algebra: MilnorAlgebra) -> QuotientModule:
-    return QuotientModule(algebra, profile)
 
 
 class TensorModule(GradedModule):
@@ -365,14 +346,12 @@ def margolis(module: GradedModule, t: int) -> MargolisReport:
             mats[d] = module.op_matrix(pt, d)
         return mats[d]
 
+    report = MargolisReport(module.name, t, max_stem, dt.stem)
     for d in module.support(max_stem - 2 * dt.stem):
         d = BiDegree(*d)
         if not op(d).compose(op(d + dt)).is_zero():
-            raise InvariantViolation(
-                f"P_{t} is not exterior on {module.name} at {d}"
-            )
+            raise NotExterior(report, d)
 
-    report = MargolisReport(module.name, t, max_stem, dt.stem)
     for d in module.support(safe):
         d = BiDegree(*d)
         rank_out = rank(op(d))

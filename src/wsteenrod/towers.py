@@ -32,7 +32,7 @@ from .milnor import (
     xi_degree,
     xi_monomial,
 )
-from .modules import ExteriorProfile, quotient_by_exterior, tensor_power
+from .modules import QuotientModule, tensor_power
 from .verify import VerificationReport
 
 
@@ -253,7 +253,7 @@ class WbpComplex:
     def __init__(self, algebra: MilnorAlgebra, i_max: int):
         self.algebra = algebra
         self.i_max = i_max
-        self.quotient = quotient_by_exterior(ExteriorProfile.of(1), algebra)
+        self.quotient = QuotientModule(algebra, (1,))
         self.layers = [vi_basis(i, algebra.max_stem) for i in range(i_max + 1)]
         self._pt_cache: dict[tuple[int, BiDegree], BitMatrix] = {}
 
@@ -343,7 +343,7 @@ def wbp_complex_check(algebra: MilnorAlgebra, i_max: int) -> VerificationReport:
             if low < 5 * i + 1:
                 report.fail({"layer": i, "connectivity": low, "bound": 5 * i + 1})
 
-    full = quotient_by_exterior(ExteriorProfile.cofinite(), algebra)
+    full = QuotientModule(algebra, range(1, window + 1))
     for d in algebra.bidegrees(window):
         mats = {}
 
@@ -390,7 +390,7 @@ def wbp_differential_check(algebra: MilnorAlgebra, i_max: int) -> VerificationRe
     report.
     """
     window = algebra.max_stem
-    quotient = quotient_by_exterior(ExteriorProfile.of(1), algebra)
+    quotient = QuotientModule(algebra, (1,))
     report = VerificationReport(
         "wbp_differential",
         {"i_max": i_max, "window": window},
@@ -462,11 +462,8 @@ def smash_chow_check(algebra: MilnorAlgebra, n: int | None, power: int) -> Verif
     if power < 1:
         raise ValueError("need power >= 1")
     window = algebra.max_stem
-    profile = (
-        ExteriorProfile.cofinite() if n is None else ExteriorProfile.of(n + 1)
-    )
-    base = quotient_by_exterior(profile, algebra)
-    module = tensor_power(base, power)
+    ts = range(1, window + 1) if n is None else (n + 1,)
+    module = tensor_power(QuotientModule(algebra, ts), power)
     report = VerificationReport(
         "smash_chow",
         {"n": n, "power": power, "window": window, "module": module.name},

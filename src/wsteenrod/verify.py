@@ -30,12 +30,7 @@ from .milnor import (
     tau_degree,
     xi_degree,
 )
-from .modules import (
-    AlgebraModule,
-    ExteriorProfile,
-    margolis,
-    quotient_by_exterior,
-)
+from .modules import AlgebraModule, NotExterior, QuotientModule, margolis
 from .resolution import minimal_resolution
 
 
@@ -327,7 +322,14 @@ def suite_margolis(config: VerifyConfig) -> list[VerificationReport]:
     out = []
     t = 1
     while 2 * xi_degree(t).stem <= config.max_stem:
-        rep = margolis(module, t)
+        # a failed exteriority check is a failed report, not an abort
+        try:
+            rep = margolis(module, t)
+            witness = None if rep.is_zero() else rep.to_json()["dims"]
+        except NotExterior as exc:
+            rep = exc.report
+            d = exc.degree
+            witness = {"identity": "P_t.P_t = 0", "t": t, "stem": d.stem, "weight": d.weight}
         r = VerificationReport(
             "margolis_exact",
             {
@@ -338,8 +340,8 @@ def suite_margolis(config: VerifyConfig) -> list[VerificationReport]:
                 "safe_stem": rep.safe_stem,
             },
         )
-        if not rep.is_zero():
-            r.fail(rep.to_json()["dims"])
+        if witness is not None:
+            r.fail(witness)
         out.append(r)
         t += 1
     return out
@@ -359,7 +361,7 @@ def suite_kw(config: VerifyConfig) -> list[VerificationReport]:
         # bottom homology of the truncated tower complex is the quotient,
         # interior degrees vanish
         hom = kw_homology(alg, n, 3)
-        q = quotient_by_exterior(ExteriorProfile.of(n + 1), alg)
+        q = QuotientModule(alg, (n + 1,))
         r = VerificationReport("kw_homology", {"n": n, "m": 3, "window": config.max_stem})
         dims0 = hom.dims_at(0)
         for d in alg.bidegrees(hom.safe_coefficient_stem(0)):
@@ -407,7 +409,7 @@ def suite_charts(config: VerifyConfig) -> list[VerificationReport]:
         return []
     for n in (0, 1):
         alg = MilnorAlgebra(chart_stem + 2)
-        module = quotient_by_exterior(ExteriorProfile.of(n + 1), alg)
+        module = QuotientModule(alg, (n + 1,))
         max_filt = chart_stem // w_class_degree(n).stem + 1
         _, chart = minimal_resolution(module, chart_stem, max_filt)
         oracle = koszul_chart((n + 1,), chart_stem)

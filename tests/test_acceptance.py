@@ -21,12 +21,7 @@ from wsteenrod.milnor import (
     pst_degree,
     xi_degree,
 )
-from wsteenrod.modules import (
-    AlgebraModule,
-    ExteriorProfile,
-    margolis,
-    quotient_by_exterior,
-)
+from wsteenrod.modules import AlgebraModule, QuotientModule, margolis
 from wsteenrod.resolution import minimal_resolution
 from wsteenrod.towers import (
     k_invariant_check,
@@ -102,7 +97,7 @@ def test_criterion_05_kw_ext_charts():
     with criterion(5, "kw_n Ext equals the Koszul chart (n=0,1 @24; n=2 @28)"):
         for n, stems in ((0, 24), (1, 24), (2, 28)):
             alg = shared_algebra(stems + 2)
-            module = quotient_by_exterior(ExteriorProfile.of(n + 1), alg)
+            module = QuotientModule(alg, (n + 1,))
             # a little filtration headroom beyond the last expected class,
             # so spurious higher-filtration classes would be caught
             max_filt = stems // w_class_degree(n).stem + 3
@@ -124,7 +119,7 @@ def test_criterion_05_kw_ext_charts():
 def test_criterion_06_wbp_ext_chart():
     with criterion(6, "wBP Ext matches F2[w_0,w_1,w_2] additively, stems <= 20"):
         alg = shared_algebra(22)
-        module = quotient_by_exterior(ExteriorProfile.cofinite(), alg)
+        module = QuotientModule(alg, range(1, 23))
         assert module.ts == (1, 2, 3)
         _, chart = minimal_resolution(module, 20, 22)
         oracle = polynomial_chart([w_class_degree(n) for n in (0, 1, 2)], 20)

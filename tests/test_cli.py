@@ -10,6 +10,8 @@ import pytest
 from wsteenrod import resolution
 from wsteenrod.charts import chart_file_loads, compare_charts, polynomial_chart, w_class_degree
 from wsteenrod.cli import _ALGEBRA_SUBCOMMANDS, MAX_STEM, main
+from wsteenrod.gf2 import BitMatrix
+from wsteenrod.modules import AlgebraModule
 from wsteenrod.towers import KwComplex
 from wsteenrod.verify import SUITES
 
@@ -502,6 +504,34 @@ def test_verify_failed_check_lists_witnesses(tmp_path, capsys, monkeypatch):
         "verdict": "fail",
         "witnesses": [{"sharp_at": {"stem": 3, "weight": 2}, "chow": -1, "dim": 0}],
     } in reports
+
+
+def test_verify_non_exterior_action_is_a_failed_report(tmp_path, capsys, monkeypatch):
+    # an action whose P_t squares to nonzero fails margolis_exact with the
+    # bidegree as witness; the run still writes --out and prints no trace
+    op_matrix = AlgebraModule.op_matrix
+
+    def plus_identity(self, a, d):
+        m = op_matrix(self, a, d)
+        if m.nrows != m.ncols:
+            return m
+        return BitMatrix(m.ncols, [r ^ (1 << i) for i, r in enumerate(m.rows)])
+
+    monkeypatch.setattr(AlgebraModule, "op_matrix", plus_identity)
+    path = tmp_path / "margolis.json"
+    code, out, err = run(
+        capsys, "verify", "--suite", "margolis", "--max-stem", "12", "--out", str(path)
+    )
+    assert code == 1
+    assert out.endswith("verdict: fail\n")
+    assert err == ""
+    reports = json.loads(path.read_text())["reports"]
+    assert reports[0] == {
+        "check": "margolis_exact",
+        "params": {"module": "A", "t": 1, "max_stem": 12, "margin": 2, "safe_stem": 10},
+        "verdict": "fail",
+        "witnesses": [{"identity": "P_t.P_t = 0", "t": 1, "stem": 1, "weight": 0}],
+    }
 
 
 def run_child(argv, timeout):

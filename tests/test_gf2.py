@@ -12,7 +12,6 @@ from wsteenrod.gf2 import (
     extend_image,
     image_and_left_kernel,
     kernel,
-    quotient,
     rank,
     rref,
     solve,
@@ -171,32 +170,30 @@ def test_solve_dimension_mismatch():
         solve(M([[1, 1]]), BitVector(3, 0))
 
 
-def test_quotient_zero_subspace():
-    sub = Subspace.from_vectors(3, [])
-    reps, project = quotient(3, sub)
-    assert reps == [0, 1, 2]
-    v = V(3, [1])
-    assert project(v) == v
+# -- the quotient GF(2)^n / s: coset representatives are the non-pivot
+# coordinates, and reduce is the projection onto them --
+
+
+def non_pivots(sub):
+    return [j for j in range(sub.ambient_dim) if j not in sub.pivots]
 
 
 def test_quotient_full_space():
     sub = Subspace.from_matrix_rows(BitMatrix.identity(2))
-    reps, project = quotient(2, sub)
-    assert reps == []
-    assert project(V(2, [1])).is_zero()
+    assert non_pivots(sub) == []
+    assert sub.reduce(V(2, [1])).is_zero()
 
 
 def test_quotient_diagonal():
     # span{(1,1)} in dim 2: the two unit vectors land in the same coset
     sub = Subspace.from_vectors(2, [V(2, [0, 1])])
-    reps, project = quotient(2, sub)
-    assert len(reps) == 1
-    assert project(V(2, [0])) == project(V(2, [1]))
+    assert len(non_pivots(sub)) == 1
+    assert sub.reduce(V(2, [0])) == sub.reduce(V(2, [1]))
     # brute force over all four vectors: projection is constant on cosets
     seen = {}
     for bits in range(4):
         v = BitVector(2, bits)
-        key = project(v).bits
+        key = sub.reduce(v).bits
         coset = min(bits, bits ^ 0b11)
         seen.setdefault(coset, set()).add(key)
     assert all(len(vals) == 1 for vals in seen.values())
@@ -208,16 +205,15 @@ def test_project_idempotent_and_kernel():
         dim = rng.randrange(1, 9)
         vecs = [BitVector(dim, rng.getrandbits(dim)) for _ in range(rng.randrange(0, 4))]
         sub = Subspace.from_vectors(dim, vecs)
-        reps, project = quotient(dim, sub)
         for _ in range(10):
             v = BitVector(dim, rng.getrandbits(dim))
-            assert project(project(v)) == project(v)
+            assert sub.reduce(sub.reduce(v)) == sub.reduce(v)
         # kernel of the projection is exactly the subspace, both inclusions
         for i in range(sub.basis.nrows):
-            assert project(sub.basis.row(i)).is_zero()
+            assert sub.reduce(sub.basis.row(i)).is_zero()
         for bits in range(1 << dim if dim <= 6 else 0):
             v = BitVector(dim, bits)
-            if project(v).is_zero():
+            if sub.reduce(v).is_zero():
                 assert v in sub
 
 
@@ -414,10 +410,10 @@ def test_property_solve(mb):
 def test_property_quotient_projection(mb):
     m, v = mb
     s = Subspace.from_matrix_rows(m)
-    reps, project = quotient(m.ncols, s)
-    p = project(v)
-    assert project(p) == p
+    p = s.reduce(v)
+    assert s.reduce(p) == p
     assert p.is_zero() == in_row_space(m, v)
+    reps = non_pivots(s)
     assert all(j in reps for j in p.support())
 
 

@@ -1,31 +1,35 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from wsteenrod.gf2 import BitMatrix, BitVector, rank
 from wsteenrod.milnor import BiDegree, MilnorAlgebra, SteenrodElement, xi_degree
 from wsteenrod.modules import (
     AlgebraModule,
-    ExteriorProfile,
     GradedModule,
     InvariantViolation,
+    QuotientModule,
     TensorModule,
     TrivialModule,
     margolis,
-    quotient_by_exterior,
     tensor_power,
 )
 
 
 def test_quotient_dims_examples(alg16):
-    q = quotient_by_exterior(ExteriorProfile.of(1), alg16)
+    q = QuotientModule(alg16, (1,))
     assert q.dim(BiDegree(0, 0)) == 1
     assert q.dim(BiDegree(2, 1)) == 0  # P_1 is a right multiple of P_1
+    # A at (2, 1) is spanned by P_1, so all of it is killed
+    assert q.killed_subspace(BiDegree(2, 1)).dim == alg16.dim(BiDegree(2, 1))
+    assert q.representatives(BiDegree(2, 1)) == ()
+    assert q.projection_matrix(BiDegree(2, 1)).is_zero()
     assert q.dim(BiDegree(1, 0)) == 1  # Q(0) is not
 
 
 def test_quotient_action_examples(alg16):
-    q = quotient_by_exterior(ExteriorProfile.of(1), alg16)
+    q = QuotientModule(alg16, (1,))
     one = BitVector(1, 1)
     p1 = alg16.pst(0, 1)
     assert q.act(p1, BiDegree(0, 0), one).is_zero()
@@ -33,22 +37,64 @@ def test_quotient_action_examples(alg16):
     assert not q.act(p2, BiDegree(0, 0), one).is_zero()
 
 
-def test_quotient_kills_exactly_right_multiples(alg16):
+def _assert_quotient_reads_its_echelon(q, d):
+    """The representatives are the non-pivots of the killed subspace, the
+    lift is a section of the projection, and the projection's kernel is the
+    killed subspace: it holds every killed row, and its rank leaves room
+    for nothing more."""
+    killed = q.killed_subspace(d)
+    n = q.algebra.dim(d)
+    proj = q.projection_matrix(d)
+    assert q.representatives(d) == tuple(j for j in range(n) if j not in killed.pivots)
+    assert q.lift_matrix(d).compose(proj) == BitMatrix.identity(q.dim(d))
+    assert all(proj.vec_mul(killed.basis.row(i)).is_zero() for i in range(killed.dim))
+    assert rank(proj) == q.dim(d) == n - killed.dim
+
+
+def test_quotient_kills_exactly_right_multiples(alg16, alg24):
     # per bidegree, the kernel of the projection is the span of x . P_t
-    q = quotient_by_exterior(ExteriorProfile.of(1, 2), alg16)
-    for d in alg16.bidegrees(14):
-        killed = q.killed_subspace(d)
-        proj = q.projection_matrix(d)
+    for q in (QuotientModule(alg16, (1, 2)), QuotientModule(alg24, range(1, 25))):
+        for d in q.algebra.bidegrees(q.window):
+            _assert_quotient_reads_its_echelon(q, d)
+
+
+def test_quotient_by_nothing_is_the_algebra(alg16):
+    q = QuotientModule(alg16, ())
+    assert (q.ts, q.name) == ((), "A//E()")
+    for d in alg16.bidegrees(16):
         n = alg16.dim(d)
-        assert q.dim(d) == n - killed.dim
-        for i in range(killed.basis.nrows):
-            assert proj.vec_mul(killed.basis.row(i)).is_zero()
-        assert rank(proj) == q.dim(d)
+        assert q.representatives(d) == tuple(range(n))
+        assert q.projection_matrix(d) == BitMatrix.identity(n)
+
+
+@given(st.sets(st.sampled_from((1, 2, 3))), st.randoms(use_true_random=False))
+def test_property_quotient_projection(alg16, ts, rng):
+    q = QuotientModule(alg16, ts)
+    assert q.ts == tuple(sorted(ts))
+    for d in alg16.bidegrees(16):
+        _assert_quotient_reads_its_echelon(q, d)
+        # a vector and the lift of its projection share a coset
+        n = alg16.dim(d)
+        v = BitVector(n, rng.getrandbits(n))
+        back = q.lift_matrix(d).vec_mul(q.projection_matrix(d).vec_mul(v))
+        assert v ^ back in q.killed_subspace(d)
+
+
+def test_quotient_indices_are_checked_then_filtered(alg16):
+    with pytest.raises(ValueError, match="exterior indices must be >= 1"):
+        QuotientModule(alg16, (0,))
+    with pytest.raises(ValueError, match="exterior indices must be >= 1"):
+        QuotientModule(alg16, (10**9, -1))
+    # a huge index lies past the window and is dropped without its degree
+    assert QuotientModule(alg16, (10**9,)).ts == ()
+    # P_4 has stem 30, past the window; duplicates collapse
+    q = QuotientModule(alg16, [4, 2, 1, 2])
+    assert (q.ts, q.name) == ((1, 2), "A//E(P_1,P_2)")
 
 
 def test_milnor_moore_freeness(alg16):
     # dim A = sum over subsets S of {P_1, P_2} of dim A//E(1,2) shifted by S
-    q = quotient_by_exterior(ExteriorProfile.of(1, 2), alg16)
+    q = QuotientModule(alg16, (1, 2))
     shifts = [
         BiDegree(0, 0),
         xi_degree(1),
@@ -66,7 +112,7 @@ def test_milnor_moore_freeness(alg16):
 
 def test_act_associative_on_quotient(alg16):
     rng = random.Random(31)
-    q = quotient_by_exterior(ExteriorProfile.of(1), alg16)
+    q = QuotientModule(alg16, (1,))
     degrees = [d for d in alg16.bidegrees(4)]
     for _ in range(30):
         d1, d2 = rng.choice(degrees), rng.choice(degrees)
@@ -85,7 +131,7 @@ def test_act_associative_on_quotient(alg16):
 
 
 def test_unit_acts_as_identity(alg16):
-    q = quotient_by_exterior(ExteriorProfile.of(1), alg16)
+    q = QuotientModule(alg16, (1,))
     one = alg16.unit()
     for d in q.support(10):
         n = q.dim(d)
@@ -94,15 +140,16 @@ def test_unit_acts_as_identity(alg16):
 
 
 def test_cofinite_profile(alg24):
-    prof = ExteriorProfile.cofinite()
-    assert prof.resolve(24) == (1, 2, 3)
-    assert prof.resolve(13) == (1, 2)
-    q = quotient_by_exterior(prof, alg24)
+    # every P_t of the window: the constructor keeps the t whose P_t fits
+    assert QuotientModule(alg24, range(1, 25)).ts == (1, 2, 3)
+    assert QuotientModule(MilnorAlgebra(13), range(1, 14)).ts == (1, 2)
+    q = QuotientModule(alg24, range(1, 25))
+    assert q.name == "A//E(P_1,P_2,P_3)"
     assert q.dim(BiDegree(0, 0)) == 1
 
 
 def test_tensor_diagonal_examples(alg16):
-    q = quotient_by_exterior(ExteriorProfile.of(1), alg16)
+    q = QuotientModule(alg16, (1,))
     t = TensorModule(q, q)
     assert t.dim(BiDegree(0, 0)) == 1
     p1 = alg16.pst(0, 1)
@@ -115,7 +162,7 @@ def test_tensor_diagonal_examples(alg16):
 
 
 def test_tensor_power_cube(alg16):
-    q = quotient_by_exterior(ExteriorProfile.of(1), alg16)
+    q = QuotientModule(alg16, (1,))
     t3 = tensor_power(q, 3)
     assert t3.dim(BiDegree(0, 0)) == 1
     conv = {}
@@ -156,7 +203,7 @@ def test_margolis_trivial_module_respects_window():
 
 def test_margolis_nonzero_on_quotient(alg16):
     # P_2 has homology on A//E(P_2): the unit survives at (0, 0)
-    q = quotient_by_exterior(ExteriorProfile.of(2), alg16)
+    q = QuotientModule(alg16, (2,))
     rep = margolis(q, 2)
     assert rep.dims.get(BiDegree(0, 0)) == 1
 

@@ -15,7 +15,7 @@ from wsteenrod.milnor import (
     coproduct_monomial,
     enumerate_window_monomials,
 )
-from wsteenrod.modules import ExteriorProfile, TrivialModule, quotient_by_exterior
+from wsteenrod.modules import QuotientModule, TrivialModule
 from wsteenrod.resolution import minimal_resolution
 
 
@@ -107,12 +107,8 @@ def test_chart_stable_under_window_growth():
     large = minimal_resolution(TrivialModule(algebra(14)), 12, 5)[1]
     assert compare_charts(small, large, 8, 5).is_empty()
 
-    qs = minimal_resolution(
-        quotient_by_exterior(ExteriorProfile.of(1), algebra(10)), 8, 9
-    )[1]
-    ql = minimal_resolution(
-        quotient_by_exterior(ExteriorProfile.of(1), algebra(16)), 14, 9
-    )[1]
+    qs = minimal_resolution(QuotientModule(algebra(10), (1,)), 8, 9)[1]
+    ql = minimal_resolution(QuotientModule(algebra(16), (1,)), 14, 9)[1]
     assert compare_charts(qs, ql, 8, 9).is_empty()
     assert compare_charts(ql, koszul_chart((1,), 14), 14, 9).is_empty()
 
@@ -124,7 +120,7 @@ def test_wbp_generator_thresholds():
     from wsteenrod.charts import polynomial_chart, w_class_degree
 
     alg = algebra(31)
-    module = quotient_by_exterior(ExteriorProfile.of(1, 2, 3, 4), alg)
+    module = QuotientModule(alg, (1, 2, 3, 4))
     _, chart = minimal_resolution(module, 29, 31)
     oracle = polynomial_chart([w_class_degree(n) for n in range(4)], 29)
     assert compare_charts(chart, oracle, 29, 31).is_empty()
@@ -140,7 +136,7 @@ def test_wbp_chart_has_true_multiplicity_two(alg24):
 
     oracle = polynomial_chart([w_class_degree(n) for n in (0, 1, 2)], 16)
     assert oracle.mult(3, 15, 9) == 2
-    module = quotient_by_exterior(ExteriorProfile.cofinite(), alg24)
+    module = QuotientModule(alg24, range(1, 25))
     assert module.ts == (1, 2, 3)
     _, chart = minimal_resolution(module, 16, 17)
     assert chart.mult(3, 15, 9) == 2

@@ -17,6 +17,35 @@ import child  # noqa: E402
 from tracer import WRAPPED  # noqa: E402
 
 
+# the public surface, by module; an export is added or removed here on purpose
+EXPORTS = {
+    # charts
+    "ChartDiff", "ExtChart", "compare_charts", "koszul_chart", "polynomial_chart",
+    "w_class_degree",
+    # classical
+    "ClassicalElement", "classical_product", "milnor_product", "to_classical",
+    # gf2
+    "BitMatrix", "BitVector", "Subspace", "kernel", "rank", "rref", "solve",
+    # milnor
+    "BiDegree", "DualElement", "DualMonomial", "MilnorAlgebra", "SteenrodElement",
+    "WindowError", "algebra", "bidegree_basis",
+    # modules
+    "AlgebraModule", "GradedModule", "InvariantViolation", "MargolisReport",
+    "QuotientModule", "TrivialModule", "margolis", "tensor_power",
+    # resolution
+    "FreeModule", "ModuleMap", "PartialResultError", "Resolution", "minimal_resolution",
+    # towers
+    "KwComplex", "WbpComplex", "k_invariant_check", "kw_chow_check", "kw_homology",
+    "smash_chow_check", "vi_basis", "wbp_complex_check", "wbp_differential_check",
+    # verify
+    "VerificationReport",
+}
+
+
+def test_exports_are_known():
+    assert set(wsteenrod.__all__) == EXPORTS
+
+
 def test_all_exports_resolve_sorted_unique():
     names = wsteenrod.__all__
     missing = [name for name in names if not hasattr(wsteenrod, name)]

@@ -11,10 +11,9 @@ from wsteenrod.gf2 import Subspace, kernel
 from wsteenrod.milnor import BiDegree, MilnorAlgebra
 from wsteenrod.modules import (
     AlgebraModule,
-    ExteriorProfile,
     InvariantViolation,
+    QuotientModule,
     TrivialModule,
-    quotient_by_exterior,
 )
 from wsteenrod.resolution import (
     FreeModule,
@@ -80,7 +79,7 @@ def test_exactness_check_sees_an_extra_generator(alg16):
 
 
 def test_quotient_invariants(alg16):
-    q = quotient_by_exterior(ExteriorProfile.of(1), alg16)
+    q = QuotientModule(alg16, (1,))
     res, chart = minimal_resolution(q, 12, 13)
     res.verify_dd_zero()
     res.verify_minimal()
@@ -93,7 +92,7 @@ def test_deterministic(alg16):
     # twice on warm tables, once on a fresh algebra that builds them anew
     charts = []
     for alg in (alg16, alg16, MilnorAlgebra(16)):
-        q = quotient_by_exterior(ExteriorProfile.of(1), alg)
+        q = QuotientModule(alg, (1,))
         _, chart = minimal_resolution(q, 10, 11)
         charts.append(chart.to_json_dict())
     assert charts[0] == charts[1] == charts[2]
@@ -122,7 +121,7 @@ def test_wbp_truncated_small(alg24):
     # A//E(P_1, P_2) resolves to the polynomial chart on w_0, w_1
     from wsteenrod.charts import polynomial_chart, w_class_degree
 
-    q = quotient_by_exterior(ExteriorProfile.of(1, 2), alg24)
+    q = QuotientModule(alg24, (1, 2))
     _, chart = minimal_resolution(q, 10, 12)
     oracle = polynomial_chart([w_class_degree(0), w_class_degree(1)], 10)
     assert compare_charts(chart, oracle, 10, 12).is_empty()
@@ -182,11 +181,10 @@ def reference_resolution(module, max_stem, max_filt):
 
 
 def _carry_cases(alg):
-    wbp = ExteriorProfile.of(*ExteriorProfile.cofinite().resolve(20))
-    return {
+        return {
         "sphere": (TrivialModule(alg), 20, 12),
-        "wbp": (quotient_by_exterior(wbp, alg), 20, 20),
-        "kw:1": (quotient_by_exterior(ExteriorProfile.of(2), alg), 16, 12),
+        "wbp": (QuotientModule(alg, range(1, 21)), 20, 20),
+        "kw:1": (QuotientModule(alg, (2,)), 16, 12),
         "algebra": (AlgebraModule(alg), 12, 8),
     }
 
@@ -311,8 +309,7 @@ def test_sphere_invariants_larger_window():
 def test_wbp_chart_bytes_larger_window():
     # the benchmark's wbp-36 workload, byte for byte: the quotient path
     alg = MilnorAlgebra(38)
-    wbp = ExteriorProfile.of(*ExteriorProfile.cofinite().resolve(36))
-    res, chart = minimal_resolution(quotient_by_exterior(wbp, alg), 36, 36)
+    res, chart = minimal_resolution(QuotientModule(alg, range(1, 37)), 36, 36)
     chart.module = "wbp"
     digest = hashlib.sha256(chart_file_dumps(chart).encode("utf-8")).hexdigest()
     assert digest == REFERENCE_SHA256["wbp-36"]

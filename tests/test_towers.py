@@ -10,7 +10,7 @@ from wsteenrod.milnor import (
     xi_degree,
     xi_monomial,
 )
-from wsteenrod.modules import ExteriorProfile, quotient_by_exterior
+from wsteenrod.modules import QuotientModule
 from wsteenrod.towers import (
     KwComplex,
     WbpComplex,
@@ -38,7 +38,7 @@ def test_kw_m0_homology_is_algebra(alg16):
 def test_kw_degree0_matches_quotient(alg16):
     for n in (0, 1):
         rep = kw_homology(alg16, n, 3 if n == 0 else 1)
-        q = quotient_by_exterior(ExteriorProfile.of(n + 1), alg16)
+        q = QuotientModule(alg16, (n + 1,))
         dims = rep.dims_at(0)
         for d in alg16.bidegrees(rep.safe_coefficient_stem(0)):
             assert dims.get(d, 0) == q.dim(d), (n, d)
@@ -230,7 +230,7 @@ def test_wbp_differential_reports_broken_identity(monkeypatch):
 
 def test_conjugation_identity_values(alg16):
     # [P_2] = [P_1 . c(P^{2 D_1})] at (6,3)
-    q = quotient_by_exterior(ExteriorProfile.of(1), alg16)
+    q = QuotientModule(alg16, (1,))
     p1 = alg16.pst(0, 1)
     p2 = alg16.pst(0, 2)
     rhs = alg16.product(p1, alg16.conjugate(alg16.pR((2,))))
@@ -241,7 +241,7 @@ def test_conjugation_identity_values(alg16):
 
 def test_conjugation_identity_j3(alg16):
     # [P_3] = [P_1 . c(P^{2 D_2})] at (14,7)
-    q = quotient_by_exterior(ExteriorProfile.of(1), alg16)
+    q = QuotientModule(alg16, (1,))
     p1 = alg16.pst(0, 1)
     p3 = alg16.pst(0, 3)
     rhs = alg16.product(p1, alg16.conjugate(alg16.pR((0, 2))))

@@ -19,7 +19,7 @@ from wsteenrod.charts import ChartDiff, ExtChart
 from wsteenrod.classical import ClassicalElement
 from wsteenrod.gf2 import BitMatrix, BitVector, Subspace
 from wsteenrod.milnor import BiDegree, DualElement, MilnorAlgebra, SteenrodElement
-from wsteenrod.modules import ExteriorProfile, MargolisReport
+from wsteenrod.modules import MargolisReport
 from wsteenrod.resolution import FreeModule, ModuleMap, Resolution
 from wsteenrod.towers import KwHomologyReport
 from wsteenrod.verify import VerificationReport, VerifyConfig
@@ -42,16 +42,6 @@ HASHABLE = [
         lambda: SteenrodElement(D, 5),
         SteenrodElement(BiDegree(3, 0), 5),
         "SteenrodElement(degree=BiDegree(stem=3, weight=1), bits=5)",
-    ),
-    (
-        lambda: ExteriorProfile.of(1, 2),
-        ExteriorProfile.cofinite(),
-        "ExteriorProfile(indices=frozenset({1, 2}))",
-    ),
-    (
-        lambda: ExteriorProfile(None),
-        ExteriorProfile.of(1),
-        "ExteriorProfile(indices=None)",
     ),
     (
         lambda: ClassicalElement(3, frozenset({(0, 1)})),

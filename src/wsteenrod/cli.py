@@ -4,8 +4,9 @@ Subcommands: ``algebra`` (element arithmetic), ``resolve`` (minimal
 resolutions to chart files), ``verify`` (the check suites, exit code 0 iff
 everything passes), ``chart`` (chart file to SVG/TSV).  Window flags are
 read only from the command line: ``--max-stem`` (default 24, at most
-MAX_STEM = 255) on all but ``chart``, and ``--max-filt`` (default 16, at
-most MAX_FILT = 1024) on ``resolve`` alone.  Identical flags produce
+MAX_STEM = 255, imported from milnor, whose packed coproduct and antipode
+terms are sized for it) on all but ``chart``, and ``--max-filt`` (default
+16, at most MAX_FILT = 1024) on ``resolve`` alone.  Identical flags produce
 identical bytes.  Malformed flags (negative windows or counts, windows
 above those bounds, unknown flags, modules or suites, a ``--suite`` list
 naming none) exit with code 2 and a usage message that names the bad
@@ -26,16 +27,19 @@ import json
 import sys
 
 from .charts import ChartFormatError, chart_file_dumps, chart_file_loads
-from .milnor import BiDegree, BidegreeMismatch, MilnorAlgebra, WindowError, bidegree_basis
+from .milnor import (
+    MAX_STEM,
+    BiDegree,
+    BidegreeMismatch,
+    MilnorAlgebra,
+    WindowError,
+    bidegree_basis,
+)
 from .modules import InvariantViolation, QuotientModule, TrivialModule
 from .resolution import PartialResultError, minimal_resolution
 from .verify import SUITES, VerifyConfig, run_suites, suite_names
 
 
-# The largest stem window accepted.  Its worst single bidegree enumerates
-# in well under a second, while windows far beyond it would spend minutes
-# or more listing bases before any output.
-MAX_STEM = 255
 # The largest filtration bound accepted.  Each filtration costs a few KB
 # even at stem 0, so an unbounded one could exhaust memory before any output.
 MAX_FILT = 1024

@@ -28,14 +28,17 @@ Bases, coproducts and antipodes are intrinsic to a bidegree or a monomial
 and cached at module level: bidegree_basis and basis_index by bidegree,
 coproduct_monomial and antipode_monomial by monomial.  Both Hopf maps
 multiply cached terms as packed ints, through the one product _times:
-tau_i is one bit and each xi_j exponent a 16-bit field, so products are
-sums of codes.  A coproduct is the coproduct of the monomial's first
-generator power, built as codes (one tensor slot per binary digit of its
-exponent), times the cached coproduct of the rest; an antipode is the
-product of cached sub-antipodes.  That layout holds every term of a
-monomial of stem <= 131070, and both maps refuse larger ones with a
-WindowError.  Terms are interned by code: equal monomials across all
-cached coproducts and antipodes are one shared object.
+tau_i is one bit and each xi_j exponent a field just wide enough for
+stem MAX_STEM = 255, 36 bits in all, so products are sums of codes.  A
+coproduct is the coproduct of the monomial's first generator power,
+built as codes (one tensor slot per binary digit of its exponent), times
+the cached coproduct of the rest, and is cached as those codes, which the
+Hopf suite reads directly; coproduct_terms decodes them into monomial
+pairs.  An antipode is the product of cached sub-antipodes, cached as
+monomials.  That layout holds every term of a monomial of stem <= 255,
+and both maps refuse larger ones with a WindowError.  Decoded monomials
+are interned by code: equal monomials across all cached antipodes and
+decoded coproducts are one shared object.
 
 A MilnorAlgebra instance adds a stem window, guards against leaving it,
 and keeps the product caches, which live and die with it: the classical
@@ -50,6 +53,7 @@ nothing.  All cached data is immutable once built.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from operator import add, xor
 from typing import Iterable, Iterator, NamedTuple
 
@@ -297,21 +301,48 @@ def bidegree_dim(d: BiDegree) -> int:
 # coproduct and antipode
 
 
+# The largest stem window.  Its worst single bidegree enumerates in well
+# under a second, while windows far beyond it would spend minutes or more
+# listing bases before any output.  The command line refuses larger
+# windows, and the packed layout below is sized for it.
+MAX_STEM = 255
+
+
 # Coproduct and antipode terms are multiplied as packed ints.  A monomial's
-# code has tau_i at bit i and the exponent of xi_j in the 16-bit field at
-# bit 16*j, so the product of two monomials with no common tau is the sum
-# of their codes.  A term left (x) right is left << _PAIR | right, and the
-# product of two terms is again the sum when neither side shares a tau.
-# Every factor of a coproduct or antipode term of m has stem <= |m|, so
-# every field holds for |m| <= _PACK_MAX_STEM: tau_16 has stem 2^17 - 1,
-# xi_1^(2^16) stem 2^17, and an xi_j of stem <= _PACK_MAX_STEM has j <= 16,
-# its field below bit _PAIR.
-_FIELD = 16
-_PACK_MAX_STEM = (1 << (_FIELD + 1)) - 2
-_TAUS = (1 << _FIELD) - 1
-_PAIR = _FIELD * (_FIELD + 1)
-_SIDE = (1 << _PAIR) - 1
-_PAIR_TAUS = _TAUS << _PAIR | _TAUS
+# code has tau_i at bit i for the taus of stem <= MAX_STEM (tau_0..tau_7,
+# bits 0-7), and above them the exponent of each xi_j of stem <= MAX_STEM
+# in a field just wide enough for its largest exponent at that stem: 7, 6,
+# 5, 4, 3, 2 and 1 bits for xi_1..xi_7, CODE_BITS = 36 bits in all.  So the
+# product of two monomials with no common tau is the sum of their codes.
+# A term left (x) right is left << CODE_BITS | right, and the product of
+# two terms is again the sum when neither side shares a tau.  Every factor
+# of a coproduct or antipode term of m, and of every partial product that
+# builds it, has stem <= |m|, so for |m| <= MAX_STEM every exponent fits
+# its field and nothing carries; both maps refuse larger m with a
+# WindowError.
+_TAU_BITS = sum(tau_degree(i).stem <= MAX_STEM for i in range(MAX_STEM.bit_length()))
+_WIDTHS = [
+    (MAX_STEM // xi_degree(j).stem).bit_length()
+    for j in range(1, MAX_STEM.bit_length())
+    if xi_degree(j).stem <= MAX_STEM
+]
+# _XI[j] is the offset of xi_j's field, j >= 1, and _XI[-1] the code width
+_XI = (0, *accumulate([_TAU_BITS, *_WIDTHS]))
+_FIELDS = tuple(zip(_XI[1:], _WIDTHS))
+CODE_BITS = _XI[-1]
+TAU_MASK = (1 << _TAU_BITS) - 1
+_SIDE = (1 << CODE_BITS) - 1
+_PAIR_TAUS = TAU_MASK << CODE_BITS | TAU_MASK
+
+
+def monomial_code(m: DualMonomial) -> int:
+    """The packed code of a monomial of stem <= MAX_STEM."""
+    code = 0
+    for i in m.eps:
+        code |= 1 << i
+    for j, e in enumerate(m.r, start=1):
+        code += e << _XI[j]
+    return code
 
 
 def _delta_xi_power(j: int, e: int) -> list[int]:
@@ -328,9 +359,9 @@ def _delta_xi_power(j: int, e: int) -> list[int]:
     for c in (1 << k for k in range(e.bit_length()) if e >> k & 1):
         slots = []
         for i in range(j + 1):
-            left = (c << i) << _FIELD * (j - i) if i < j else 0
-            right = c << _FIELD * i if i > 0 else 0
-            slots.append(left << _PAIR | right)
+            left = (c << i) << _XI[j - i] if i < j else 0
+            right = c << _XI[i] if i > 0 else 0
+            slots.append(left << CODE_BITS | right)
         terms = [t + slot for t in terms for slot in slots]
     return terms
 
@@ -338,11 +369,11 @@ def _delta_xi_power(j: int, e: int) -> list[int]:
 def _delta_tau(i: int) -> list[int]:
     """Coproduct of tau_i as packed terms: tau_i (x) 1 plus
     xi_{i-k}^(2^k) (x) tau_k for k = 0..i."""
-    terms = [(1 << i) << _PAIR]
+    terms = [(1 << i) << CODE_BITS]
     for k in range(i + 1):
-        left = (1 << k) << _FIELD * (i - k) if k < i else 0
+        left = (1 << k) << _XI[i - k] if k < i else 0
         right = 1 << k
-        terms.append(left << _PAIR | right)
+        terms.append(left << CODE_BITS | right)
     return terms
 
 
@@ -358,45 +389,45 @@ def _times(xs: Iterable[int], ys: list[int], taus: int) -> set[int]:
 
 class _Canon(dict):
     """code -> the one shared monomial of that code, decoded on first use;
-    every monomial in a cached coproduct or antipode is one of these."""
+    every monomial in a cached antipode or a decoded coproduct is one of
+    these."""
 
     def __missing__(self, code: int) -> DualMonomial:
-        eps = tuple(i for i in range(_FIELD) if code >> i & 1)
-        r = []
-        xi = code >> _FIELD
-        while xi:
-            r.append(xi & _TAUS)
-            xi >>= _FIELD
-        m = self[code] = DualMonomial(eps, tuple(r))
+        eps = tuple(i for i in range(_TAU_BITS) if code >> i & 1)
+        r = _trim(code >> offset & (1 << width) - 1 for offset, width in _FIELDS)
+        m = self[code] = DualMonomial(eps, r)
         _CODE[m] = code
         return m
 
 
 _CANON = _Canon()
-# the code of each shared monomial, read back when cached terms are multiplied
+# the code of each shared monomial, read back when cached antipodes are
+# multiplied
 _CODE: dict[DualMonomial, int] = {}
 
 
+def _check_packable(m: DualMonomial, what: str) -> None:
+    if m.degree.stem > MAX_STEM:
+        raise WindowError(
+            f"{what} of {m!r} exceeds stem <= {MAX_STEM}, the bound of its packed terms"
+        )
+
+
 @lru_cache(maxsize=None)
-def coproduct_monomial(m: DualMonomial) -> tuple[tuple[DualMonomial, DualMonomial], ...]:
-    """The full coproduct of a monomial as an F2 set of tensor pairs.
+def coproduct_monomial(m: DualMonomial) -> tuple[int, ...]:
+    """The full coproduct of a monomial as an F2 set of packed terms
+    left << CODE_BITS | right, ascending.
 
     D(m) = D(first) . D(rest), where first is m's first generator power
     (its lowest xi power, or its first tau when it has no xi) and the
-    coproduct of the rest is read from this cache.  The terms are
-    multiplied as packed ints (see _PACK_MAX_STEM above), so a monomial of
-    stem above _PACK_MAX_STEM = 131070 raises WindowError.  Terms are
-    sorted, and their factors are interned by code, so equal monomials in
-    any two cached coproducts are the same object.
+    cached codes of D(rest) are multiplied by it directly.  A monomial of
+    stem above MAX_STEM = 255 raises WindowError.  coproduct_terms decodes
+    the terms into monomial pairs.
     """
     eps, r = m
     if not (eps or r):
-        unit = _CANON[0]
-        return ((unit, unit),)
-    if m.degree.stem > _PACK_MAX_STEM:
-        raise WindowError(
-            f"coproduct of {m!r} exceeds stem <= {_PACK_MAX_STEM}, the bound of its packed terms"
-        )
+        return (0,)
+    _check_packable(m, "coproduct")
     if r:
         j = next(j for j, e in enumerate(r, start=1) if e)
         factor = _delta_xi_power(j, r[j - 1])
@@ -404,9 +435,16 @@ def coproduct_monomial(m: DualMonomial) -> tuple[tuple[DualMonomial, DualMonomia
     else:
         factor = _delta_tau(eps[0])
         rest = DualMonomial(eps[1:], r)
-    tails = [_CODE[l] << _PAIR | _CODE[r] for l, r in coproduct_monomial(rest)]
-    acc = _times(tails, factor, _PAIR_TAUS)
-    return tuple(sorted([(_CANON[p >> _PAIR], _CANON[p & _SIDE]) for p in acc]))
+    return tuple(sorted(_times(coproduct_monomial(rest), factor, _PAIR_TAUS)))
+
+
+def coproduct_terms(m: DualMonomial) -> tuple[tuple[DualMonomial, DualMonomial], ...]:
+    """The coproduct of a monomial as sorted (left, right) monomial pairs,
+    decoded afresh from coproduct_monomial.  Its factors are the shared
+    monomials of their codes, so equal factors of any two decoded
+    coproducts are the same object."""
+    terms = coproduct_monomial(m)
+    return tuple(sorted([(_CANON[p >> CODE_BITS], _CANON[p & _SIDE]) for p in terms]))
 
 
 @lru_cache(maxsize=None)
@@ -423,35 +461,33 @@ def antipode_monomial(m: DualMonomial) -> tuple[DualMonomial, ...]:
     exponents doubled.  No coproduct is read, which keeps the antipode
     axiom in the Hopf suite an independent check.  The sub-antipodes are
     multiplied as packed ints by _times, like coproduct terms, so a
-    monomial of stem above _PACK_MAX_STEM = 131070 raises WindowError, and
-    the terms are interned by code like coproduct factors.
+    monomial of stem above MAX_STEM = 255 raises WindowError, and the
+    terms are the shared monomials of their codes.
     """
     if m.is_unit:
         return (_CANON[0],)
-    if m.degree.stem > _PACK_MAX_STEM:
-        raise WindowError(
-            f"antipode of {m!r} exceeds stem <= {_PACK_MAX_STEM}, the bound of its packed terms"
-        )
+    _check_packable(m, "antipode")
     eps, r = m
     if len(eps) + len(r) - r.count(0) > 1:  # two or more generator powers
         if eps:
             first, rest = tau_monomial(eps[0]), DualMonomial(eps[1:], r)
         else:
             first, rest = xi_monomial(len(r), r[-1]), DualMonomial((), _trim(r[:-1]))
-        acc = _times(_antipode_codes(first), _antipode_codes(rest), _TAUS)
+        acc = _times(_antipode_codes(first), _antipode_codes(rest), TAU_MASK)
     elif not eps and r[-1] > 1:
         j, e = len(r), r[-1]
         if e % 2 == 0:
-            # tau-free, so doubling every exponent doubles the code
+            # tau-free, so doubling the code doubles the exponent in every
+            # field, and the doubled exponents still fit theirs
             return tuple(_CANON[c << 1] for c in _antipode_codes(xi_monomial(j, e // 2)))
         first, rest = xi_monomial(j), xi_monomial(j, e - 1)
-        acc = _times(_antipode_codes(first), _antipode_codes(rest), _TAUS)
+        acc = _times(_antipode_codes(first), _antipode_codes(rest), TAU_MASK)
     else:
         # a generator: tau_n (its terms run from k = 0) or xi_n (from k = 1)
         n, generator, low = (eps[0], tau_monomial, 0) if eps else (len(r), xi_monomial, 1)
-        acc = {1 << n if eps else 1 << _FIELD * n}
+        acc = {1 << n if eps else 1 << _XI[n]}
         for k in range(low, n):
-            acc ^= _times([(1 << k) << _FIELD * (n - k)], _antipode_codes(generator(k)), _TAUS)
+            acc ^= _times([(1 << k) << _XI[n - k]], _antipode_codes(generator(k)), TAU_MASK)
     return tuple(sorted([_CANON[c] for c in acc]))
 
 
@@ -579,6 +615,17 @@ def _monomial_bits(index: dict[DualMonomial, int], monomials: Iterable[DualMonom
     for m in monomials:
         bits ^= 1 << index[m]
     return bits
+
+
+def _antipode_bits(index: dict[DualMonomial, int], m: DualMonomial) -> int:
+    """S(m) as bits over index, the basis of m's bidegree.  A term outside
+    it, which only a faulty antipode gives, raises BidegreeMismatch."""
+    try:
+        return _monomial_bits(index, antipode_monomial(m))
+    except KeyError as exc:
+        raise BidegreeMismatch(
+            f"antipode of {m!r} has the term {exc.args[0]!r} outside {m.degree}"
+        ) from None
 
 
 def _product_bits(
@@ -736,8 +783,10 @@ class MilnorAlgebra:
     def antipode_dual(self, x: DualElement) -> DualElement:
         """The antipode of x, from its own monomials only."""
         index = basis_index(self.require(x.degree))
-        terms = (t for m in x.monomials() for t in antipode_monomial(m))
-        return DualElement(x.degree, _monomial_bits(index, terms))
+        bits = 0
+        for m in x.monomials():
+            bits ^= _antipode_bits(index, m)
+        return DualElement(x.degree, bits)
 
     # -- pairing and products -------------------------------------------
 
@@ -865,7 +914,7 @@ class MilnorAlgebra:
         index = basis_index(self.require(a.degree))
         bits = 0
         for j, m in enumerate(bidegree_basis(a.degree)):
-            if (a.bits & _monomial_bits(index, antipode_monomial(m))).bit_count() & 1:
+            if (a.bits & _antipode_bits(index, m)).bit_count() & 1:
                 bits |= 1 << j
         return SteenrodElement(a.degree, bits)
 

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from wsteenrod.gf2 import BitMatrix, BitVector
 from wsteenrod.milnor import (
+    CODE_BITS,
+    TAU_MASK,
     BiDegree,
     DualMonomial,
     MilnorAlgebra,
@@ -17,15 +19,17 @@ from wsteenrod.milnor import (
     basis_index,
     bidegree_basis,
     coproduct_monomial,
+    coproduct_terms,
     dual_element,
     enumerate_window_monomials,
     monomial,
+    monomial_code,
     multiply_monomials,
     tau_monomial,
     xi_degree,
     xi_monomial,
 )
-from wsteenrod.milnor import _CANON, _CODE, _PAIR, _SIDE, _delta_tau, _delta_xi_power
+from wsteenrod.milnor import _CANON, _CODE, _SIDE, _delta_tau, _delta_xi_power
 
 
 def test_generator_degrees():
@@ -104,12 +108,12 @@ def test_multiply_monomials_matches_exponent_sum(a, b):
 
 
 def test_coproduct_xi1():
-    terms = set(coproduct_monomial(xi_monomial(1)))
+    terms = set(coproduct_terms(xi_monomial(1)))
     assert terms == {(xi_monomial(1), UNIT_MONOMIAL), (UNIT_MONOMIAL, xi_monomial(1))}
 
 
 def test_coproduct_tau1():
-    terms = set(coproduct_monomial(tau_monomial(1)))
+    terms = set(coproduct_terms(tau_monomial(1)))
     assert terms == {
         (tau_monomial(1), UNIT_MONOMIAL),
         (xi_monomial(1), tau_monomial(0)),
@@ -118,31 +122,33 @@ def test_coproduct_tau1():
 
 
 def test_coproduct_unit():
-    assert coproduct_monomial(UNIT_MONOMIAL) == ((UNIT_MONOMIAL, UNIT_MONOMIAL),)
+    assert coproduct_monomial(UNIT_MONOMIAL) == (0,)
+    assert coproduct_terms(UNIT_MONOMIAL) == ((UNIT_MONOMIAL, UNIT_MONOMIAL),)
 
 
 def test_coproduct_refuses_monomials_past_the_packed_layout():
-    # the packed terms hold tau_0..tau_15 and xi exponents below 2^16, which
-    # every term of a monomial of stem <= 2^17 - 2 = 131070 fits; xi_2^(2^15)
-    # has a term xi_1^(2^16) (x) 1, and its antipode the term xi_1^(3*2^15)
+    # the packed terms hold tau_0..tau_7 and xi_j exponents up to the largest
+    # at stem 255, which every term of a monomial of stem <= 255 fits;
+    # xi_2^43 (stem 258) has the antipode term xi_1^129, past xi_1's 7 bits
     for hopf_map in (coproduct_monomial, antipode_monomial):
-        for m in (tau_monomial(16), xi_monomial(1, 1 << 16), xi_monomial(2, 1 << 15)):
-            with pytest.raises(WindowError, match="131070"):
+        for m in (tau_monomial(8), xi_monomial(1, 128), xi_monomial(2, 43), xi_monomial(8)):
+            with pytest.raises(WindowError, match="255"):
                 hopf_map(m)
-    big = xi_monomial(1, 1 << 15)
-    assert coproduct_monomial(big) == ((UNIT_MONOMIAL, big), (big, UNIT_MONOMIAL))
+    big = xi_monomial(1, 64)
+    assert coproduct_terms(big) == ((UNIT_MONOMIAL, big), (big, UNIT_MONOMIAL))
     assert antipode_monomial(big) == (big,)
-    # xi_16 has stem 131070, the bound itself: its field sits at bit 256,
-    # and the right-hand term 1 (x) xi_16 must not spill into the left code
-    top = xi_monomial(16)
+    # xi_7 has stem 254: its 1-bit field is the top bit, 35, and the
+    # right-hand term 1 (x) xi_7 must not spill into the left code
+    top = xi_monomial(7)
     want = [(top, UNIT_MONOMIAL), (UNIT_MONOMIAL, top)]
-    want += [(xi_monomial(16 - i, 1 << i), xi_monomial(i)) for i in range(1, 16)]
-    assert coproduct_monomial(top) == tuple(sorted(want))
+    want += [(xi_monomial(7 - i, 1 << i), xi_monomial(i)) for i in range(1, 7)]
+    assert coproduct_terms(top) == tuple(sorted(want))
+    assert CODE_BITS == 36 and TAU_MASK == 0xFF
 
 
 def decoded(codes):
     """Packed coproduct terms as (left, right) monomial pairs."""
-    return [(_CANON[code >> _PAIR], _CANON[code & _SIDE]) for code in codes]
+    return [(_CANON[code >> CODE_BITS], _CANON[code & _SIDE]) for code in codes]
 
 
 def delta_xi_power_by_compositions(j, e):
@@ -183,10 +189,12 @@ def delta_tau_by_monomials(i):
 
 
 def test_packed_factors_match_monomial_builders():
-    for j in range(1, 6):
-        for e in range(1, 34):
+    # every xi_j^e and tau_i of stem <= 255: xi_1^1..xi_1^127 up to xi_7,
+    # and tau_0..tau_7
+    for j in range(1, 8):
+        for e in range(1, 255 // xi_degree(j).stem + 1):
             assert decoded(_delta_xi_power(j, e)) == delta_xi_power_by_compositions(j, e), (j, e)
-    for i in range(12):
+    for i in range(8):
         assert decoded(_delta_tau(i)) == delta_tau_by_monomials(i), i
 
 
@@ -210,7 +218,42 @@ def coproduct_from_factors(m):
 
 def test_coproduct_matches_product_of_factors():
     for m in enumerate_window_monomials(28):
-        assert coproduct_monomial(m) == coproduct_from_factors(m), m
+        assert coproduct_terms(m) == coproduct_from_factors(m), m
+    # the extremes of the layout: its top tau and xi, and the largest
+    # exponents of xi_1 and xi_2
+    for m in (tau_monomial(7), xi_monomial(7), xi_monomial(1, 127), xi_monomial(2, 42)):
+        assert coproduct_terms(m) == coproduct_from_factors(m), m
+
+
+def test_codes_round_trip():
+    # every monomial of stem <= 48, and each xi_j at its largest exponent
+    # of stem <= 255, which fills its field
+    tops = [xi_monomial(j, 255 // xi_degree(j).stem) for j in range(1, 8)]
+    for m in [*enumerate_window_monomials(48), *tops]:
+        code = monomial_code(m)
+        assert 0 <= code < 1 << CODE_BITS
+        assert _CANON[code] == m, m
+        assert monomial_code(_CANON[code]) == code, m
+
+
+def test_packing_injective_and_additive():
+    # one layout for every window, so the pairs of window 40 cover those of
+    # every smaller window
+    window = list(enumerate_window_monomials(40))
+    codes = {m: monomial_code(m) for m in window}
+    assert len(set(codes.values())) == len(codes)
+    by_stem = sorted(window, key=lambda m: m.degree.stem)
+    stems = [m.degree.stem for m in by_stem]
+    for a, sa in zip(by_stem, stems):
+        for b, sb in zip(by_stem, stems):
+            if sa + sb > 40:
+                break
+            product = multiply_monomials(a, b)
+            if product is None:
+                assert codes[a] & codes[b] & TAU_MASK
+            else:
+                assert not codes[a] & codes[b] & TAU_MASK
+                assert codes[product] == codes[a] + codes[b]
 
 
 def test_antipode_generators():
@@ -230,7 +273,7 @@ def antipode_by_recursion(m, memo):
         return (UNIT_MONOMIAL,)
     if m not in memo:
         acc = {m: 1}
-        for left, right in coproduct_monomial(m):
+        for left, right in coproduct_terms(m):
             if left.is_unit or right.is_unit:
                 continue
             for c in antipode_by_recursion(right, memo):

@@ -12,7 +12,7 @@ from wsteenrod.charts import compare_charts, koszul_chart
 from wsteenrod.milnor import (
     BiDegree,
     UNIT_MONOMIAL,
-    coproduct_monomial,
+    coproduct_terms,
     enumerate_window_monomials,
 )
 from wsteenrod.modules import QuotientModule, TrivialModule
@@ -57,7 +57,7 @@ def _cobar_ext_dims(max_internal_stem: int, max_s: int) -> dict[tuple[int, int, 
         for tup in tuples_by_level[s]:
             bits = 0
             for i, m in enumerate(tup):
-                for left, right in coproduct_monomial(m):
+                for left, right in coproduct_terms(m):
                     if left.is_unit or right.is_unit:
                         continue
                     inserted = tup[:i] + (left, right) + tup[i + 1 :]

@@ -12,6 +12,7 @@ from wsteenrod.milnor import (
     basis_index,
     bidegree_basis,
     coproduct_monomial,
+    coproduct_terms,
     dual_element,
     enumerate_window_monomials,
     milnor_product,
@@ -234,7 +235,7 @@ def _direct_table(d1, d2):
     return tuple(
         tuple(
             (idx1[left], idx2[right])
-            for left, right in coproduct_monomial(m)
+            for left, right in coproduct_terms(m)
             if left.degree == d1
         )
         for m in bidegree_basis(d1 + d2)
@@ -259,9 +260,8 @@ def test_mult_table_split_build_matches_definition():
 def test_coproduct_monomials_interned():
     canonical = {}
     for m in enumerate_window_monomials(12):
-        terms = coproduct_monomial(m)
-        assert terms == coproduct_monomial.__wrapped__(m)
-        for pair in terms:
+        assert coproduct_monomial(m) == coproduct_monomial.__wrapped__(m)
+        for pair in coproduct_terms(m):
             for factor in pair:
                 assert canonical.setdefault(factor, factor) is factor
 
@@ -290,7 +290,7 @@ def test_milnor_product_is_transposed_coproduct(pair):
     want = tuple(
         m
         for m in bidegree_basis(m1.degree + m2.degree)
-        if (m1, m2) in coproduct_monomial(m)
+        if (m1, m2) in coproduct_terms(m)
     )
     assert milnor_product(m1, m2) == want
 

@@ -1,40 +1,29 @@
+import json
 import sys
 
+import pytest
+
 from wsteenrod import milnor, verify
+from wsteenrod.cli import main
 from wsteenrod.milnor import (
+    CODE_BITS,
     UNIT_MONOMIAL,
     BiDegree,
     DualMonomial,
     antipode_monomial,
     bidegree_basis,
     coproduct_monomial,
+    enumerate_window_monomials,
     monomial,
-    multiply_monomials,
+    monomial_code,
     xi_monomial,
 )
-from wsteenrod.verify import VerifyConfig, pack_window, suite_hopf, suite_kw
+from wsteenrod.verify import VerifyConfig, suite_hopf, suite_kw
 
 
-def test_packing_injective_and_additive():
-    for max_stem in range(41):
-        codes, width, tau_mask = pack_window(max_stem)
-        assert len(set(codes.values())) == len(codes), max_stem
-        assert all(0 <= c < 1 << width for c in codes.values())
-        if max_stem > 24 and max_stem not in (32, 40):
-            continue  # every window's pairs would take about a second
-        # every pair whose product degree is in the window
-        by_stem = sorted(codes, key=lambda m: m.degree.stem)
-        stems = [m.degree.stem for m in by_stem]
-        for a, sa in zip(by_stem, stems):
-            for b, sb in zip(by_stem, stems):
-                if sa + sb > max_stem:
-                    break
-                product = multiply_monomials(a, b)
-                if product is None:
-                    assert codes[a] & codes[b] & tau_mask
-                else:
-                    assert not codes[a] & codes[b] & tau_mask
-                    assert codes[product] == codes[a] + codes[b]
+def pair_code(left, right):
+    """The packed coproduct term left (x) right."""
+    return monomial_code(left) << CODE_BITS | monomial_code(right)
 
 
 TARGET = monomial((1,), (2, 1))  # tau_1 xi_1^2 xi_2, stem 13
@@ -63,37 +52,38 @@ def _hopf_failures(monkeypatch, coproduct=None, antipode=None):
 def test_hopf_suite_sees_broken_structure(monkeypatch):
     assert _hopf_failures(monkeypatch) == []
     terms = coproduct_monomial(TARGET)
-    term = (xi_monomial(1), monomial((0,), (2, 1)))
+    left, right = xi_monomial(1), monomial((0,), (2, 1))
+    term = pair_code(left, right)
     k = terms.index(term)
     both = [("hopf_coassociativity", 15), ("hopf_antipode_axiom", 1)]
     assert _hopf_failures(monkeypatch, coproduct=terms[:k] + terms[k + 1:]) == both
-    swapped = terms[:k] + (term[::-1],) + terms[k + 1:]
+    swapped = terms[:k] + (pair_code(right, left),) + terms[k + 1:]
     assert _hopf_failures(monkeypatch, coproduct=swapped) == both
     extra = tuple(sorted(antipode_monomial(TARGET) + (monomial((2,), (0, 1)),)))
     assert _hopf_failures(monkeypatch, antipode=extra) == [("hopf_antipode_axiom", 9)]
+    # a term with a factor that is no window monomial's code fails, and
+    # does not crash, the checks that look the factor up
+    outside = xi_monomial(1, 11)  # stem 22
+    for stray in (pair_code(left, outside), pair_code(outside, left)):
+        broken = tuple(sorted(terms + (stray,)))
+        assert _hopf_failures(monkeypatch, coproduct=broken) == both
 
 
 def two_set_coassociativity(max_stem, coproduct):
     """The witnesses of the monomials where (D (x) 1) D and (1 (x) D) D
     differ, each side built as its own XOR set of packed triples and the
     two sets compared: the reference for suite_hopf's one-set check."""
-    codes, width, _ = pack_window(max_stem)
-    factors = {}
-    for m, cm in codes.items():
-        terms = coproduct(m)
-        factors[cm] = ([codes[l] for l, _ in terms], [codes[r] for _, r in terms])
+    low = (1 << CODE_BITS) - 1
+    window = [(m, monomial_code(m)) for m in enumerate_window_monomials(max_stem)]
+    factors = {cm: coproduct(m) for m, cm in window}
     failing = []
-    for m, cm in codes.items():
+    for m, cm in window:
         left: set[int] = set()
         right: set[int] = set()
-        for pa, pb in zip(*factors[cm]):
-            high = pb << 2 * width
-            left.symmetric_difference_update(
-                [c | (d << width) | high for c, d in zip(*factors[pa])]
-            )
-            right.symmetric_difference_update(
-                [pa | (c << width) | (d << 2 * width) for c, d in zip(*factors[pb])]
-            )
+        for p in factors[cm]:
+            pa, pb = p >> CODE_BITS, p & low
+            left.symmetric_difference_update([q << CODE_BITS | pb for q in factors[pa]])
+            right.symmetric_difference_update([pa << 2 * CODE_BITS | q for q in factors[pb]])
         if left != right:
             failing.append({"monomial": repr(m)})
     return failing
@@ -101,23 +91,23 @@ def two_set_coassociativity(max_stem, coproduct):
 
 def test_coassociativity_matches_two_set_reference(monkeypatch):
     terms = coproduct_monomial(TARGET)
-    term = (xi_monomial(1), monomial((0,), (2, 1)))
-    k = terms.index(term)
+    left, right = xi_monomial(1), monomial((0,), (2, 1))
+    k = terms.index(pair_code(left, right))
     added = (xi_monomial(2), monomial((0,), (0, 1)))
-    assert added not in terms
+    assert pair_code(*added) not in terms
     assert added[0].degree + added[1].degree == TARGET.degree
     stray = next(m for m in bidegree_basis(TARGET.degree) if m != TARGET)
     unit = UNIT_MONOMIAL
     cases = {
         "unbroken": (TARGET, terms),
         "drop": (TARGET, terms[:k] + terms[k + 1:]),
-        "swap": (TARGET, terms[:k] + (term[::-1],) + terms[k + 1:]),
-        "add": (TARGET, tuple(sorted(terms + (added,)))),
+        "swap": (TARGET, terms[:k] + (pair_code(right, left),) + terms[k + 1:]),
+        "add": (TARGET, tuple(sorted(terms + (pair_code(*added),)))),
         # the counit fails, so the suite reads the full coproducts
-        "drop counit term": (TARGET, tuple(t for t in terms if t != (TARGET, unit))),
-        "stray unit term": (TARGET, tuple(sorted(terms + ((unit, stray),)))),
+        "drop counit term": (TARGET, tuple(t for t in terms if t != pair_code(TARGET, unit))),
+        "stray unit term": (TARGET, tuple(sorted(terms + (pair_code(unit, stray),)))),
         # the counit holds, but D(1) is not 1 (x) 1 alone
-        "unit": (unit, ((unit, unit), (xi_monomial(1), xi_monomial(1)))),
+        "unit": (unit, (0, pair_code(xi_monomial(1), xi_monomial(1)))),
     }
     counit_broken = {"drop counit term", "stray unit term"}
     for name, (target, broken) in cases.items():
@@ -132,6 +122,90 @@ def test_coassociativity_matches_two_set_reference(monkeypatch):
         assert report.witnesses == want, name
         assert bool(want) == (name != "unbroken"), name
         assert counit.verdict == (name not in counit_broken), name
+
+
+def _clear_hopf_caches():
+    """Empty both cached Hopf maps and the shared monomials of their codes;
+    the maps are this module's imports, never a fault patched over them."""
+    coproduct_monomial.cache_clear()
+    antipode_monomial.cache_clear()
+    milnor._CANON.clear()
+    milnor._CODE.clear()
+
+
+@pytest.fixture
+def cold_hopf():
+    _clear_hopf_caches()
+    yield
+    _clear_hopf_caches()
+
+
+def test_cold_hopf_suite_reads_packed_codes_only(monkeypatch, cold_hopf):
+    def decoder(m):
+        raise AssertionError("the Hopf suite decoded a coproduct")
+
+    monkeypatch.setattr(milnor, "coproduct_terms", decoder)
+    reports = suite_hopf(VerifyConfig(max_stem=24))
+    assert all(r.verdict for r in reports)
+    # every cached coproduct is a window monomial's, held as a tuple of ints
+    window = list(enumerate_window_monomials(24))
+    built = coproduct_monomial.cache_info()
+    assert built.currsize == len(window)
+    for m in window:
+        terms = coproduct_monomial(m)
+        assert type(terms) is tuple and all(type(p) is int for p in terms), m
+    assert coproduct_monomial.cache_info().misses == built.misses
+
+
+def _times_unfiltered(xs, ys, taus):
+    """_times without its tau filter: a common tau carries into the next bit."""
+    acc = set()
+    for x in xs:
+        acc.symmetric_difference_update([x + y for y in ys])
+    return acc
+
+
+def _antipode_quadrupled(antipode):
+    """antipode_monomial with c << 2 for c << 1 in its doubling step, which
+    puts S(xi_j^(2e)) in twice its bidegree."""
+
+    def faulty(m):
+        eps, r = m
+        if not eps and len(r) - r.count(0) == 1 and r[-1] % 2 == 0:
+            half = milnor._antipode_codes(xi_monomial(len(r), r[-1] // 2))
+            return tuple(milnor._CANON[c << 2] for c in half)
+        return antipode(m)
+
+    return faulty
+
+
+@pytest.mark.parametrize("fault", ["times_unfiltered", "antipode_quadrupled"])
+def test_verify_reports_a_faulty_hopf_map(monkeypatch, cold_hopf, tmp_path, fault):
+    if fault == "times_unfiltered":
+        monkeypatch.setattr(milnor, "_times", _times_unfiltered)
+    else:
+        faulty = _antipode_quadrupled(antipode_monomial)
+        monkeypatch.setattr(milnor, "antipode_monomial", faulty)
+        monkeypatch.setattr(verify, "antipode_monomial", faulty)
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--max-stem", "24", "--out", str(out)]) == 1
+    reports = json.loads(out.read_text())["reports"]
+    # every suite ran: the report list has its full length
+    assert len(reports) == 37
+    failed = {r["check"]: r["witnesses"] for r in reports if r["verdict"] == "fail"}
+    hopf_checks = ("hopf_counit", "hopf_antipode_axiom", "hopf_coassociativity")
+    hopf = [failed.get(check, []) for check in hopf_checks]
+    assert any(hopf)
+    for witnesses in hopf:
+        assert all(w["monomial"].startswith("DualMonomial(") for w in witnesses)
+
+
+def test_algebra_commands_report_an_antipode_leaving_its_bidegree(monkeypatch, cold_hopf, capsys):
+    monkeypatch.setattr(milnor, "antipode_monomial", _antipode_quadrupled(antipode_monomial))
+    for args in (["antipode", "x1^2"], ["conjugate", "P(2)"]):
+        assert main(["algebra", *args]) == 2, args
+        err = capsys.readouterr().err
+        assert "has the term DualMonomial(eps=(), r=(4,)) outside (4,2)" in err, args
 
 
 def _patch_sweep(monkeypatch, fn):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from wsteenrod import resolution
+from wsteenrod import resolution, verify
 from wsteenrod.charts import chart_file_loads, compare_charts, polynomial_chart, w_class_degree
 from wsteenrod.cli import _ALGEBRA_SUBCOMMANDS, MAX_STEM, main
 from wsteenrod.gf2 import BitMatrix
@@ -504,6 +504,57 @@ def test_verify_failed_check_lists_witnesses(tmp_path, capsys, monkeypatch):
         "verdict": "fail",
         "witnesses": [{"sharp_at": {"stem": 3, "weight": 2}, "chow": -1, "dim": 0}],
     } in reports
+
+
+def test_verify_kw_homology_witnesses_reach_out(tmp_path, capsys, monkeypatch):
+    # with no homology anywhere, degree 0 misses the quotient A//E(P_{n+1})
+    # at each bidegree where it is nonzero, and each miss is one witness
+    monkeypatch.setattr(KwComplex, "homology_dim", lambda self, q, d: 0)
+    path = tmp_path / "kw.json"
+    code, _, _ = run(capsys, "verify", "--suite", "kw", "--max-stem", "12", "--out", str(path))
+    assert code == 1
+    reports = json.loads(path.read_text())["reports"]
+    homology = [r for r in reports if r["check"] == "kw_homology"]
+    common = [(4, 1), (4, 2), (5, 2)]
+    tail = [(6, 3), (7, 3), (8, 3), (8, 4), (9, 4), (10, 4), (10, 5), (11, 4), (11, 5),
+            (12, 5), (12, 6)]
+    missed = {
+        0: [(0, 0), (1, 0), (3, 1)] + common + tail,
+        1: [(0, 0), (1, 0), (2, 1), (3, 1)] + common + [(6, 2)] + tail,
+    }
+    assert [r["params"] for r in homology] == [
+        {"n": n, "m": 3, "window": 12} for n in (0, 1)
+    ]
+    for n, r in enumerate(homology):
+        assert r["verdict"] == "fail"
+        assert r["witnesses"] == [
+            {"degree": 0, "stem": stem, "weight": weight} for stem, weight in missed[n]
+        ]
+
+
+def test_verify_change_of_rings_witnesses_reach_out(tmp_path, capsys, monkeypatch):
+    # an oracle with one class too many fails both charts with the one
+    # mismatch, left (the resolution) 0 and right (the oracle) 1
+    koszul_chart = verify.koszul_chart
+
+    def one_more(ts, max_stem):
+        chart = koszul_chart(ts, max_stem)
+        chart.add(1, 2, 0)
+        return chart
+
+    monkeypatch.setattr(verify, "koszul_chart", one_more)
+    path = tmp_path / "charts.json"
+    code, _, _ = run(capsys, "verify", "--suite", "charts", "--max-stem", "12", "--out", str(path))
+    assert code == 1
+    assert json.loads(path.read_text())["reports"] == [
+        {
+            "check": "change_of_rings",
+            "params": {"n": n, "max_stem": 10, "max_filt": max_filt},
+            "verdict": "fail",
+            "witnesses": [[{"s": 1, "stem": 2, "weight": 0, "left": 0, "right": 1}]],
+        }
+        for n, max_filt in ((0, 11), (1, 3))
+    ]
 
 
 def test_verify_non_exterior_action_is_a_failed_report(tmp_path, capsys, monkeypatch):

@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 
 # public name -> the submodule that defines it
 _SOURCES = {
-    "ChartDiff": "charts",
     "ExtChart": "charts",
     "compare_charts": "charts",
     "koszul_chart": "charts",
@@ -46,7 +45,6 @@ _SOURCES = {
     "AlgebraModule": "modules",
     "GradedModule": "modules",
     "InvariantViolation": "modules",
-    "MargolisReport": "modules",
     "QuotientModule": "modules",
     "TrivialModule": "modules",
     "margolis": "modules",

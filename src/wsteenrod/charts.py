@@ -82,13 +82,15 @@ class ExtChart(Record):
         return "\n".join(lines) + "\n"
 
 
-def chart_file_dumps(chart: ExtChart, partial: bool = False, completed_stem: int | None = None) -> str:
-    """Serialize a chart file with its format version, deterministically."""
+def chart_file_dumps(chart: ExtChart, partial: bool = False) -> str:
+    """Serialize a chart file with its format version, deterministically.
+    A partial file's header says so and gives the chart's max_stem as the
+    stem it completed."""
     data = {"format_version": FORMAT_VERSION}
     data.update(chart.to_json_dict())
     if partial:
         data["partial"] = True
-        data["completed_stem"] = completed_stem
+        data["completed_stem"] = chart.max_stem
     return json.dumps(data, indent=2, sort_keys=False) + "\n"
 
 
@@ -105,10 +107,12 @@ def _integer(fields: dict, key: str) -> int:
     return value
 
 
-def chart_file_loads(text: str) -> ExtChart:
-    """The chart of a chart file.  Every number must be a JSON integer,
-    every multiplicity at least 1, every stem at most max_stem and every
-    class listed once; s, stem and weight may be negative."""
+def chart_file_loads(text: str) -> tuple[ExtChart, bool]:
+    """The chart of a chart file, and whether its header marks it partial.
+    Every number must be a JSON integer, every multiplicity at least 1,
+    every stem at most max_stem and every class listed once; s, stem and
+    weight may be negative.  A partial header has both "partial": true and
+    a completed_stem equal to max_stem, as chart_file_dumps writes it."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -126,6 +130,14 @@ def chart_file_loads(text: str) -> ExtChart:
     if not isinstance(data["classes"], list):
         raise ChartFormatError("field 'classes' must be a list")
     chart = ExtChart(data["module"], _integer(data, "max_stem"))
+    partial = "partial" in data or "completed_stem" in data
+    if partial:
+        flag, completed = data.get("partial"), data.get("completed_stem")
+        if flag is not True or type(completed) is not int or completed != chart.max_stem:
+            raise ChartFormatError(
+                f"a partial header needs 'partial' true and 'completed_stem' equal to "
+                f"max_stem {chart.max_stem}, got {flag!r} and {completed!r}"
+            )
     for entry in data["classes"]:
         for key in ("s", "stem", "weight", "mult"):
             if not isinstance(entry, dict) or key not in entry:
@@ -138,7 +150,7 @@ def chart_file_loads(text: str) -> ExtChart:
         if (s, stem, weight) in chart.classes:
             raise ChartFormatError(f"class (s, stem, weight) = {(s, stem, weight)} listed twice")
         chart.add(s, stem, weight, mult)
-    return chart
+    return chart, partial
 
 
 def _monomial_chart(name: str, gens: list[BiDegree], max_stem: int) -> ExtChart:
@@ -193,46 +205,12 @@ def polynomial_chart(gens: Iterable[BiDegree | tuple[int, int]], max_stem: int) 
     return _monomial_chart("polynomial", degs, max_stem)
 
 
-class ChartDiff(Record):
-    """The (key, left, right) multiplicities where two charts differ;
-    compared by value and unhashable, like ExtChart."""
-
-    __slots__ = ("max_stem", "max_filt", "mismatches")
-
-    def __init__(
-        self,
-        max_stem: int,
-        max_filt: int | None,
-        mismatches: list[tuple[tuple[int, int, int], int, int]] | None = None,
-    ):
-        self.max_stem = max_stem
-        self.max_filt = max_filt
-        self.mismatches = [] if mismatches is None else mismatches
-
-    __hash__ = None
-
-    def is_empty(self) -> bool:
-        return not self.mismatches
-
-    def first(self) -> tuple[tuple[int, int, int], int, int] | None:
-        return self.mismatches[0] if self.mismatches else None
-
-    def to_json(self) -> dict:
-        return {
-            "max_stem": self.max_stem,
-            "max_filt": self.max_filt,
-            "mismatches": [
-                {"s": k[0], "stem": k[1], "weight": k[2], "left": a, "right": b}
-                for k, a, b in self.mismatches
-            ],
-        }
-
-
 def compare_charts(
     a: ExtChart, b: ExtChart, max_stem: int, max_filt: int | None = None
-) -> ChartDiff:
-    """Multiplicity diff over stem <= max_stem (and filtration bound if given)."""
-    diff = ChartDiff(max_stem, max_filt)
+) -> list[tuple[tuple[int, int, int], int, int]]:
+    """The (key, mult in a, mult in b) where the charts differ over stem <=
+    max_stem (and filtration <= max_filt if given), in chart order."""
+    mismatches = []
     keys = set(a.classes) | set(b.classes)
     for key in sorted(keys, key=_sort_key):
         s, stem, weight = key
@@ -243,5 +221,5 @@ def compare_charts(
         ma = a.classes.get(key, 0)
         mb = b.classes.get(key, 0)
         if ma != mb:
-            diff.mismatches.append((key, ma, mb))
-    return diff
+            mismatches.append((key, ma, mb))
+    return mismatches

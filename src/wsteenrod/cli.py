@@ -276,7 +276,7 @@ def cmd_resolve(args) -> int:
         _write(args.out, chart_file_dumps(chart))
     except PartialResultError as exc:
         exc.chart.module = name
-        _write(args.out, chart_file_dumps(exc.chart, partial=True, completed_stem=exc.completed_stem))
+        _write(args.out, chart_file_dumps(exc.chart, partial=True))
         print(f"warning: {exc}", file=sys.stderr)
     return 0
 
@@ -307,7 +307,7 @@ def cmd_verify(args) -> int:
 def cmd_chart(args) -> int:
     try:
         with open(args.infile, encoding="utf-8") as fh:
-            chart = chart_file_loads(fh.read())
+            chart, partial = chart_file_loads(fh.read())
         for s, stem, _ in chart.classes:
             # the SVG draws a grid line per stem and per filtration it spans
             if abs(stem) > MAX_STEM or abs(s) > MAX_FILT:
@@ -330,7 +330,7 @@ def cmd_chart(args) -> int:
         _write(args.tsv, chart.to_tsv())
         wrote = True
     if args.json_out:
-        _write(args.json_out, chart_file_dumps(chart))
+        _write(args.json_out, chart_file_dumps(chart, partial))
         wrote = True
     if not wrote:
         sys.stdout.write(chart.to_tsv())

@@ -27,12 +27,10 @@ class InvariantViolation(AssertionError):
 
 
 class NotExterior(InvariantViolation):
-    """P_t squares to nonzero at ``degree``; ``report`` is the empty
-    Margolis report the check was filling (module, t, safe window)."""
+    """P_t squares to nonzero on a module at ``degree``."""
 
-    def __init__(self, report: "MargolisReport", degree: BiDegree):
-        super().__init__(f"P_{report.t} is not exterior on {report.module} at {degree}")
-        self.report = report
+    def __init__(self, module_name: str, t: int, degree: BiDegree):
+        super().__init__(f"P_{t} is not exterior on {module_name} at {degree}")
         self.degree = degree
 
 
@@ -291,54 +289,17 @@ def tensor_power(m: GradedModule, power: int) -> GradedModule:
     return out
 
 
-class MargolisReport:
-    """Margolis homology dimensions of a module over one safe sub-window."""
-
-    __slots__ = ("module", "t", "max_stem", "margin", "dims")
-
-    def __init__(self, module: str, t: int, max_stem: int, margin: int):
-        self.module = module
-        self.t = t
-        self.max_stem = max_stem
-        self.margin = margin
-        self.dims: dict[BiDegree, int] = {}
-
-    @property
-    def safe_stem(self) -> int:
-        return self.max_stem - self.margin
-
-    def is_zero(self) -> bool:
-        return not self.dims
-
-    def total(self) -> int:
-        return sum(self.dims.values())
-
-    def to_json(self) -> dict:
-        return {
-            "module": self.module,
-            "t": self.t,
-            "max_stem": self.max_stem,
-            "margin": self.margin,
-            "safe_stem": self.safe_stem,
-            "dims": [
-                {"stem": d.stem, "weight": d.weight, "dim": v}
-                for d, v in sorted(self.dims.items())
-            ],
-        }
-
-
-def margolis(module: GradedModule, t: int) -> MargolisReport:
-    """ker/im dimensions of the left P_t action, inside the safe sub-window.
+def margolis(module: GradedModule, t: int) -> dict[BiDegree, int]:
+    """The nonzero ker/im dimensions of the left P_t action, by bidegree.
 
     Truncation creates spurious homology near the cutoff, so homology is
     reported only at stems <= window - |P_t|, the module's window less the
     stem of P_t.  Exteriority of the action is verified as far as the
-    window allows composing P_t twice.
+    window allows composing P_t twice; a nonzero square raises NotExterior.
     """
     max_stem = module.window
     pt = module.algebra.pst(0, t)
     dt = pt.degree
-    safe = max_stem - dt.stem
     mats: dict[BiDegree, BitMatrix] = {}
 
     def op(d: BiDegree) -> BitMatrix:
@@ -346,13 +307,13 @@ def margolis(module: GradedModule, t: int) -> MargolisReport:
             mats[d] = module.op_matrix(pt, d)
         return mats[d]
 
-    report = MargolisReport(module.name, t, max_stem, dt.stem)
     for d in module.support(max_stem - 2 * dt.stem):
         d = BiDegree(*d)
         if not op(d).compose(op(d + dt)).is_zero():
-            raise NotExterior(report, d)
+            raise NotExterior(module.name, t, d)
 
-    for d in module.support(safe):
+    dims: dict[BiDegree, int] = {}
+    for d in module.support(max_stem - dt.stem):
         d = BiDegree(*d)
         rank_out = rank(op(d))
         src = d - dt
@@ -361,5 +322,5 @@ def margolis(module: GradedModule, t: int) -> MargolisReport:
             rank_in = rank(op(src))
         h = module.dim(d) - rank_out - rank_in
         if h:
-            report.dims[d] = h
-    return report
+            dims[d] = h
+    return dims

@@ -69,8 +69,7 @@ class KwComplex:
 
     def homology_dim(self, q: int, d: BiDegree) -> int:
         """Homology at term q and total bidegree d; exact when the
-        coefficient arithmetic fits the window (see
-        KwHomologyReport.safe_coefficient_stem)."""
+        coefficient arithmetic fits the window (see kw_homology)."""
         if not 0 <= q <= self.m:
             return 0
         x = self.coefficient_degree(q, d)
@@ -87,48 +86,28 @@ class KwComplex:
         return ker - im
 
 
-class KwHomologyReport:
-    """Nonzero homology dimensions of a kw complex per homological degree,
-    over the per-degree safe coefficient windows."""
-
-    __slots__ = ("n", "m", "window", "degrees")
-
-    def __init__(self, n: int, m: int, window: int):
-        self.n = n
-        self.m = m
-        self.window = window
-        self.degrees: dict[int, dict[BiDegree, int]] = {}
-
-    def safe_coefficient_stem(self, q: int) -> int:
-        margin = 0 if q == 0 else xi_degree(self.n + 1).stem
-        return self.window - margin
-
-    def dims_at(self, q: int) -> dict[BiDegree, int]:
-        return self.degrees.get(q, {})
-
-
-def kw_homology(algebra: MilnorAlgebra, n: int, m: int) -> KwHomologyReport:
-    """Homology of the kw complex per homological degree.
+def kw_homology(algebra: MilnorAlgebra, n: int, m: int) -> list[dict[BiDegree, int]]:
+    """Homology of the kw complex: for q = 0..m, the nonzero dimensions at
+    homological degree q, by total bidegree.
 
     Degree q is reported at every total bidegree whose coefficient degree
     sits in the safe window (full window at q = 0, margin |P_{n+1}| above).
     """
-    if algebra.max_stem < xi_degree(n + 1).stem:
-        raise WindowError(
-            f"window {algebra.max_stem} below |P_{n + 1}| = {xi_degree(n + 1)}"
-        )
+    r = xi_degree(n + 1)
+    if algebra.max_stem < r.stem:
+        raise WindowError(f"window {algebra.max_stem} below |P_{n + 1}| = {r}")
     cx = KwComplex(algebra, n, m)
-    report = KwHomologyReport(n, m, algebra.max_stem)
+    out = []
     for q in range(m + 1):
         dims: dict[BiDegree, int] = {}
         shift = cx.generator_degree(q)
-        for x in algebra.bidegrees(report.safe_coefficient_stem(q)):
+        for x in algebra.bidegrees(algebra.max_stem - (r.stem if q else 0)):
             d = x + shift
             h = cx.homology_dim(q, d)
             if h:
                 dims[d] = h
-        report.degrees[q] = dims
-    return report
+        out.append(dims)
+    return out
 
 
 def kw_chow_check(algebra: MilnorAlgebra, n: int, m: int) -> VerificationReport:

@@ -80,7 +80,7 @@ class VerifyConfig:
 
     __slots__ = ("max_stem", "seed", "steps")
 
-    def __init__(self, max_stem: int = 24, seed: int = 20170927):
+    def __init__(self, max_stem: int, seed: int = 20170927):
         self.max_stem = max_stem
         self.seed = seed
         self.steps: dict[str, float] = {}
@@ -310,26 +310,29 @@ def suite_margolis(config: VerifyConfig) -> list[VerificationReport]:
     out = []
     t = 1
     while 2 * xi_degree(t).stem <= config.max_stem:
-        # a failed exteriority check is a failed report, not an abort
-        try:
-            rep = margolis(module, t)
-            witness = None if rep.is_zero() else rep.to_json()["dims"]
-        except NotExterior as exc:
-            rep = exc.report
-            d = exc.degree
-            witness = {"identity": "P_t.P_t = 0", "t": t, "stem": d.stem, "weight": d.weight}
+        margin = xi_degree(t).stem
         r = VerificationReport(
             "margolis_exact",
             {
                 "module": "A",
                 "t": t,
-                "max_stem": rep.max_stem,
-                "margin": rep.margin,
-                "safe_stem": rep.safe_stem,
+                "max_stem": config.max_stem,
+                "margin": margin,
+                "safe_stem": config.max_stem - margin,
             },
         )
-        if witness is not None:
-            r.fail(witness)
+        # a failed exteriority check is a failed report, not an abort
+        try:
+            dims = margolis(module, t)
+        except NotExterior as exc:
+            d = exc.degree
+            r.fail({"identity": "P_t.P_t = 0", "t": t, "stem": d.stem, "weight": d.weight})
+        else:
+            if dims:
+                r.fail([
+                    {"stem": d.stem, "weight": d.weight, "dim": v}
+                    for d, v in sorted(dims.items())
+                ])
         out.append(r)
         t += 1
     return out
@@ -351,12 +354,11 @@ def suite_kw(config: VerifyConfig) -> list[VerificationReport]:
         hom = kw_homology(alg, n, 3)
         q = QuotientModule(alg, (n + 1,))
         r = VerificationReport("kw_homology", {"n": n, "m": 3, "window": config.max_stem})
-        dims0 = hom.dims_at(0)
-        for d in alg.bidegrees(hom.safe_coefficient_stem(0)):
-            if dims0.get(d, 0) != q.dim(d):
+        for d in alg.bidegrees(config.max_stem):
+            if hom[0].get(d, 0) != q.dim(d):
                 r.fail({"degree": 0, "stem": d.stem, "weight": d.weight})
         for interior in (1, 2):
-            for d, v in hom.dims_at(interior).items():
+            for d, v in hom[interior].items():
                 r.fail({"degree": interior, "stem": d.stem, "weight": d.weight, "dim": v})
         out.append(r)
         for m in (0, 1, 2, 3, 4):
@@ -406,13 +408,16 @@ def suite_charts(config: VerifyConfig) -> list[VerificationReport]:
         max_filt = chart_stem // w_class_degree(n).stem + 1
         _, chart = minimal_resolution(module, chart_stem, max_filt)
         oracle = koszul_chart((n + 1,), chart_stem)
-        diff = compare_charts(chart, oracle, chart_stem, max_filt)
+        mismatches = compare_charts(chart, oracle, chart_stem, max_filt)
         r = VerificationReport(
             "change_of_rings",
             {"n": n, "max_stem": chart_stem, "max_filt": max_filt},
         )
-        if not diff.is_empty():
-            r.fail(diff.to_json()["mismatches"])
+        if mismatches:
+            r.fail([
+                {"s": s, "stem": stem, "weight": weight, "left": a, "right": b}
+                for (s, stem, weight), a, b in mismatches
+            ])
         out.append(r)
     return out
 

@@ -149,9 +149,10 @@ def test_resolve_wbp_is_polynomial_on_the_w_classes(tmp_path, capsys, n):
     argv = ["resolve", "--module", "wbp", "--max-stem", str(n), "--max-filt", str(n + 2)]
     code, _, _ = run(capsys, *argv, "--out", str(out))
     assert code == 0
-    chart = chart_file_loads(out.read_text())
+    chart, partial = chart_file_loads(out.read_text())
+    assert not partial
     oracle = polynomial_chart([w for w in map(w_class_degree, range(5)) if w.stem <= n], n)
-    assert compare_charts(chart, oracle, n, n + 2).is_empty()
+    assert compare_charts(chart, oracle, n, n + 2) == []
 
 
 def test_resolve_partial_flag(tmp_path, capsys):
@@ -217,6 +218,20 @@ def test_chart_roundtrip_and_outputs(tmp_path, capsys):
     assert tsv1.read_text().splitlines()[0] == "stem\ts\tweight\tmult"
 
 
+def test_chart_json_keeps_the_partial_header(tmp_path, capsys):
+    # a truncated resolution stays marked partial through chart --json
+    path = tmp_path / "partial.json"
+    argv = ["resolve", "--module", "wbp", "--max-stem", "24", "--max-filt", "12"]
+    code, _, _ = run(capsys, *argv, "--max-gens", "1", "--out", str(path))
+    assert code == 0
+    data = json.loads(path.read_text())
+    assert (data["partial"], data["completed_stem"], data["max_stem"]) == (True, 5, 5)
+    again = tmp_path / "again.json"
+    code, _, _ = run(capsys, "chart", "--in", str(path), "--json", str(again))
+    assert code == 0
+    assert again.read_bytes() == path.read_bytes()
+
+
 def test_chart_empty_svg(tmp_path, capsys):
     from wsteenrod.charts import ExtChart, chart_file_dumps
 
@@ -263,6 +278,12 @@ def chart_text(top=None, **entry):
         chart_text({"classes": [{"s": 0, "stem": 0, "weight": 0, "mult": 1}] * 2}),
         chart_text(stem=3),
         chart_text(s=-1000000000),
+        chart_text({"partial": False, "completed_stem": 2}),
+        chart_text({"partial": "true", "completed_stem": 2}),
+        chart_text({"partial": True}),
+        chart_text({"completed_stem": 2}),
+        chart_text({"partial": True, "completed_stem": 1}),
+        chart_text({"partial": True, "completed_stem": 2.0}),
     ],
     ids=[
         "missing",
@@ -281,6 +302,12 @@ def chart_text(top=None, **entry):
         "duplicate-class",
         "stem-above-max-stem",
         "s-beyond-max-filt",
+        "partial-false",
+        "partial-string",
+        "partial-without-completed-stem",
+        "completed-stem-without-partial",
+        "completed-stem-below-max-stem",
+        "float-completed-stem",
     ],
 )
 def test_chart_bad_input_exit_2(tmp_path, capsys, text):

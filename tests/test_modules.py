@@ -179,33 +179,26 @@ def test_tensor_power_cube(alg16):
 def test_margolis_of_algebra_vanishes(alg16):
     module = AlgebraModule(alg16)
     for t in (1, 2):
-        rep = margolis(module, t)
-        assert rep.is_zero()
-        assert rep.margin >= xi_degree(t).stem
-        assert rep.safe_stem == 16 - rep.margin
+        # homology past the safe stem 16 - |P_t| would be the truncation's
+        assert margolis(module, t) == {}
 
 
 def test_margolis_trivial_module(alg16):
-    rep = margolis(TrivialModule(alg16), 1)
-    assert rep.dims == {BiDegree(0, 0): 1}
-    rep2 = margolis(TrivialModule(alg16), 2)
-    assert rep2.dims == {BiDegree(0, 0): 1}
+    assert margolis(TrivialModule(alg16), 1) == {BiDegree(0, 0): 1}
+    assert margolis(TrivialModule(alg16), 2) == {BiDegree(0, 0): 1}
 
 
 def test_margolis_trivial_module_respects_window():
     # the safe window is the module's window less |P_t|; at window 2 it
     # holds stem 0 alone, where the unit is
-    rep = margolis(TrivialModule(MilnorAlgebra(2)), 1)
-    assert (rep.safe_stem, rep.dims) == (0, {BiDegree(0, 0): 1})
-    rep = margolis(TrivialModule(MilnorAlgebra(8)), 1)
-    assert (rep.safe_stem, rep.dims) == (6, {BiDegree(0, 0): 1})
+    assert margolis(TrivialModule(MilnorAlgebra(2)), 1) == {BiDegree(0, 0): 1}
+    assert margolis(TrivialModule(MilnorAlgebra(8)), 1) == {BiDegree(0, 0): 1}
 
 
 def test_margolis_nonzero_on_quotient(alg16):
     # P_2 has homology on A//E(P_2): the unit survives at (0, 0)
     q = QuotientModule(alg16, (2,))
-    rep = margolis(q, 2)
-    assert rep.dims.get(BiDegree(0, 0)) == 1
+    assert margolis(q, 2).get(BiDegree(0, 0)) == 1
 
 
 class _BadModule(GradedModule):

@@ -105,12 +105,12 @@ def test_chart_stable_under_window_growth():
 
     small = minimal_resolution(TrivialModule(algebra(10)), 8, 5)[1]
     large = minimal_resolution(TrivialModule(algebra(14)), 12, 5)[1]
-    assert compare_charts(small, large, 8, 5).is_empty()
+    assert compare_charts(small, large, 8, 5) == []
 
     qs = minimal_resolution(QuotientModule(algebra(10), (1,)), 8, 9)[1]
     ql = minimal_resolution(QuotientModule(algebra(16), (1,)), 14, 9)[1]
-    assert compare_charts(qs, ql, 8, 9).is_empty()
-    assert compare_charts(ql, koszul_chart((1,), 14), 14, 9).is_empty()
+    assert compare_charts(qs, ql, 8, 9) == []
+    assert compare_charts(ql, koszul_chart((1,), 14), 14, 9) == []
 
 
 def test_wbp_generator_thresholds():
@@ -123,11 +123,11 @@ def test_wbp_generator_thresholds():
     module = QuotientModule(alg, (1, 2, 3, 4))
     _, chart = minimal_resolution(module, 29, 31)
     oracle = polynomial_chart([w_class_degree(n) for n in range(4)], 29)
-    assert compare_charts(chart, oracle, 29, 31).is_empty()
+    assert compare_charts(chart, oracle, 29, 31) == []
     assert chart.mult(1, 29, 15) == 1
     three = polynomial_chart([w_class_degree(n) for n in range(3)], 29)
-    assert compare_charts(chart, three, 28, 31).is_empty()
-    assert not compare_charts(chart, three, 29, 31).is_empty()
+    assert compare_charts(chart, three, 28, 31) == []
+    assert compare_charts(chart, three, 29, 31) != []
 
 
 def test_wbp_chart_has_true_multiplicity_two(alg24):
@@ -140,4 +140,4 @@ def test_wbp_chart_has_true_multiplicity_two(alg24):
     assert module.ts == (1, 2, 3)
     _, chart = minimal_resolution(module, 16, 17)
     assert chart.mult(3, 15, 9) == 2
-    assert compare_charts(chart, oracle, 16, 17).is_empty()
+    assert compare_charts(chart, oracle, 16, 17) == []

@@ -84,8 +84,7 @@ def test_quotient_invariants(alg16):
     res.verify_dd_zero()
     res.verify_minimal()
     res.verify_exact()
-    diff = compare_charts(chart, koszul_chart((1,), 12), 12, 13)
-    assert diff.is_empty()
+    assert compare_charts(chart, koszul_chart((1,), 12), 12, 13) == []
 
 
 def test_deterministic(alg16):
@@ -124,7 +123,7 @@ def test_wbp_truncated_small(alg24):
     q = QuotientModule(alg24, (1, 2))
     _, chart = minimal_resolution(q, 10, 12)
     oracle = polynomial_chart([w_class_degree(0), w_class_degree(1)], 10)
-    assert compare_charts(chart, oracle, 10, 12).is_empty()
+    assert compare_charts(chart, oracle, 10, 12) == []
     assert chart.mult(2, 6, 4) == 1  # w_0 w_1
 
 

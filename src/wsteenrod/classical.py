@@ -4,7 +4,7 @@ The motivic dual algebra maps onto F2[xi_1, xi_2, ...] by killing the tau
 generators; dualizing embeds the classical algebra into the motivic one,
 graded by weight alone.  On the image, products can be computed by Milnor's
 matrix formula with Lucas-style multinomial tests.  The motivic product
-(milnor.milnor_product) uses the same formula, but this module shares no
+(MilnorAlgebra.product) uses the same formula, but this module shares no
 code with it: it builds each matrix whole and tests its diagonals at the
 end, so it stays an independent cross-check of the motivic product.
 

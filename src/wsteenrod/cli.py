@@ -320,20 +320,23 @@ def cmd_chart(args) -> int:
     except ChartFormatError as exc:
         print(f"bad chart file: {exc}", file=sys.stderr)
         return 2
+    tsv = chart.to_tsv()
+    if partial:
+        tsv = f"# partial: complete through stem {chart.max_stem}\n" + tsv
     wrote = False
     if args.svg:
         from .svg import render_chart_svg
 
-        _write(args.svg, render_chart_svg(chart))
+        _write(args.svg, render_chart_svg(chart, partial))
         wrote = True
     if args.tsv:
-        _write(args.tsv, chart.to_tsv())
+        _write(args.tsv, tsv)
         wrote = True
     if args.json_out:
         _write(args.json_out, chart_file_dumps(chart, partial))
         wrote = True
     if not wrote:
-        sys.stdout.write(chart.to_tsv())
+        sys.stdout.write(tsv)
     return 0
 
 

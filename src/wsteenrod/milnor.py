@@ -15,7 +15,7 @@ this monomial basis; their product is dual to the coproduct, with the fixed
 convention that the LEFT operand pairs against the LEFT tensor factor:
 <a.b, m> = sum <a, m_(1)> <b, m_(2)>.  Under this convention "x . P" is
 precomposition with P, the form used by tower differentials.  Products are
-computed by Milnor's matrix formula with tau parts (milnor_product), one
+computed by Milnor's matrix formula with tau parts (_product_terms), one
 pair of basis functionals at a time, never by transposing coproducts.
 
 The Chow degree stem - 2*weight of a monomial equals its number of tau
@@ -32,30 +32,32 @@ tau_i is one bit and each xi_j exponent a field just wide enough for
 stem MAX_STEM = 255, 36 bits in all, so products are sums of codes.  A
 coproduct is the coproduct of the monomial's first generator power,
 built as codes (one tensor slot per binary digit of its exponent), times
-the cached coproduct of the rest, and is cached as those codes, which the
-Hopf suite reads directly; coproduct_terms decodes them into monomial
-pairs.  An antipode is the product of cached sub-antipodes, cached as
-monomials.  That layout holds every term of a monomial of stem <= 255,
-and both maps refuse larger ones with a WindowError.  Decoded monomials
-are interned by code: equal monomials across all cached antipodes and
-decoded coproducts are one shared object.
+the cached coproduct of the rest.  An antipode is the product of cached
+sub-antipodes.  Both maps are cached as ascending tuples of codes, which
+the Hopf suite reads directly; coproduct_terms decodes a coproduct into
+monomial pairs, and conjugate and antipode_dual look an antipode's codes
+up in the codes of its bidegree's basis.  That layout holds every term of
+a monomial of stem <= 255, and both maps refuse larger ones with a
+WindowError.  Antipode codes are interned: the terms of S(m) all lie in
+m's bidegree and repeat across antipodes, so equal codes across all
+cached antipodes are one shared int.  Coproduct codes are not.
 
 A MilnorAlgebra instance adds a stem window, guards against leaving it,
 and keeps the product caches, which live and die with it: the classical
 xi part of a product by its pair of exponent tuples, and the unit block of
 right multiplication by one basis monomial by the source bidegree and that
 monomial's place in its basis.  A product reads only the basis products it
-needs, so no whole multiplication table is built.  The module-level
-milnor_product runs the same code with a memo of its own and keeps
-nothing.  All cached data is immutable once built.
+needs, so no whole multiplication table is built.  All cached data is
+immutable once built.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from bisect import bisect_left
+from functools import lru_cache, reduce
 from itertools import accumulate
 from operator import add, xor
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from ._record import Record
 from .gf2 import BitMatrix, BitVector
@@ -377,7 +379,7 @@ def _delta_tau(i: int) -> list[int]:
     return terms
 
 
-def _times(xs: Iterable[int], ys: list[int], taus: int) -> set[int]:
+def _times(xs: Iterable[int], ys: Sequence[int], taus: int) -> set[int]:
     """The F2 sum of x + y over the pairs of codes that share no bit of
     taus: the packed product (sum xs) . (sum ys).  For one x the sums with
     distinct ys are distinct, so one update per x adds each product once."""
@@ -387,23 +389,16 @@ def _times(xs: Iterable[int], ys: list[int], taus: int) -> set[int]:
     return acc
 
 
-class _Canon(dict):
-    """code -> the one shared monomial of that code, decoded on first use;
-    every monomial in a cached antipode or a decoded coproduct is one of
-    these."""
-
-    def __missing__(self, code: int) -> DualMonomial:
-        eps = tuple(i for i in range(_TAU_BITS) if code >> i & 1)
-        r = _trim(code >> offset & (1 << width) - 1 for offset, width in _FIELDS)
-        m = self[code] = DualMonomial(eps, r)
-        _CODE[m] = code
-        return m
+def _decode(code: int) -> DualMonomial:
+    """The monomial of a packed code."""
+    eps = tuple(i for i in range(_TAU_BITS) if code >> i & 1) if code & TAU_MASK else ()
+    # the xi fields up to the one holding the top bit, so r comes trimmed
+    fields = _FIELDS[: bisect_left(_XI, code.bit_length(), 1) - 1]
+    return DualMonomial(eps, tuple([code >> offset & (1 << width) - 1 for offset, width in fields]))
 
 
-_CANON = _Canon()
-# the code of each shared monomial, read back when cached antipodes are
-# multiplied
-_CODE: dict[DualMonomial, int] = {}
+# code -> the one shared int of that code, for the codes of cached antipodes
+_SHARED: dict[int, int] = {}
 
 
 def _check_packable(m: DualMonomial, what: str) -> None:
@@ -440,16 +435,15 @@ def coproduct_monomial(m: DualMonomial) -> tuple[int, ...]:
 
 def coproduct_terms(m: DualMonomial) -> tuple[tuple[DualMonomial, DualMonomial], ...]:
     """The coproduct of a monomial as sorted (left, right) monomial pairs,
-    decoded afresh from coproduct_monomial.  Its factors are the shared
-    monomials of their codes, so equal factors of any two decoded
-    coproducts are the same object."""
+    decoded afresh from coproduct_monomial."""
     terms = coproduct_monomial(m)
-    return tuple(sorted([(_CANON[p >> CODE_BITS], _CANON[p & _SIDE]) for p in terms]))
+    return tuple(sorted([(_decode(p >> CODE_BITS), _decode(p & _SIDE)) for p in terms]))
 
 
 @lru_cache(maxsize=None)
-def antipode_monomial(m: DualMonomial) -> tuple[DualMonomial, ...]:
-    """Antipode on a monomial, as an algebra map; sorted terms.
+def antipode_monomial(m: DualMonomial) -> tuple[int, ...]:
+    """Antipode on a monomial, as an algebra map: the packed codes of its
+    terms, ascending.
 
     The dual is commutative, so S(m) = S(one factor) . S(the rest).  On
     generators the antipode axiom gives
@@ -461,11 +455,11 @@ def antipode_monomial(m: DualMonomial) -> tuple[DualMonomial, ...]:
     exponents doubled.  No coproduct is read, which keeps the antipode
     axiom in the Hopf suite an independent check.  The sub-antipodes are
     multiplied as packed ints by _times, like coproduct terms, so a
-    monomial of stem above MAX_STEM = 255 raises WindowError, and the
-    terms are the shared monomials of their codes.
+    monomial of stem above MAX_STEM = 255 raises WindowError, and each
+    code is the one shared int of its value.
     """
     if m.is_unit:
-        return (_CANON[0],)
+        return (0,)
     _check_packable(m, "antipode")
     eps, r = m
     if len(eps) + len(r) - r.count(0) > 1:  # two or more generator powers
@@ -473,26 +467,23 @@ def antipode_monomial(m: DualMonomial) -> tuple[DualMonomial, ...]:
             first, rest = tau_monomial(eps[0]), DualMonomial(eps[1:], r)
         else:
             first, rest = xi_monomial(len(r), r[-1]), DualMonomial((), _trim(r[:-1]))
-        acc = _times(_antipode_codes(first), _antipode_codes(rest), TAU_MASK)
+        acc = _times(antipode_monomial(first), antipode_monomial(rest), TAU_MASK)
     elif not eps and r[-1] > 1:
         j, e = len(r), r[-1]
         if e % 2 == 0:
             # tau-free, so doubling the code doubles the exponent in every
             # field, and the doubled exponents still fit theirs
-            return tuple(_CANON[c << 1] for c in _antipode_codes(xi_monomial(j, e // 2)))
-        first, rest = xi_monomial(j), xi_monomial(j, e - 1)
-        acc = _times(_antipode_codes(first), _antipode_codes(rest), TAU_MASK)
+            acc = [c << 1 for c in antipode_monomial(xi_monomial(j, e // 2))]
+        else:
+            first, rest = xi_monomial(j), xi_monomial(j, e - 1)
+            acc = _times(antipode_monomial(first), antipode_monomial(rest), TAU_MASK)
     else:
         # a generator: tau_n (its terms run from k = 0) or xi_n (from k = 1)
         n, generator, low = (eps[0], tau_monomial, 0) if eps else (len(r), xi_monomial, 1)
         acc = {1 << n if eps else 1 << _XI[n]}
         for k in range(low, n):
-            acc ^= _times([(1 << k) << _XI[n - k]], _antipode_codes(generator(k)), TAU_MASK)
-    return tuple(sorted([_CANON[c] for c in acc]))
-
-
-def _antipode_codes(m: DualMonomial) -> list[int]:
-    return [_CODE[t] for t in antipode_monomial(m)]
+            acc ^= _times([(1 << k) << _XI[n - k]], antipode_monomial(generator(k)), TAU_MASK)
+    return tuple(sorted([_SHARED.setdefault(c, c) for c in acc]))
 
 
 # ---------------------------------------------------------------------------
@@ -594,21 +585,6 @@ def _product_terms(m1: DualMonomial, m2: DualMonomial, xi: _XiMemo) -> Iterator[
             yield DualMonomial(eps, t)
 
 
-def milnor_product(m1: DualMonomial, m2: DualMonomial) -> tuple[DualMonomial, ...]:
-    """The monomials whose coproduct holds m1 (x) m2 an odd number of times.
-
-    This is the product of the functionals dual to m1 and m2, left operand
-    on the left factor, by Milnor's matrix formula: mod tau the dual is the
-    odd-primary dual at p = 2, so every sign is trivial.  The taus of m2
-    are placed first, then the xi parts are matched.  Sorted output.  Pure
-    and uncached: it runs the algebra's product code with a memo of its own.
-    """
-    out: dict[DualMonomial, int] = {}
-    for m in _product_terms(m1, m2, {}):
-        out[m] = out.get(m, 0) ^ 1
-    return tuple(sorted(m for m, odd in out.items() if odd))
-
-
 def _monomial_bits(index: dict[DualMonomial, int], monomials: Iterable[DualMonomial]) -> int:
     """The sum of the monomials, as bits over index."""
     bits = 0
@@ -617,15 +593,21 @@ def _monomial_bits(index: dict[DualMonomial, int], monomials: Iterable[DualMonom
     return bits
 
 
-def _antipode_bits(index: dict[DualMonomial, int], m: DualMonomial) -> int:
-    """S(m) as bits over index, the basis of m's bidegree.  A term outside
-    it, which only a faulty antipode gives, raises BidegreeMismatch."""
-    try:
-        return _monomial_bits(index, antipode_monomial(m))
-    except KeyError as exc:
-        raise BidegreeMismatch(
-            f"antipode of {m!r} has the term {exc.args[0]!r} outside {m.degree}"
-        ) from None
+def _antipode_rows(d: BiDegree, monomials: Iterable[DualMonomial]) -> Iterator[int]:
+    """S(m) for each of the monomials, of bidegree d, as bits over the
+    basis of d, whose places are looked up by code.  A term outside it,
+    which only a faulty antipode gives, raises BidegreeMismatch."""
+    places = {monomial_code(m): i for i, m in enumerate(bidegree_basis(d))}
+    for m in monomials:
+        bits = 0
+        try:
+            for c in antipode_monomial(m):
+                bits ^= 1 << places[c]
+        except KeyError as exc:
+            raise BidegreeMismatch(
+                f"antipode of {m!r} has the term {_decode(exc.args[0])!r} outside {d}"
+            ) from None
+        yield bits
 
 
 def _product_bits(
@@ -782,11 +764,8 @@ class MilnorAlgebra:
 
     def antipode_dual(self, x: DualElement) -> DualElement:
         """The antipode of x, from its own monomials only."""
-        index = basis_index(self.require(x.degree))
-        bits = 0
-        for m in x.monomials():
-            bits ^= _antipode_bits(index, m)
-        return DualElement(x.degree, bits)
+        d = self.require(x.degree)
+        return DualElement(d, reduce(xor, _antipode_rows(d, x.monomials()), 0))
 
     # -- pairing and products -------------------------------------------
 
@@ -911,12 +890,12 @@ class MilnorAlgebra:
         """Transpose of the dual antipode: <c(a), x> = <a, c(x)>.  Bit j is
         set when a meets S(m_j), the antipode of the j-th basis monomial, an
         odd number of times."""
-        index = basis_index(self.require(a.degree))
+        d = self.require(a.degree)
         bits = 0
-        for j, m in enumerate(bidegree_basis(a.degree)):
-            if (a.bits & _antipode_bits(index, m)).bit_count() & 1:
+        for j, row in enumerate(_antipode_rows(d, bidegree_basis(d))):
+            if (a.bits & row).bit_count() & 1:
                 bits |= 1 << j
-        return SteenrodElement(a.degree, bits)
+        return SteenrodElement(d, bits)
 
     # -- named elements ---------------------------------------------------
 

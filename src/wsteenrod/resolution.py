@@ -64,12 +64,12 @@ from .modules import GradedModule, InvariantViolation
 
 
 class PartialResultError(RuntimeError):
-    """A resource bound was hit; carries the chart completed so far."""
+    """A resource bound was hit; carries the chart completed so far, whose
+    max_stem is the last stem it completed."""
 
-    def __init__(self, message: str, chart: ExtChart, completed_stem: int):
+    def __init__(self, message: str, chart: ExtChart):
         super().__init__(message)
         self.chart = chart
-        self.completed_stem = completed_stem
 
 
 class Generator(NamedTuple):
@@ -385,13 +385,10 @@ def minimal_resolution(
         tally["generators"] += len(new)
         if max_gens_per_bidegree is not None and len(new) > max_gens_per_bidegree:
             # internal degrees below d's are done, which closes chart stems
-            # through d.stem - 1 - max_filt at every filtration; the chart
-            # and the reported bound are clamped alike
-            completed = max(d.stem - 1 - max_filt, -1)
+            # through d.stem - 1 - max_filt at every filtration (-1: none)
             raise PartialResultError(
                 f"more than {max_gens_per_bidegree} generators at filtration {s}, {d}",
-                res.chart().restricted(completed),
-                completed,
+                res.chart().restricted(max(d.stem - 1 - max_filt, -1)),
             )
         # the newborn generators close F_s(d): one unit block each, last
         offset = m.nrows

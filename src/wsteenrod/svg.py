@@ -16,7 +16,9 @@ MARGIN = 44
 RADIUS = 3
 
 
-def render_chart_svg(chart: ExtChart) -> str:
+def render_chart_svg(chart: ExtChart, partial: bool) -> str:
+    """The chart as SVG; a partial chart's title says the stem it is
+    complete through."""
     classes = chart.sorted_classes()
     if classes:
         stem_lo = min(min(c[1] for c in classes), 0)
@@ -35,13 +37,14 @@ def render_chart_svg(chart: ExtChart) -> str:
     def py(s: int) -> int:
         return height - MARGIN - (s - s_lo) * CELL - CELL // 2
 
+    note = f"partial, complete through stem {chart.max_stem}; " if partial else ""
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
         f'<text x="{MARGIN}" y="{MARGIN // 2}" font-size="12" '
-        f'font-family="monospace">{_esc(chart.module)} (stem vs filtration, '
+        f'font-family="monospace">{_esc(chart.module)} ({note}stem vs filtration, '
         f"label = weight)</text>",
     ]
     # grid

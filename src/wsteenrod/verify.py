@@ -119,7 +119,7 @@ def suite_hopf(config: VerifyConfig) -> list[VerificationReport]:
     pairs = {cm: coproduct_monomial(m) for m, cm in window}
     steps["coproducts"] = clock() - start
     start = clock()
-    antipodes = {cm: [monomial_code(t) for t in antipode_monomial(m)] for m, cm in window}
+    antipodes = {cm: antipode_monomial(m) for m, cm in window}
     for m, cm in window:
         terms = pairs[cm]
         # the terms with a unit factor are 1 (x) m and m (x) 1, once each

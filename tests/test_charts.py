@@ -117,7 +117,7 @@ def test_svg_handles_negative_stems_and_multiplicity():
     chart = _signed_chart(10)
     assert chart.mult(-2, -10, -6) == 1
     chart.add(2, 10, 6)  # force a multiplicity-2 spot next to (2,10,6)
-    svg = render_chart_svg(chart)
+    svg = render_chart_svg(chart, False)
     assert svg.startswith("<?xml")
     assert "(x2)" in svg
-    assert render_chart_svg(chart) == svg
+    assert render_chart_svg(chart, False) == svg

@@ -232,6 +232,29 @@ def test_chart_json_keeps_the_partial_header(tmp_path, capsys):
     assert again.read_bytes() == path.read_bytes()
 
 
+def test_chart_tsv_and_svg_mark_a_partial_chart(tmp_path, capsys):
+    # a truncated resolution's TSV (file and stdout) and SVG say it is
+    # partial; a complete chart's say nothing of it
+    argv = ["resolve", "--module", "wbp", "--max-stem", "24", "--max-filt", "12"]
+    partial, complete = tmp_path / "partial.json", tmp_path / "complete.json"
+    assert run(capsys, *argv, "--max-gens", "1", "--out", str(partial))[0] == 0
+    assert run(capsys, *argv[:4], "5", "--max-filt", "4", "--out", str(complete))[0] == 0
+    header = "stem\ts\tweight\tmult"
+    for path, marked in ((partial, True), (complete, False)):
+        tsv, svg = tmp_path / f"{path.stem}.tsv", tmp_path / f"{path.stem}.svg"
+        code, _, _ = run(capsys, "chart", "--in", str(path), "--tsv", str(tsv), "--svg", str(svg))
+        assert code == 0
+        code, out, _ = run(capsys, "chart", "--in", str(path))
+        assert code == 0 and out == tsv.read_text()
+        lines = out.splitlines()
+        if marked:
+            assert lines[:2] == ["# partial: complete through stem 5", header]
+            assert "(partial, complete through stem 5; stem vs filtration" in svg.read_text()
+        else:
+            assert lines[0] == header
+            assert "partial" not in out and "partial" not in svg.read_text()
+
+
 def test_chart_empty_svg(tmp_path, capsys):
     from wsteenrod.charts import ExtChart, chart_file_dumps
 

@@ -126,6 +126,60 @@ def test_every_lru_cache_is_known_to_the_cold_run_guard():
     assert caches <= {("wsteenrod.milnor", name) for name in child.COLD_CACHES}
 
 
+# the module-level dicts, sets and lists of wsteenrod that a resolve and a
+# verify run fill; the cold-run guard reads only cache_info(), so each is
+# listed here on purpose, and test_verify's _clear_hopf_caches empties it
+GROWING_CONTAINERS = {"wsteenrod.milnor._SHARED"}
+
+_GROWTH_SCRIPT = """
+import importlib, json, pkgutil
+import wsteenrod
+from wsteenrod.milnor import MilnorAlgebra
+from wsteenrod.modules import TrivialModule
+from wsteenrod.resolution import minimal_resolution
+from wsteenrod.verify import VerifyConfig, run_suites
+
+modules = [wsteenrod] + [
+    importlib.import_module(f"wsteenrod.{info.name}")
+    for info in pkgutil.iter_modules(wsteenrod.__path__)
+]
+
+def sizes():
+    return {
+        f"{module.__name__}.{name}": len(value)
+        for module in modules
+        for name, value in vars(module).items()
+        if not name.startswith("__") and isinstance(value, (dict, set, list))
+    }
+
+before = sizes()
+minimal_resolution(TrivialModule(MilnorAlgebra(14)), 12, 6)
+run_suites(["all"], VerifyConfig(12))
+after = sizes()
+print(json.dumps(sorted(name for name, n in after.items() if n > before.get(name, 0))))
+"""
+
+
+def test_only_known_module_level_containers_grow():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _GROWTH_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout.splitlines()[-1])) == GROWING_CONTAINERS
+    # the Hopf tests' cold fixture empties each of them
+    from test_verify import _clear_hopf_caches
+
+    from wsteenrod import milnor
+
+    milnor.antipode_monomial(milnor.xi_monomial(2))
+    _clear_hopf_caches()
+    for qualname in GROWING_CONTAINERS:
+        module, name = qualname.rsplit(".", 1)
+        assert not getattr(importlib.import_module(module), name), qualname
+
+
 # every parameter of the library that has a default, as (module, function,
 # parameter); a new default is a new knob, so it is added here on purpose
 DEFAULTED_PARAMETERS = {

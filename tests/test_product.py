@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from wsteenrod.classical import milnor_product as classical_milnor_product
 from wsteenrod.gf2 import BitMatrix
 from wsteenrod.milnor import (
+    CODE_BITS,
     BiDegree,
     MilnorAlgebra,
     SteenrodElement,
@@ -15,8 +16,8 @@ from wsteenrod.milnor import (
     coproduct_terms,
     dual_element,
     enumerate_window_monomials,
-    milnor_product,
     monomial,
+    monomial_code,
     pst_degree,
     tau_monomial,
     xi_degree,
@@ -257,13 +258,9 @@ def test_mult_table_split_build_matches_definition():
     assert empty  # splits without coproduct terms are covered too
 
 
-def test_coproduct_monomials_interned():
-    canonical = {}
+def test_coproduct_monomial_cache_matches_uncached():
     for m in enumerate_window_monomials(12):
         assert coproduct_monomial(m) == coproduct_monomial.__wrapped__(m)
-        for pair in coproduct_terms(m):
-            for factor in pair:
-                assert canonical.setdefault(factor, factor) is factor
 
 
 ORACLE_STEM = 28
@@ -276,6 +273,11 @@ def _fitting(m1):
     return [m for m in _BY_STEM if m.degree.stem <= room]
 
 
+def _basis_product(alg, m1, m2):
+    """The product of the basis functionals dual to m1 and m2."""
+    return alg.product(alg.from_dual_monomial(m1), alg.from_dual_monomial(m2))
+
+
 @given(
     st.sampled_from(_BY_STEM).flatmap(
         lambda m1: st.tuples(st.just(m1), st.sampled_from(_fitting(m1)))
@@ -285,14 +287,16 @@ def _fitting(m1):
 @example((monomial([0], [2, 1]), monomial([1], [1])))
 @example((xi_monomial(1, 4), tau_monomial(2)))
 def test_milnor_product_is_transposed_coproduct(pair):
-    # <a.b, m> = sum <a, m_(1)> <b, m_(2)>, read off the coproduct itself
+    # <a.b, m> = sum <a, m_(1)> <b, m_(2)>, read off the cached coproduct
+    # itself, whose term m1 (x) m2 is packed as below
     m1, m2 = pair
+    term = monomial_code(m1) << CODE_BITS | monomial_code(m2)
     want = tuple(
         m
         for m in bidegree_basis(m1.degree + m2.degree)
-        if (m1, m2) in coproduct_terms(m)
+        if term in coproduct_monomial(m)
     )
-    assert milnor_product(m1, m2) == want
+    assert _basis_product(MilnorAlgebra(ORACLE_STEM), m1, m2).dual_monomials() == want
 
 
 def test_xi_memo_is_the_classical_product():
@@ -316,14 +320,14 @@ def test_xi_memo_is_the_classical_product():
 
 
 def _right_mult_by_definition(d1, b):
-    """Rows x -> x . b from the module-level milnor_product, pair by pair."""
-    index = basis_index(d1 + b.degree)
+    """Rows x -> x . b, pair by pair of basis functionals, from the products
+    of an algebra of their own."""
+    alg = MilnorAlgebra(16)
     rows = []
     for m1 in bidegree_basis(d1):
         bits = 0
         for m2 in b.dual_monomials():
-            for m in milnor_product(m1, m2):
-                bits ^= 1 << index[m]
+            bits ^= _basis_product(alg, m1, m2).bits
         rows.append(bits)
     return rows
 
@@ -360,13 +364,11 @@ def test_algebras_share_no_memo():
     a.right_mult_matrix(BiDegree(4, 2), y)
     assert a._xi and a._rmul
     assert not b._xi and not b._rmul
-    # the module-level product reads and fills neither
-    sizes = len(a._xi), len(a._rmul)
-    assert milnor_product(xi_monomial(1, 2), xi_monomial(2)) == a.product(x, y).dual_monomials()
-    assert (len(a._xi), len(a._rmul)) == sizes and not b._xi
 
 
 def test_product_is_a_sum_of_milnor_products(alg16):
+    # the basis products come from an algebra of their own
+    pairs = MilnorAlgebra(16)
     rng = random.Random(31)
     degrees = list(alg16.bidegrees(8))
     for _ in range(60):
@@ -375,7 +377,8 @@ def test_product_is_a_sum_of_milnor_products(alg16):
             continue
         a = SteenrodElement(d1, rng.getrandbits(alg16.dim(d1)))
         b = SteenrodElement(d2, rng.getrandbits(alg16.dim(d2)))
-        terms = [m for m1 in a.dual_monomials() for m2 in b.dual_monomials()
-                 for m in milnor_product(m1, m2)]
-        want = dual_element(terms, d1 + d2).bits
+        want = 0
+        for m1 in a.dual_monomials():
+            for m2 in b.dual_monomials():
+                want ^= _basis_product(pairs, m1, m2).bits
         assert alg16.product(a, b) == SteenrodElement(d1 + d2, want)

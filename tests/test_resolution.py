@@ -112,8 +112,7 @@ def test_partial_result(alg16):
     with pytest.raises(PartialResultError) as exc:
         minimal_resolution(TrivialModule(alg16), 12, 8, max_gens_per_bidegree=0)
     assert exc.value.chart is not None
-    assert exc.value.completed_stem < 12
-    assert exc.value.completed_stem == exc.value.chart.max_stem
+    assert exc.value.chart.max_stem < 12
 
 
 def test_wbp_truncated_small(alg24):

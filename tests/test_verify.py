@@ -59,7 +59,7 @@ def test_hopf_suite_sees_broken_structure(monkeypatch):
     assert _hopf_failures(monkeypatch, coproduct=terms[:k] + terms[k + 1:]) == both
     swapped = terms[:k] + (pair_code(right, left),) + terms[k + 1:]
     assert _hopf_failures(monkeypatch, coproduct=swapped) == both
-    extra = tuple(sorted(antipode_monomial(TARGET) + (monomial((2,), (0, 1)),)))
+    extra = tuple(sorted(antipode_monomial(TARGET) + (monomial_code(monomial((2,), (0, 1))),)))
     assert _hopf_failures(monkeypatch, antipode=extra) == [("hopf_antipode_axiom", 9)]
     # a term with a factor that is no window monomial's code fails, and
     # does not crash, the checks that look the factor up
@@ -125,12 +125,11 @@ def test_coassociativity_matches_two_set_reference(monkeypatch):
 
 
 def _clear_hopf_caches():
-    """Empty both cached Hopf maps and the shared monomials of their codes;
+    """Empty both cached Hopf maps and the shared ints of antipode codes;
     the maps are this module's imports, never a fault patched over them."""
     coproduct_monomial.cache_clear()
     antipode_monomial.cache_clear()
-    milnor._CANON.clear()
-    milnor._CODE.clear()
+    milnor._SHARED.clear()
 
 
 @pytest.fixture
@@ -155,6 +154,16 @@ def test_cold_hopf_suite_reads_packed_codes_only(monkeypatch, cold_hopf):
         terms = coproduct_monomial(m)
         assert type(terms) is tuple and all(type(p) is int for p in terms), m
     assert coproduct_monomial.cache_info().misses == built.misses
+    # every cached antipode is a window monomial's, held as a tuple of ints,
+    # and equal codes across cached antipodes are one object
+    built = antipode_monomial.cache_info()
+    assert built.currsize == len(window)
+    shared = {}
+    for m in window:
+        codes = antipode_monomial(m)
+        assert type(codes) is tuple and all(type(c) is int for c in codes), m
+        assert all(shared.setdefault(c, c) is c for c in codes), m
+    assert antipode_monomial.cache_info().misses == built.misses
 
 
 def _times_unfiltered(xs, ys, taus):
@@ -172,8 +181,7 @@ def _antipode_quadrupled(antipode):
     def faulty(m):
         eps, r = m
         if not eps and len(r) - r.count(0) == 1 and r[-1] % 2 == 0:
-            half = milnor._antipode_codes(xi_monomial(len(r), r[-1] // 2))
-            return tuple(milnor._CANON[c << 2] for c in half)
+            return tuple(c << 2 for c in milnor.antipode_monomial(xi_monomial(len(r), r[-1] // 2)))
         return antipode(m)
 
     return faulty

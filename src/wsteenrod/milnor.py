@@ -26,19 +26,21 @@ reading any coproduct.
 
 Bases, coproducts and antipodes are intrinsic to a bidegree or a monomial
 and cached at module level: bidegree_basis and basis_index by bidegree,
-coproduct_monomial and antipode_monomial by monomial.  Both Hopf maps
-multiply cached terms as packed ints, through the one product _times:
-tau_i is one bit and each xi_j exponent a field just wide enough for
-stem MAX_STEM = 255, 36 bits in all, so products are sums of codes.  A
-coproduct is the coproduct of the monomial's first generator power,
-built as codes (one tensor slot per binary digit of its exponent), times
-the cached coproduct of the rest.  An antipode is the product of cached
-sub-antipodes.  Both maps are cached as ascending tuples of codes, which
-the Hopf suite reads directly; coproduct_terms decodes a coproduct into
-monomial pairs, and conjugate and antipode_dual look an antipode's codes
-up in the codes of its bidegree's basis.  That layout holds every term of
-a monomial of stem <= 255, and both maps refuse larger ones with a
-WindowError.  Antipode codes are interned: the terms of S(m) all lie in
+coproduct_monomial and antipode_monomial by monomial.  The dual product
+is the sum of packed codes everywhere: tau_i is one bit and each xi_j
+exponent a field just wide enough for stem MAX_STEM = 255, 36 bits in
+all, so monomials with no common tau multiply by adding their codes.
+Both Hopf maps multiply cached terms through the one product _times, and
+the coproduct of an operation (coproduct_components) reads it at code
+sums.  A coproduct is the coproduct of the monomial's first generator
+power, built as codes (one tensor slot per binary digit of its exponent),
+times the cached coproduct of the rest.  An antipode is the product of
+cached sub-antipodes.  Both maps are cached as ascending tuples of codes,
+which the Hopf suite reads directly; coproduct_terms decodes a coproduct
+into monomial pairs, and conjugate and antipode_dual look an antipode's
+codes up in the codes of its bidegree's basis.  That layout holds every
+term of a monomial of stem <= 255, and all three refuse larger ones with
+a WindowError.  Antipode codes are interned: the terms of S(m) all lie in
 m's bidegree and repeat across antipodes, so equal codes across all
 cached antipodes are one shared int.  Coproduct codes are not.
 
@@ -56,7 +58,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache, reduce
 from itertools import accumulate
-from operator import add, xor
+from operator import xor
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from ._record import Record
@@ -163,25 +165,6 @@ def xi_monomial(j: int, e: int = 1) -> DualMonomial:
 
 def tau_monomial(i: int) -> DualMonomial:
     return DualMonomial((i,), ())
-
-
-def multiply_monomials(a: DualMonomial, b: DualMonomial) -> DualMonomial | None:
-    """Product in the dual algebra; None when a tau factor repeats."""
-    ea, ra = a
-    eb, rb = b
-    if not (ea or ra):
-        return b
-    if not (eb or rb):
-        return a
-    if not ea or not eb:
-        eps = ea or eb
-    elif set(ea).isdisjoint(eb):
-        eps = tuple(sorted(ea + eb))
-    else:
-        return None
-    if len(ra) < len(rb):
-        ra, rb = rb, ra
-    return DualMonomial(eps, tuple(map(add, ra, rb)) + ra[len(rb):])
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +384,16 @@ def _decode(code: int) -> DualMonomial:
 _SHARED: dict[int, int] = {}
 
 
-def _check_packable(m: DualMonomial, what: str) -> None:
+def _check_packable(m: DualMonomial | SteenrodElement, what: str) -> None:
     if m.degree.stem > MAX_STEM:
         raise WindowError(
             f"{what} of {m!r} exceeds stem <= {MAX_STEM}, the bound of its packed terms"
         )
+
+
+def _code_places(d: BiDegree) -> dict[int, int]:
+    """The place of each monomial of the basis of d, by its code."""
+    return {monomial_code(m): i for i, m in enumerate(bidegree_basis(d))}
 
 
 @lru_cache(maxsize=None)
@@ -597,7 +585,7 @@ def _antipode_rows(d: BiDegree, monomials: Iterable[DualMonomial]) -> Iterator[i
     """S(m) for each of the monomials, of bidegree d, as bits over the
     basis of d, whose places are looked up by code.  A term outside it,
     which only a faulty antipode gives, raises BidegreeMismatch."""
-    places = {monomial_code(m): i for i, m in enumerate(bidegree_basis(d))}
+    places = _code_places(d)
     for m in monomials:
         bits = 0
         try:
@@ -862,29 +850,27 @@ class MilnorAlgebra:
     ) -> list[tuple[SteenrodElement, SteenrodElement]]:
         """The (left, |a|-left) component of the coproduct of an operation.
 
-        Transposes the dual product: the (i, j) coefficient is the value of
-        a on basis(left)[i] * basis(right)[j].  The dual algebra is
-        commutative, so this coproduct is cocommutative and no pairing
-        convention enters.
+        Transposes the dual product: the (i, j) coefficient is the bit of a
+        at code(basis(left)[i]) + code(basis(right)[j]) when the two codes
+        share no tau, else 0, so a of stem above MAX_STEM raises
+        WindowError.  The dual algebra is commutative, so this coproduct is
+        cocommutative and no pairing convention enters.
         """
+        _check_packable(a, "coproduct")
         left = BiDegree(*left)
         right = a.degree - left
-        if bidegree_dim(left) == 0 or bidegree_dim(right) == 0:
+        lcodes = [monomial_code(m) for m in bidegree_basis(left)]
+        rcodes = [monomial_code(m) for m in bidegree_basis(right)]
+        if not lcodes or not rcodes:
             return []
-        lbasis = bidegree_basis(left)
-        rbasis = bidegree_basis(right)
-        index = basis_index(a.degree)
-        out = []
-        for i, lm in enumerate(lbasis):
-            for j, rm in enumerate(rbasis):
-                m = multiply_monomials(lm, rm)
-                if m is None:
-                    continue
-                if (a.bits >> index[m]) & 1:
-                    out.append(
-                        (SteenrodElement(left, 1 << i), SteenrodElement(right, 1 << j))
-                    )
-        return out
+        places = _code_places(a.degree)
+        bits = a.bits
+        return [
+            (SteenrodElement(left, 1 << i), SteenrodElement(right, 1 << j))
+            for i, x in enumerate(lcodes)
+            for j, y in enumerate(rcodes)
+            if not x & y & TAU_MASK and bits >> places[x + y] & 1
+        ]
 
     def conjugate(self, a: SteenrodElement) -> SteenrodElement:
         """Transpose of the dual antipode: <c(a), x> = <a, c(x)>.  Bit j is

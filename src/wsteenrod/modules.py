@@ -215,7 +215,12 @@ class QuotientModule(GradedModule):
 
 
 class TensorModule(GradedModule):
-    """Tensor product with the diagonal action a.(x (x) y) = sum a_(1)x (x) a_(2)y."""
+    """Tensor product with the diagonal action a.(x (x) y) = sum a_(1)x (x) a_(2)y.
+
+    The basis at d has one block per left bidegree dl, and x_i (x) y_j of
+    a block is at offset + i * (right dim) + j; an operation acts on a
+    block by the Kronecker products of the factors' action matrices.
+    """
 
     def __init__(self, left: GradedModule, right: GradedModule):
         if left.algebra is not right.algebra:
@@ -224,14 +229,17 @@ class TensorModule(GradedModule):
         self.left = left
         self.right = right
         self.name = f"{left.name} (x) {right.name}"
-        self._basis: dict[BiDegree, tuple[tuple[BiDegree, int, int], ...]] = {}
+        self._blocks: dict[BiDegree, tuple[tuple[BiDegree, int, int, int], ...]] = {}
         self._lsupport = sorted(left.support())
 
-    def basis_layout(self, d: BiDegree) -> tuple[tuple[BiDegree, int, int], ...]:
+    def blocks(self, d: BiDegree) -> tuple[tuple[BiDegree, int, int, int], ...]:
+        """(dl, left dim, right dim, offset) for each left bidegree dl
+        where both factors are nonzero."""
         d = BiDegree(*d)
-        layout = self._basis.get(d)
-        if layout is None:
+        blocks = self._blocks.get(d)
+        if blocks is None:
             out = []
+            offset = 0
             for dl in self._lsupport:
                 dr = d - dl
                 if dr.stem < 0 or dr.weight < 0:
@@ -240,44 +248,40 @@ class TensorModule(GradedModule):
                 if nr == 0:
                     continue
                 nl = self.left.dim(dl)
-                for i in range(nl):
-                    for j in range(nr):
-                        out.append((dl, i, j))
-            layout = tuple(out)
-            self._basis[d] = layout
-        return layout
+                out.append((dl, nl, nr, offset))
+                offset += nl * nr
+            blocks = self._blocks[d] = tuple(out)
+        return blocks
 
     def dim(self, d: BiDegree) -> int:
-        return len(self.basis_layout(d))
+        return sum(nl * nr for _, nl, nr, _ in self.blocks(d))
 
     def op_matrix(self, a: SteenrodElement, d: BiDegree) -> BitMatrix:
         d = BiDegree(*d)
         target = d + a.degree
-        layout = self.basis_layout(d)
-        target_layout = self.basis_layout(target)
-        target_pos = {key: p for p, key in enumerate(target_layout)}
+        places = {dl: (nr, offset) for dl, _, nr, offset in self.blocks(target)}
         splits = []
-        for d1s in range(a.degree.stem + 1):
-            for d1w in range(a.degree.weight + 1):
-                d1 = BiDegree(d1s, d1w)
-                comps = self.algebra.coproduct_components(a, d1)
-                if comps:
-                    splits.append((d1, a.degree - d1, comps))
-        rows = []
-        for dl, i, j in layout:
-            dr = d - dl
-            acc = 0
-            for d1, d2, comps in splits:
+        for d1 in self.algebra.bidegrees(a.degree.stem):
+            comps = self.algebra.coproduct_components(a, d1)
+            if comps:
+                splits.append((d1, comps))
+        rows = [0] * self.dim(d)
+        for dl, _, nr, offset in self.blocks(d):
+            for d1, comps in splits:
+                if dl + d1 not in places:
+                    continue
+                tnr, toffset = places[dl + d1]
                 for u, v in comps:
-                    lv = self.left.act(u, dl, BitVector(self.left.dim(dl), 1 << i))
-                    rv = self.right.act(v, dr, BitVector(self.right.dim(dr), 1 << j))
-                    if lv.is_zero() or rv.is_zero():
-                        continue
-                    for li in lv.support():
-                        for rj in rv.support():
-                            acc ^= 1 << target_pos[(dl + d1, li, rj)]
-            rows.append(acc)
-        return BitMatrix(len(target_layout), rows)
+                    rrows = self.right.op_matrix(v, d - dl).rows
+                    for i, lrow in enumerate(self.left.op_matrix(u, dl).rows):
+                        # x_i (x) y_j, at offset + i * nr + j, adds
+                        # x'_k (x) rrows[j] for each bit k of lrow
+                        for k in range(lrow.bit_length()):
+                            if lrow >> k & 1:
+                                shift = toffset + k * tnr
+                                for p, rrow in enumerate(rrows, offset + i * nr):
+                                    rows[p] ^= rrow << shift
+        return BitMatrix(self.dim(target), rows)
 
 
 def tensor_power(m: GradedModule, power: int) -> GradedModule:

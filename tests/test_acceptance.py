@@ -5,22 +5,13 @@ output).  Windows follow the stated bounds; the backing algebra window is
 two stems above a resolution's chart window by the resolver's contract.
 """
 
-import json
 import random
 from contextlib import contextmanager
-
-import pytest
 
 from wsteenrod import algebra as shared_algebra
 from wsteenrod.charts import compare_charts, koszul_chart, polynomial_chart, w_class_degree
 from wsteenrod.classical import milnor_product, to_classical
-from wsteenrod.milnor import (
-    BiDegree,
-    SteenrodElement,
-    enumerate_window_monomials,
-    pst_degree,
-    xi_degree,
-)
+from wsteenrod.milnor import enumerate_window_monomials, pst_degree, xi_degree
 from wsteenrod.modules import AlgebraModule, QuotientModule, margolis
 from wsteenrod.resolution import minimal_resolution
 from wsteenrod.towers import (

@@ -1,8 +1,6 @@
 import random
 
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 from wsteenrod.gf2 import BitMatrix, BitVector
 from wsteenrod.milnor import (
@@ -24,7 +22,6 @@ from wsteenrod.milnor import (
     enumerate_window_monomials,
     monomial,
     monomial_code,
-    multiply_monomials,
     tau_monomial,
     xi_degree,
     xi_monomial,
@@ -72,15 +69,9 @@ def test_basis_matches_window_sweep():
             assert set(bidegree_basis(d)) == by_degree.get(d, set())
 
 
-def test_dual_product():
-    t0 = tau_monomial(0)
-    assert multiply_monomials(t0, t0) is None
-    assert multiply_monomials(xi_monomial(1), xi_monomial(1)) == xi_monomial(1, 2)
-    assert multiply_monomials(t0, xi_monomial(1)) == monomial([0], [1])
-
-
 def multiply_by_exponents(a, b):
-    """The dual product, exponent by exponent: the reference for multiply_monomials."""
+    """The dual product, exponent by exponent; None when a tau repeats: the
+    reference for the packed code sum and for coproduct_components."""
     if a.is_unit:
         return b
     if b.is_unit:
@@ -94,17 +85,6 @@ def multiply_by_exponents(a, b):
         for i in range(n)
     )
     return DualMonomial(eps, r)
-
-
-_WINDOW_28 = list(enumerate_window_monomials(28))
-
-
-@given(st.sampled_from(_WINDOW_28), st.sampled_from(_WINDOW_28))
-@example(monomial([0, 2], [1]), monomial([2], [0, 1]))  # a common tau: None
-@example(monomial([1], [3]), monomial([0, 2], [1, 0, 1]))
-@example(UNIT_MONOMIAL, monomial([1], [2]))
-def test_multiply_monomials_matches_exponent_sum(a, b):
-    assert multiply_monomials(a, b) == multiply_by_exponents(a, b)
 
 
 def test_coproduct_xi1():
@@ -165,9 +145,9 @@ def delta_xi_power_by_compositions(j, e):
                 if c == 0:
                     continue
                 if j - i > 0:
-                    left = multiply_monomials(left, xi_monomial(j - i, (2**i) * c))
+                    left = multiply_by_exponents(left, xi_monomial(j - i, (2**i) * c))
                 if i > 0:
-                    right = multiply_monomials(right, xi_monomial(i, c))
+                    right = multiply_by_exponents(right, xi_monomial(i, c))
             terms.append((left, right))
             return
         for i in range(j + 1):
@@ -209,7 +189,7 @@ def coproduct_from_factors(m):
         nxt = {}
         for left, right in acc:
             for fl, fr in factor:
-                pair = (multiply_monomials(left, fl), multiply_monomials(right, fr))
+                pair = (multiply_by_exponents(left, fl), multiply_by_exponents(right, fr))
                 if None not in pair:
                     nxt[pair] = nxt.get(pair, 0) ^ 1
         acc = {pair: 1 for pair, odd in nxt.items() if odd}
@@ -248,12 +228,55 @@ def test_packing_injective_and_additive():
         for b, sb in zip(by_stem, stems):
             if sa + sb > 40:
                 break
-            product = multiply_monomials(a, b)
+            product = multiply_by_exponents(a, b)
             if product is None:
                 assert codes[a] & codes[b] & TAU_MASK
             else:
                 assert not codes[a] & codes[b] & TAU_MASK
                 assert codes[product] == codes[a] + codes[b]
+
+
+def coproduct_components_by_transpose(d, left):
+    """The (left, d - left) component of the coproduct of each basis
+    functional at d, as (i, j) pairs: the transpose of the dual products
+    basis(left)[i] * basis(d - left)[j], multiplied exponent by exponent."""
+    index = basis_index(d)
+    out = {k: [] for k in range(len(index))}
+    for i, lm in enumerate(bidegree_basis(left)):
+        for j, rm in enumerate(bidegree_basis(d - left)):
+            m = multiply_by_exponents(lm, rm)
+            if m is not None:
+                out[index[m]].append((i, j))
+    return out
+
+
+def test_coproduct_components_transpose_the_dual_product(alg16):
+    # every basis functional of stem <= 16 at every left bidegree, and the
+    # sum of all of them, whose components are the union of theirs
+    for d in alg16.bidegrees(16):
+        for left in alg16.bidegrees(d.stem):
+            want = coproduct_components_by_transpose(d, left)
+
+            def components(pairs):
+                return [
+                    (SteenrodElement(left, 1 << i), SteenrodElement(d - left, 1 << j))
+                    for i, j in pairs
+                ]
+
+            for k, pairs in want.items():
+                got = alg16.coproduct_components(SteenrodElement(d, 1 << k), left)
+                assert got == components(pairs), (d, left, k)
+            every = SteenrodElement(d, (1 << len(want)) - 1)
+            union = sorted(pair for pairs in want.values() for pair in pairs)
+            assert alg16.coproduct_components(every, left) == components(union), (d, left)
+
+
+def test_coproduct_components_refuse_operations_past_the_packed_layout(alg16):
+    # the terms of an operation at stem 256 have codes that overflow their
+    # fields, so its coproduct is refused like coproduct_monomial's
+    a = SteenrodElement(BiDegree(256, 128), 1)
+    with pytest.raises(WindowError, match="255"):
+        alg16.coproduct_components(a, BiDegree(0, 0))
 
 
 def antipode_terms(m):
@@ -279,7 +302,7 @@ def antipode_by_recursion(m, memo):
             if left.is_unit or right.is_unit:
                 continue
             for c in antipode_by_recursion(right, memo):
-                t = multiply_monomials(left, c)
+                t = multiply_by_exponents(left, c)
                 if t is not None:
                     acc[t] = acc.get(t, 0) ^ 1
         memo[m] = tuple(sorted(t for t, odd in acc.items() if odd))
@@ -363,7 +386,7 @@ def dual_product(alg, a, b):
     bits = 0
     for ma in a.monomials():
         for mb in b.monomials():
-            m = multiply_monomials(ma, mb)
+            m = multiply_by_exponents(ma, mb)
             if m is not None:
                 bits ^= 1 << index[m]
     return DualElement(d, bits)

@@ -111,22 +111,29 @@ def test_milnor_moore_freeness(alg16):
 
 
 def test_act_associative_on_quotient(alg16):
-    rng = random.Random(31)
-    q = QuotientModule(alg16, (1,))
-    degrees = [d for d in alg16.bidegrees(4)]
+    # the quotient, and the tensor squares of A//E(P_1) and A//E(P_2) with
+    # the diagonal action
+    q1, q2 = QuotientModule(alg16, (1,)), QuotientModule(alg16, (2,))
+    for module in (q1, TensorModule(q1, q1), TensorModule(q2, q2)):
+        _assert_act_associative(module, random.Random(31))
+
+
+def _assert_act_associative(module, rng):
+    alg = module.algebra
+    degrees = [d for d in alg.bidegrees(4)]
     for _ in range(30):
         d1, d2 = rng.choice(degrees), rng.choice(degrees)
-        for dm in list(q.support(6)):
+        for dm in list(module.support(6)):
             if (dm + d1 + d2).stem > 14:
                 continue
-            a = SteenrodElement(d1, rng.getrandbits(alg16.dim(d1)))
-            b = SteenrodElement(d2, rng.getrandbits(alg16.dim(d2)))
-            n = q.dim(dm)
+            a = SteenrodElement(d1, rng.getrandbits(alg.dim(d1)))
+            b = SteenrodElement(d2, rng.getrandbits(alg.dim(d2)))
+            n = module.dim(dm)
             if n == 0:
                 continue
             x = BitVector(n, rng.getrandbits(n))
-            lhs = q.act(alg16.product(a, b), dm, x)
-            rhs = q.act(a, BiDegree(*dm) + d2, q.act(b, dm, x))
+            lhs = module.act(alg.product(a, b), dm, x)
+            rhs = module.act(a, BiDegree(*dm) + d2, module.act(b, dm, x))
             assert lhs == rhs
 
 
@@ -159,6 +166,57 @@ def test_tensor_diagonal_examples(alg16):
         for w in range(s + 1):
             if t.dim(BiDegree(s, w)):
                 assert s - 2 * w >= 0
+
+
+def tensor_op_matrix_by_vectors(t, a, d):
+    """TensorModule.op_matrix one basis vector at a time: x_i (x) y_j goes
+    to the sum of a'x_i (x) a''y_j over the coproduct components, through
+    act on each factor and a per-vector layout (left bidegree, i, j) in the
+    order of left.support().  The reference for the block action."""
+
+    def layout(d):
+        return [
+            (dl, i, j)
+            for dl in sorted(t.left.support())
+            if (d - dl).stem >= 0 and (d - dl).weight >= 0
+            for i in range(t.left.dim(dl))
+            for j in range(t.right.dim(d - dl))
+        ]
+
+    target = d + a.degree
+    target_pos = {key: p for p, key in enumerate(layout(target))}
+    rows = []
+    for dl, i, j in layout(d):
+        dr = d - dl
+        acc = 0
+        for d1s in range(a.degree.stem + 1):
+            for d1w in range(a.degree.weight + 1):
+                d1 = BiDegree(d1s, d1w)
+                for u, v in t.algebra.coproduct_components(a, d1):
+                    lv = t.left.act(u, dl, BitVector(t.left.dim(dl), 1 << i))
+                    rv = t.right.act(v, dr, BitVector(t.right.dim(dr), 1 << j))
+                    for li in lv.support():
+                        for rj in rv.support():
+                            acc ^= 1 << target_pos[(dl + d1, li, rj)]
+        rows.append(acc)
+    return BitMatrix(len(target_pos), rows)
+
+
+def test_tensor_action_matches_per_vector_reference(alg16):
+    # random operations on the tensor squares of A//E(P_1) and A//E(P_2)
+    # and on their mixed product, whose factors differ in every block shape
+    rng = random.Random(5)
+    q1, q2 = QuotientModule(alg16, (1,)), QuotientModule(alg16, (2,))
+    modules = [TensorModule(q1, q1), TensorModule(q2, q2), TensorModule(q1, q2)]
+    degrees = list(alg16.bidegrees(16))
+    checked = 0
+    while checked < 200:
+        t, da, d = rng.choice(modules), rng.choice(degrees), rng.choice(degrees)
+        if (d + da).stem > 16 or t.dim(d) == 0:
+            continue
+        a = SteenrodElement(da, rng.getrandbits(alg16.dim(da)) or 1)
+        assert t.op_matrix(a, d) == tensor_op_matrix_by_vectors(t, a, d), (t.name, da, d)
+        checked += 1
 
 
 def test_tensor_power_cube(alg16):

@@ -11,7 +11,6 @@ from wsteenrod.gf2 import BitMatrix, rank
 from wsteenrod.charts import compare_charts, koszul_chart
 from wsteenrod.milnor import (
     BiDegree,
-    UNIT_MONOMIAL,
     coproduct_terms,
     enumerate_window_monomials,
 )

@@ -229,3 +229,30 @@ def test_defaulted_parameters_are_known():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         found |= set(_defaulted_parameters(path.stem, tree))
     assert found == DEFAULTED_PARAMETERS
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names that a file imports and never reads, as "file:line name".
+    __future__ imports and names on a line marked ``# noqa: F401`` are
+    skipped."""
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    where = path.relative_to(ROOT)
+    return [f"{where}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    # no linter is installed, so this is the check for the library and tests
+    paths = [*(ROOT / "src" / "wsteenrod").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    assert [entry for path in sorted(paths) for entry in _unused_imports(path)] == []

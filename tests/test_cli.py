@@ -473,16 +473,28 @@ def test_verify_out_bytes_pinned_at_32(tmp_path, capsys):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == VERIFY_32_SHA256
 
 
-# SHA-256 of `verify --suite hopf --max-stem 40 --out F`: the Hopf checks at a
-# window where the coassociativity loop reads about 3.0 M packed triples
+# SHA-256 of `verify --suite hopf --max-stem 40 --out F` and at 48: windows
+# where the per-monomial coassociativity check reads about 3.0 M and 12.7 M
+# packed triples; it runs only when the proof on the generators fails
 VERIFY_HOPF_40_SHA256 = "2505f2b731cf5830753c7af3b28cce9b7ee360c581b7802636fa841726d97f2f"
+VERIFY_HOPF_48_SHA256 = "882369a4b1573d7c40a5fa0460b2dc2332e451e6457d230fffc051a76cb13041"
+
+
+def _hopf_out_sha256(tmp_path, capsys, max_stem):
+    path = tmp_path / "hopf.json"
+    code, _, _ = run(
+        capsys, "verify", "--suite", "hopf", "--max-stem", max_stem, "--out", str(path)
+    )
+    assert code == 0
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_verify_hopf_out_bytes_pinned_at_40(tmp_path, capsys):
-    path = tmp_path / "hopf40.json"
-    code, _, _ = run(capsys, "verify", "--suite", "hopf", "--max-stem", "40", "--out", str(path))
-    assert code == 0
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == VERIFY_HOPF_40_SHA256
+    assert _hopf_out_sha256(tmp_path, capsys, "40") == VERIFY_HOPF_40_SHA256
+
+
+def test_verify_hopf_out_bytes_pinned_at_48(tmp_path, capsys):
+    assert _hopf_out_sha256(tmp_path, capsys, "48") == VERIFY_HOPF_48_SHA256
 
 
 def test_verify_progress_changes_no_bytes(tmp_path, capsys):

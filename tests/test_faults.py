@@ -42,6 +42,23 @@ FAULTS = {
             "product_coproduct_duality",
         ),
     ),
+    "delta-xi-power-unshifted-left": (
+        "milnor.py",
+        "left = (c << i) << _XI[j - i] if i < j else 0",
+        "left = c << _XI[j - i] if i < j else 0",
+        ("hopf_antipode_axiom", "hopf_coassociativity", "product_coproduct_duality"),
+    ),
+    "delta-tau-drops-one-tensor-tau": (
+        "milnor.py",
+        "for k in range(i + 1):",
+        "for k in range(i):",
+        (
+            "hopf_counit",
+            "hopf_coassociativity",
+            "hopf_antipode_axiom",
+            "product_coproduct_duality",
+        ),
+    ),
     "conjugate-parity-negated": (
         "milnor.py",
         "if (a.bits & row).bit_count() & 1:",

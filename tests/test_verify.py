@@ -1,12 +1,15 @@
 import json
 import sys
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wsteenrod import milnor, verify
 from wsteenrod.cli import main
 from wsteenrod.milnor import (
     CODE_BITS,
+    TAU_MASK,
     UNIT_MONOMIAL,
     BiDegree,
     DualMonomial,
@@ -16,6 +19,7 @@ from wsteenrod.milnor import (
     enumerate_window_monomials,
     monomial,
     monomial_code,
+    tau_monomial,
     xi_monomial,
 )
 from wsteenrod.verify import VerifyConfig, suite_hopf, suite_kw
@@ -89,6 +93,46 @@ def two_set_coassociativity(max_stem, coproduct):
     return failing
 
 
+def _patch_fallback(mp, refuse=False):
+    """Record the checks whose per-monomial loop runs, in order; with
+    refuse, a loop that starts raises instead."""
+    ran = []
+    name_witnesses = verify._name_witnesses
+
+    def fallback(report, window, holds):
+        if refuse:
+            raise AssertionError(f"{report.check} ran its per-monomial loop")
+        ran.append(report.check)
+        name_witnesses(report, window, holds)
+
+    mp.setattr(verify, "_name_witnesses", fallback)
+    return ran
+
+
+def _replaced(table, target, broken):
+    """table with broken in place of its value on target."""
+    return lambda m: broken if m == target else table(m)
+
+
+def _swapped(terms, left, right):
+    """terms with left (x) right turned into right (x) left."""
+    k = terms.index(pair_code(left, right))
+    return tuple(sorted(terms[:k] + (pair_code(right, left),) + terms[k + 1:]))
+
+
+def _coproducts_with_faulty_delta_tau(monkeypatch, max_stem):
+    """The window's coproducts built from D(tau_i) without 1 (x) tau_i:
+    multiplicative, but wrong on each tau_i, so only the generators'
+    coassociativity and antipode checks see the fault."""
+    delta_tau = milnor._delta_tau
+    with monkeypatch.context() as mp:
+        mp.setattr(milnor, "_delta_tau", lambda i: delta_tau(i)[:-1])
+        coproduct_monomial.cache_clear()
+        table = {m: coproduct_monomial(m) for m in enumerate_window_monomials(max_stem)}
+    coproduct_monomial.cache_clear()
+    return table.__getitem__
+
+
 def test_coassociativity_matches_two_set_reference(monkeypatch):
     terms = coproduct_monomial(TARGET)
     left, right = xi_monomial(1), monomial((0,), (2, 1))
@@ -98,6 +142,7 @@ def test_coassociativity_matches_two_set_reference(monkeypatch):
     assert added[0].degree + added[1].degree == TARGET.degree
     stray = next(m for m in bidegree_basis(TARGET.degree) if m != TARGET)
     unit = UNIT_MONOMIAL
+    xi1, xi2, tau1, xi1_sq = xi_monomial(1), xi_monomial(2), tau_monomial(1), xi_monomial(1, 2)
     cases = {
         "unbroken": (TARGET, terms),
         "drop": (TARGET, terms[:k] + terms[k + 1:]),
@@ -108,20 +153,126 @@ def test_coassociativity_matches_two_set_reference(monkeypatch):
         "stray unit term": (TARGET, tuple(sorted(terms + (pair_code(unit, stray),)))),
         # the counit holds, but D(1) is not 1 (x) 1 alone
         "unit": (unit, (0, pair_code(xi_monomial(1), xi_monomial(1)))),
+        # a generator's coproduct broken with the counit intact
+        "swap in D(xi_2)": (xi2, _swapped(coproduct_monomial(xi2), xi1_sq, xi1)),
+        "swap in D(tau_1)": (tau1, _swapped(coproduct_monomial(tau1), xi1, tau_monomial(0))),
+        # D(xi_1^2) + xi_1 (x) xi_1 is coassociative but not D(xi_1)^2
+        "not multiplicative": (
+            xi1_sq,
+            tuple(sorted(coproduct_monomial(xi1_sq) + (pair_code(xi1, xi1),))),
+        ),
     }
-    counit_broken = {"drop counit term", "stray unit term"}
-    for name, (target, broken) in cases.items():
-        def coproduct(m, target=target, broken=broken):
-            return broken if m == target else coproduct_monomial(m)
-
+    cases = {name: _replaced(coproduct_monomial, *case) for name, case in cases.items()}
+    cases["faulty D(tau_i)"] = _coproducts_with_faulty_delta_tau(monkeypatch, 20)
+    counit_broken = {"drop counit term", "stray unit term", "faulty D(tau_i)"}
+    for name, coproduct in cases.items():
         want = two_set_coassociativity(20, coproduct)
         with monkeypatch.context() as mp:
             mp.setattr(verify, "coproduct_monomial", coproduct)
+            ran = _patch_fallback(mp, refuse=name == "unbroken")
             report, counit = suite_hopf(VerifyConfig(max_stem=20))[:2]
         assert report.check == "hopf_coassociativity"
         assert report.witnesses == want, name
         assert bool(want) == (name != "unbroken"), name
         assert counit.verdict == (name not in counit_broken), name
+        # a broken coproduct is no proof of either axiom
+        if name != "unbroken":
+            assert ran == ["hopf_antipode_axiom", "hopf_coassociativity"], name
+
+
+def direct_antipode_axiom(max_stem, coproduct, antipode):
+    """The witnesses of the monomials m where sum m' S(m'') is not eps(m),
+    each product counted with its multiplicity mod 2: the reference for
+    suite_hopf's antipode check."""
+    low = (1 << CODE_BITS) - 1
+    by_code = {monomial_code(m): m for m in enumerate_window_monomials(max_stem)}
+    failing = []
+    for m in by_code.values():
+        count = Counter()
+        for p in coproduct(m):
+            left, right = p >> CODE_BITS, p & low
+            if right not in by_code:  # a right factor outside the window
+                break
+            count.update(left + c for c in antipode(by_code[right]) if not left & c & TAU_MASK)
+        else:
+            if {c for c, n in count.items() if n & 1} == ({0} if m.is_unit else set()):
+                continue
+        failing.append({"monomial": repr(m)})
+    return failing
+
+
+def test_antipode_axiom_matches_direct_reference(monkeypatch):
+    xi2, tau1 = xi_monomial(2), tau_monomial(1)
+    s_target = tuple(sorted(antipode_monomial(TARGET) + (monomial_code(monomial((2,), (0, 1))),)))
+    d_xi2 = _swapped(coproduct_monomial(xi2), xi_monomial(1, 2), xi_monomial(1))
+    cases = {
+        "unbroken": (None, None),
+        # a generator's antipode with a term dropped
+        "S(xi_2) drops xi_1^3": (None, _replaced(antipode_monomial, xi2, (monomial_code(xi2),))),
+        "S(tau_1) drops xi_1 tau_0": (
+            None,
+            _replaced(antipode_monomial, tau1, (monomial_code(tau1),)),
+        ),
+        # a non-generator's antipode that is not the product of its factors'
+        "S(TARGET) plus a term": (None, _replaced(antipode_monomial, TARGET, s_target)),
+        # multiplicative, but not the antipode on xi_2
+        "identity": (None, lambda m: (monomial_code(m),)),
+        # a generator's coproduct broken with the counit intact
+        "swap in D(xi_2)": (_replaced(coproduct_monomial, xi2, d_xi2), None),
+    }
+    for name, (d_case, s_case) in cases.items():
+        coproduct = d_case or coproduct_monomial
+        antipode = s_case or antipode_monomial
+        want = direct_antipode_axiom(20, coproduct, antipode)
+        with monkeypatch.context() as mp:
+            mp.setattr(verify, "coproduct_monomial", coproduct)
+            mp.setattr(verify, "antipode_monomial", antipode)
+            ran = _patch_fallback(mp, refuse=name == "unbroken")
+            report = suite_hopf(VerifyConfig(max_stem=20))[2]
+        assert report.check == "hopf_antipode_axiom"
+        assert report.witnesses == want, name
+        # the swap in D(xi_2) keeps sum m' S(m'') = 0: its loop runs and passes
+        assert bool(want) == (s_case is not None), name
+        if name != "unbroken":
+            # a broken antipode leaves the proof of coassociativity standing
+            assert ran == ["hopf_antipode_axiom"] + ["hopf_coassociativity"] * bool(d_case), name
+
+
+WINDOW_14 = list(enumerate_window_monomials(14))
+CODES_14 = [monomial_code(m) for m in WINDOW_14]
+
+
+@settings(max_examples=60)
+@given(
+    which=st.sampled_from("DS"),
+    target=st.sampled_from(WINDOW_14),
+    pick=st.integers(0, 1 << 16),
+    new=st.booleans(),
+)
+def test_hopf_reports_match_references_under_a_random_toggle(which, target, pick, new):
+    """One term of D or S toggled at one monomial: every Hopf report
+    equals the per-monomial loops' alone, and the two axioms equal their
+    references."""
+    table = coproduct_monomial if which == "D" else antipode_monomial
+    terms = table(target)
+    if new or not terms:
+        term = CODES_14[pick % len(CODES_14)]
+        if which == "D":
+            term = term << CODE_BITS | CODES_14[pick // len(CODES_14) % len(CODES_14)]
+    else:
+        term = terms[pick % len(terms)]
+    broken = _replaced(table, target, tuple(sorted(set(terms) ^ {term})))
+    coproduct = broken if which == "D" else coproduct_monomial
+    antipode = broken if which == "S" else antipode_monomial
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "coproduct_monomial", coproduct)
+        mp.setattr(verify, "antipode_monomial", antipode)
+        got = [r.to_json() for r in suite_hopf(VerifyConfig(max_stem=14))]
+        mp.setattr(verify, "_multiplicative", lambda *args: False)
+        loops = [r.to_json() for r in suite_hopf(VerifyConfig(max_stem=14))]
+    assert got == loops
+    assert got[0]["witnesses"] == two_set_coassociativity(14, coproduct)
+    assert got[2]["witnesses"] == direct_antipode_axiom(14, coproduct, antipode)
 
 
 def _clear_hopf_caches():

@@ -197,9 +197,10 @@ def koszul_chart(ts: Iterable[int], max_stem: int) -> ExtChart:
     return _monomial_chart(name, gens, max_stem)
 
 
-def polynomial_chart(gens: Iterable[BiDegree | tuple[int, int]], max_stem: int) -> ExtChart:
-    """Additive chart of a polynomial ring on classes of filtration 1."""
-    degs = [BiDegree(*g) for g in gens]
+def polynomial_chart(gens: Iterable[BiDegree], max_stem: int) -> ExtChart:
+    """Additive chart of a polynomial ring on classes of filtration 1, one
+    generator per BiDegree of gens, each of stem >= 1."""
+    degs = list(gens)
     if any(g.stem < 1 for g in degs):
         raise ValueError("polynomial chart generators need stem >= 1")
     return _monomial_chart("polynomial", degs, max_stem)

@@ -68,7 +68,7 @@ def _module_spec(text: str) -> tuple[str, int | None]:
     if text in ("sphere", "wbp"):
         return text, None
     kind, sep, n = text.partition(":")
-    if sep and kind in ("kw", "wbp") and n.isdigit():
+    if sep and kind in ("kw", "wbp") and n.isdecimal():
         return kind, int(n)
     raise argparse.ArgumentTypeError(
         f"unknown module {text!r}; use sphere, kw:N, wbp or wbp:N with N >= 0"

@@ -133,8 +133,6 @@ def _steenrod_term(tokens, max_stem: int) -> DualMonomial:
             eps, i = _parse_int_list(tokens, i + 1, "Q")
             if len(set(eps)) != len(eps):
                 raise GrammarError(f"repeated index in Q(...) at position {pos}")
-            if any(v < 0 for v in eps):
-                raise GrammarError(f"negative index in Q(...) at position {pos}")
             for v in eps:
                 _require_fits(tau_degree, v, 1, max_stem, "Q(...)", pos)
         elif kind == "letter" and value == "P":
@@ -142,8 +140,6 @@ def _steenrod_term(tokens, max_stem: int) -> DualMonomial:
                 raise GrammarError(f"unexpected token 'P' at position {pos}")
             seen_p = True
             r, i = _parse_int_list(tokens, i + 1, "P")
-            if any(v < 0 for v in r):
-                raise GrammarError(f"negative exponent in P(...) at position {pos}")
             for j, e in enumerate(r, start=1):
                 if e:
                     _require_fits(xi_degree, j, e, max_stem, "P(...)", pos)

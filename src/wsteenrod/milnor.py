@@ -210,7 +210,6 @@ def bidegree_basis(d: BiDegree) -> tuple[DualMonomial, ...]:
     Empty when the Chow degree is negative or the weight is; the Chow degree
     of a monomial counts its tau factors, which pins the search.
     """
-    d = BiDegree(*d)
     chow = d.chow
     if chow < 0 or d.weight < 0:
         return ()
@@ -714,7 +713,6 @@ class MilnorAlgebra:
     # -- window -------------------------------------------------------
 
     def require(self, d: BiDegree) -> BiDegree:
-        d = BiDegree(*d)
         if d.stem > self.max_stem:
             raise WindowError(f"bidegree {d} exceeds window stem<={self.max_stem}")
         return d
@@ -748,7 +746,7 @@ class MilnorAlgebra:
     # -- dual side ------------------------------------------------------
 
     def dim(self, d: BiDegree) -> int:
-        return len(bidegree_basis(BiDegree(*d)))
+        return len(bidegree_basis(d))
 
     def antipode_dual(self, x: DualElement) -> DualElement:
         """The antipode of x, from its own monomials only."""
@@ -775,8 +773,6 @@ class MilnorAlgebra:
         in the coproduct of the m-th monomial of d1 + d2.  Products never
         read this view; it is the whole table at once, for inspection.
         """
-        d1 = BiDegree(*d1)
-        d2 = BiDegree(*d2)
         index = basis_index(self.require(d1 + d2))
         rows: list[list[tuple[int, int]]] = [[] for _ in index]
         for i, m1 in enumerate(bidegree_basis(d1)):
@@ -822,7 +818,6 @@ class MilnorAlgebra:
         The XOR of the unit blocks (right_unit_blocks); a one-term b returns
         its unit block itself, and a sum is added up afresh from them.
         """
-        d1 = BiDegree(*d1)
         units = self.right_unit_blocks(d1, b)
         if len(units) == 1:
             return units[0]
@@ -833,7 +828,6 @@ class MilnorAlgebra:
 
     def left_mult_matrix(self, a: SteenrodElement, d2: BiDegree) -> BitMatrix:
         """Matrix of x -> a . x on basis functionals at d2."""
-        d2 = BiDegree(*d2)
         index = basis_index(self.require(a.degree + d2))
         left = a.dual_monomials()
         rows = [_product_bits(index, left, (m2,), self._xi) for m2 in bidegree_basis(d2)]
@@ -857,7 +851,6 @@ class MilnorAlgebra:
         cocommutative and no pairing convention enters.
         """
         _check_packable(a, "coproduct")
-        left = BiDegree(*left)
         right = a.degree - left
         lcodes = [monomial_code(m) for m in bidegree_basis(left)]
         rcodes = [monomial_code(m) for m in bidegree_basis(right)]
@@ -889,7 +882,7 @@ class MilnorAlgebra:
         return SteenrodElement(ZERO_DEGREE, 1)
 
     def zero(self, d: BiDegree) -> SteenrodElement:
-        return SteenrodElement(BiDegree(*d), 0)
+        return SteenrodElement(d, 0)
 
     def from_dual_monomial(self, m: DualMonomial) -> SteenrodElement:
         d = self.require(m.degree)

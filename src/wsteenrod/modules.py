@@ -56,11 +56,11 @@ class GradedModule:
 
     def generator_action_matrix(self, d1: BiDegree, d2: BiDegree, bits: int) -> BitMatrix:
         """Row i is act(x_i, v) over the algebra basis x_i at d1, v fixed at d2."""
-        v = BitVector(self.dim(BiDegree(*d2)), bits)
+        v = BitVector(self.dim(d2), bits)
         rows = []
         for a in self.algebra.basis_functionals(d1):
             rows.append(self.op_matrix(a, d2).vec_mul(v).bits)
-        return BitMatrix(self.dim(BiDegree(*d1) + BiDegree(*d2)), rows)
+        return BitMatrix(self.dim(d1 + d2), rows)
 
     def support(self, max_stem: int | None = None) -> Iterator[BiDegree]:
         top = self.window if max_stem is None else min(max_stem, self.window)
@@ -85,7 +85,7 @@ class AlgebraModule(GradedModule):
         return self.algebra.left_mult_matrix(a, d)
 
     def generator_action_matrix(self, d1: BiDegree, d2: BiDegree, bits: int) -> BitMatrix:
-        b = SteenrodElement(BiDegree(*d2), bits)
+        b = SteenrodElement(d2, bits)
         return self.algebra.right_mult_matrix(d1, b)
 
 
@@ -97,10 +97,9 @@ class TrivialModule(GradedModule):
         self.name = "F2"
 
     def dim(self, d: BiDegree) -> int:
-        return 1 if BiDegree(*d) == ZERO_DEGREE else 0
+        return 1 if d == ZERO_DEGREE else 0
 
     def op_matrix(self, a: SteenrodElement, d: BiDegree) -> BitMatrix:
-        d = BiDegree(*d)
         target = self.dim(d + a.degree)
         if self.dim(d) == 0:
             return BitMatrix(target, ())
@@ -108,7 +107,6 @@ class TrivialModule(GradedModule):
         return BitMatrix(target, (unit_value,))
 
     def generator_action_matrix(self, d1: BiDegree, d2: BiDegree, bits: int) -> BitMatrix:
-        d1 = BiDegree(*d1)
         n = self.algebra.dim(d1)
         target = self.dim(d1)
         if target and bits & 1:
@@ -185,13 +183,12 @@ class QuotientModule(GradedModule):
 
     def lift_matrix(self, d: BiDegree) -> BitMatrix:
         reps = self.representatives(d)
-        return BitMatrix(self.algebra.dim(BiDegree(*d)), tuple(1 << j for j in reps))
+        return BitMatrix(self.algebra.dim(d), tuple(1 << j for j in reps))
 
     def dim(self, d: BiDegree) -> int:
         return len(self._bidegree_data(d)[1])
 
     def op_matrix(self, a: SteenrodElement, d: BiDegree) -> BitMatrix:
-        d = BiDegree(*d)
         full = self.algebra.left_mult_matrix(a, d)
         lifted = self.lift_matrix(d).compose(full)
         return lifted.compose(self.projection_matrix(d + a.degree))
@@ -199,15 +196,12 @@ class QuotientModule(GradedModule):
     def right_pt_matrix(self, t: int, d: BiDegree) -> BitMatrix:
         """Right multiplication by P_t on the quotient; well defined since
         P_t commutes with P_1, ..., checked by the suite."""
-        d = BiDegree(*d)
         full = self.algebra.right_pt_matrix(t, d)
         return self.lift_matrix(d).compose(full).compose(
             self.projection_matrix(d + xi_degree(t))
         )
 
     def generator_action_matrix(self, d1: BiDegree, d2: BiDegree, bits: int) -> BitMatrix:
-        d1 = BiDegree(*d1)
-        d2 = BiDegree(*d2)
         lifted = self.lift_matrix(d2).vec_mul(BitVector(self.dim(d2), bits))
         b = SteenrodElement(d2, lifted.bits)
         full = self.algebra.right_mult_matrix(d1, b)
@@ -235,7 +229,6 @@ class TensorModule(GradedModule):
     def blocks(self, d: BiDegree) -> tuple[tuple[BiDegree, int, int, int], ...]:
         """(dl, left dim, right dim, offset) for each left bidegree dl
         where both factors are nonzero."""
-        d = BiDegree(*d)
         blocks = self._blocks.get(d)
         if blocks is None:
             out = []
@@ -257,7 +250,6 @@ class TensorModule(GradedModule):
         return sum(nl * nr for _, nl, nr, _ in self.blocks(d))
 
     def op_matrix(self, a: SteenrodElement, d: BiDegree) -> BitMatrix:
-        d = BiDegree(*d)
         target = d + a.degree
         places = {dl: (nr, offset) for dl, _, nr, offset in self.blocks(target)}
         splits = []
@@ -312,13 +304,11 @@ def margolis(module: GradedModule, t: int) -> dict[BiDegree, int]:
         return mats[d]
 
     for d in module.support(max_stem - 2 * dt.stem):
-        d = BiDegree(*d)
         if not op(d).compose(op(d + dt)).is_zero():
             raise NotExterior(module.name, t, d)
 
     dims: dict[BiDegree, int] = {}
     for d in module.support(max_stem - dt.stem):
-        d = BiDegree(*d)
         rank_out = rank(op(d))
         src = d - dt
         rank_in = 0

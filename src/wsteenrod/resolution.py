@@ -92,7 +92,7 @@ class FreeModule:
         self.generators: list[Generator] = []
 
     def add_generator(self, degree: BiDegree) -> Generator:
-        g = Generator(len(self.generators), BiDegree(*degree), self.filtration)
+        g = Generator(len(self.generators), degree, self.filtration)
         self.generators.append(g)
         return g
 
@@ -189,7 +189,6 @@ class ModuleMap:
         d passes it, and it is not assembled again.  A source layout that
         leaves generators out drops their rows.
         """
-        d = BiDegree(*d)
         free_target = isinstance(self.target, FreeModule)
         if free_target:
             out_layout = self.target.layout(d) if target_layout is None else target_layout

@@ -62,7 +62,7 @@ class KwComplex:
         return self.shift.times(q)
 
     def coefficient_degree(self, q: int, d: BiDegree) -> BiDegree:
-        return BiDegree(*d) - self.generator_degree(q)
+        return d - self.generator_degree(q)
 
     def _pt_matrix(self, x: BiDegree) -> BitMatrix:
         return self.algebra.right_pt_matrix(self.n + 1, x)
@@ -239,7 +239,6 @@ class WbpComplex:
     def layer_layout(self, i: int, d: BiDegree) -> list[tuple[DualMonomial, int, int]]:
         if not 0 <= i <= self.i_max:
             return []
-        d = BiDegree(*d)
         out = []
         offset = 0
         for gen in self.layers[i]:
@@ -265,7 +264,6 @@ class WbpComplex:
 
     def differential_matrix(self, i: int, d: BiDegree) -> BitMatrix:
         """The map C_{i+1} -> C_i at bidegree d."""
-        d = BiDegree(*d)
         source = self.layer_layout(i + 1, d)
         target = self.layer_layout(i, d)
         offsets = {gen: off for gen, _, off in target}

@@ -182,10 +182,10 @@ def suite_hopf(config: VerifyConfig) -> list[VerificationReport]:
     CODE_BITS | e``, so a triple is one term shifted by CODE_BITS with a
     code added below or above it.  The unit's code is 0, so a term with a
     unit factor is below 1 << CODE_BITS (unit left) or has no bits below it
-    (unit right), and the reduced coproduct, which drops those terms, is a
-    filter on the packed terms.  A term with a factor that is no window
-    monomial's code fails its monomial's coassociativity check, and its
-    antipode check when that factor is on the right, instead of raising.
+    (unit right), which is how the counit check finds them.  A term with a
+    factor that is no window monomial's code fails its monomial's
+    coassociativity check, and its antipode check when that factor is on
+    the right, instead of raising.
     """
     clock = time.perf_counter
     steps = config.steps
@@ -223,14 +223,6 @@ def suite_hopf(config: VerifyConfig) -> list[VerificationReport]:
         _name_witnesses(antipode, window, lambda cm: _antipode_axiom(pairs, antipodes, cm))
     steps["counit_antipode"] = clock() - start
     start = clock()
-    if counit.verdict and pairs[0] == (0,):
-        # D(m) = m (x) 1 + 1 (x) m + Dbar(m) for m != 1, and D(1) = 1 (x) 1:
-        # the triples the unit terms give cancel in pairs, so (D (x) 1) D and
-        # (1 (x) D) D differ exactly where (Dbar (x) 1) Dbar and
-        # (1 (x) Dbar) Dbar do, and _coassociative reads the reduced
-        # coproducts Dbar.  When the counit fails it reads the full ones.
-        for cm, terms in pairs.items():
-            pairs[cm] = [p for p in terms if p > low and p & low]
     if not (d_map and all(_coassociative(pairs, g) for g in generators)):
         _name_witnesses(coassoc, window, lambda cm: _coassociative(pairs, cm))
     steps["coassociativity"] = clock() - start

@@ -384,6 +384,15 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suite 'nope'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["kw:x", "wbp:\u00b2", "kw:-1", "nope"])
+def test_resolve_unknown_module_exit_2(capsys, spec):
+    # a superscript digit passes str.isdigit but not int(), so N is decimal
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "resolve", "--module", spec, "--max-stem", "4", "--max-filt", "2")
+    assert exc.value.code == 2
+    assert "unknown module" in capsys.readouterr().err
+
+
 def test_verify_checks_every_suite_first(capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "verify", "--suite", "pst,nope")

@@ -67,6 +67,13 @@ def test_parse_error_positions(alg16):
         parse_steenrod("P(1) +", alg16)
 
 
+@pytest.mark.parametrize("text", ["Q(-1)", "P(-1)"])
+def test_negative_index_is_an_unexpected_token(alg16, text):
+    # the int token is digits only, so the sign is refused before any value
+    with pytest.raises(GrammarError, match="^unexpected token '-' at position 2$"):
+        parse_steenrod(text, alg16)
+
+
 def test_format_sorts_canonically(alg16):
     a = parse_steenrod("P(3) + P(0,1)", alg16)
     b = parse_steenrod("P(0,1) + P(3)", alg16)

@@ -231,6 +231,22 @@ def test_defaulted_parameters_are_known():
     assert found == DEFAULTED_PARAMETERS
 
 
+def test_no_bidegree_is_rebuilt_from_its_fields():
+    # a bidegree argument is a BiDegree, so no function rebuilds one with
+    # BiDegree(*d) to accept a plain (stem, weight) tuple as well
+    found = []
+    for path in sorted((ROOT / "src" / "wsteenrod").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "BiDegree"
+                and any(isinstance(arg, ast.Starred) for arg in node.args)
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def _unused_imports(path: Path) -> list[str]:
     """The names that a file imports and never reads, as "file:line name".
     __future__ imports and names on a line marked ``# noqa: F401`` are

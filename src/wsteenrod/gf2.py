@@ -5,21 +5,25 @@ coordinate j), so vector addition is a single XOR and all arithmetic is
 exact.
 
 Every elimination goes through one routine, ``_Echelon.insert``.  It keeps
-a reduced row echelon basis keyed by pivot bit, where a row's pivot is its
-lowest set bit and no other row has that bit.  A new vector is first
-reduced: each basis row whose pivot bit it carries is added to it, and
-since no row carries another row's pivot, only those rows are visited.  If
-the remainder is nonzero, its lowest bit becomes a new pivot, that column
-is cleared from the other rows, and the remainder joins the basis.
-``rref``, ``rank``, ``solve``, ``image_and_left_kernel`` (and ``kernel``
-through it) and ``extend_image`` are loops of it, and ``Subspace.reduce``
-does its first half against a finished basis.
+a semi-echelon basis keyed by pivot bit, where a row's pivot is its lowest
+set bit and no two rows share a pivot (a row may carry later rows'
+pivots).  A new vector is reduced by clearing its lowest carried pivot
+with that pivot's row, repeatedly: each step only changes bits above the
+pivot it clears, so the pivots cleared rise and the loop ends with no
+pivot bit left.  A nonzero remainder joins the basis as it is, keyed by
+its lowest bit; no stored row is touched.  ``_Echelon.basis``
+back-substitutes once, top pivot first, into the reduced row echelon
+basis.  ``rref``, ``rank``, ``solve``, ``image_and_left_kernel`` (and
+``kernel`` through it) and ``extend_image`` are loops of it, and
+``Subspace.reduce`` does its first half against a finished basis.
 
 The output is canonical.  A subspace has exactly one reduced row echelon
 basis, and a vector exactly one remainder modulo it (the element of its
-coset that vanishes at every pivot).  So echelon rows, pivots and
-remainders depend only on the span of the rows fed in, not on their order,
-which makes every derived basis reproducible across runs.
+coset that vanishes at every pivot); the pivots of any semi-echelon basis
+are those of the reduced one, so a semi-echelon insert leaves the same
+remainders.  So echelon rows, pivots and remainders depend only on the
+span of the rows fed in, not on their order or on the basis held, which
+makes every derived basis reproducible across runs.
 
 Everything here is immutable after construction and safe to share between
 threads.
@@ -185,7 +189,8 @@ def _reduce(rows: Iterable[int], pivots: Iterable[int], v: int) -> int:
 
 
 class _Echelon:
-    """A reduced echelon basis being built: rows keyed by their pivot bit.
+    """A semi-echelon basis being built: rows keyed by their pivot bit,
+    the row's lowest bit, which no other row has as its pivot.
 
     Bits at or above ncols are carried along (``solve`` and
     ``image_and_left_kernel`` record row combinations there) but never
@@ -203,25 +208,35 @@ class _Echelon:
         """Reduce v and, if the remainder has a bit below ncols, add it to
         the basis; returns the remainder."""
         rows = self.rows
-        carried = v & self.pivot_mask
+        pivots = self.pivot_mask
+        carried = v & pivots
         while carried:
-            b = carried & -carried
-            v ^= rows[b]
-            carried ^= b
+            v ^= rows[carried & -carried]
+            carried = v & pivots
         low = v & self.low_mask
         if low:
             b = low & -low
-            for k, r in rows.items():
-                if r & b:
-                    rows[k] = r ^ v
             rows[b] = v
-            self.pivot_mask |= b
+            self.pivot_mask = pivots | b
         return v
 
     def basis(self) -> tuple[list[int], list[int]]:
-        """(rows in pivot order, pivot columns)."""
-        keys = sorted(self.rows)
-        return [self.rows[k] for k in keys], [k.bit_length() - 1 for k in keys]
+        """The reduced row echelon basis: (rows in pivot order, pivot
+        columns).  Back-substitutes from the top pivot down, so each row
+        is cleared of later pivots by rows already reduced."""
+        rows = self.rows
+        keys = sorted(rows)
+        mask = 0
+        for k in reversed(keys):
+            r = rows[k]
+            carried = r & mask
+            while carried:
+                b = carried & -carried
+                r ^= rows[b]
+                carried ^= b
+            rows[k] = r
+            mask |= k
+        return [rows[k] for k in keys], [k.bit_length() - 1 for k in keys]
 
 
 def _rref_rows(rows: Iterable[int], ncols: int) -> tuple[list[int], list[int]]:
@@ -292,9 +307,11 @@ def _eliminate_tagged(m: BitMatrix) -> tuple[_Echelon, list[int]]:
     so every echelon row records the input rows it sums.  A row whose part
     below ncols reduces to zero is a relation: its upper bits are a kernel
     vector, and the row does not enter the echelon.  Rows enter last-first,
-    so relation i is bit i plus bits of later rows that did enter.  Its
-    pivot (lowest bit) is i, and no relation carries another's pivot: the
-    relations, in reverse order of finding, are already the canonical basis.
+    so relation i is bit i plus bits of later rows that did enter (an
+    echelon row's tag only records rows that entered, whatever echelon
+    basis is held).  Its pivot (lowest bit) is i, and no relation carries
+    another's pivot: the relations, in reverse order of finding, are
+    already the canonical basis.
     """
     n = m.ncols
     low = _mask(n)
@@ -318,8 +335,14 @@ def image_and_left_kernel(m: BitMatrix) -> tuple[Subspace, Subspace]:
     rows, pivots = ech.basis()
     low = _mask(n)
     image = Subspace(n, BitMatrix(n, [r & low for r in rows]), tuple(pivots))
-    ker_pivots = tuple((r & -r).bit_length() - 1 for r in ker)
-    return image, Subspace(m.nrows, BitMatrix(m.nrows, ker), ker_pivots)
+    return image, _kernel_subspace(m.nrows, ker)
+
+
+def _kernel_subspace(n: int, relations: list[int]) -> Subspace:
+    """The subspace of GF(2)^n whose reduced row echelon basis is the
+    relations of ``_eliminate_tagged``."""
+    pivots = tuple((r & -r).bit_length() - 1 for r in relations)
+    return Subspace(n, BitMatrix(n, relations), pivots)
 
 
 def extend_image(m: BitMatrix, vectors: Iterable[int]) -> tuple[list[int], list[int]]:
@@ -347,8 +370,9 @@ def extend_image(m: BitMatrix, vectors: Iterable[int]) -> tuple[list[int], list[
 
 
 def kernel(m: BitMatrix) -> Subspace:
-    """Right kernel of ``m``: the space of v with m . v = 0."""
-    return image_and_left_kernel(m.transpose())[1]
+    """Right kernel of ``m``: the space of v with m . v = 0, the left
+    kernel of its transpose."""
+    return _kernel_subspace(m.ncols, _eliminate_tagged(m.transpose())[1])
 
 
 def solve(m: BitMatrix, b: BitVector) -> BitVector | None:

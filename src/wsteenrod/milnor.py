@@ -15,7 +15,7 @@ this monomial basis; their product is dual to the coproduct, with the fixed
 convention that the LEFT operand pairs against the LEFT tensor factor:
 <a.b, m> = sum <a, m_(1)> <b, m_(2)>.  Under this convention "x . P" is
 precomposition with P, the form used by tower differentials.  Products are
-computed by Milnor's matrix formula with tau parts (_product_terms), one
+computed by Milnor's matrix formula with tau parts (_product_bits), one
 pair of basis functionals at a time, never by transposing coproducts.
 
 The Chow degree stem - 2*weight of a monomial equals its number of tau
@@ -203,12 +203,15 @@ def _xi_exponents(weight: int, jmax: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def bidegree_basis(d: BiDegree) -> tuple[DualMonomial, ...]:
     """All dual monomials of bidegree d, in canonical order.
 
     Empty when the Chow degree is negative or the weight is; the Chow degree
-    of a monomial counts its tau factors, which pins the search.
+    of a monomial counts its tau factors, which pins the search.  The cache
+    is typed: a plain (stem, weight) tuple hashes and compares equal to its
+    BiDegree, so an untyped cache would answer it once the BiDegree had
+    been asked and fail on it before; typed, it always fails.
     """
     chow = d.chow
     if chow < 0 or d.weight < 0:
@@ -228,7 +231,7 @@ def bidegree_basis(d: BiDegree) -> tuple[DualMonomial, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def basis_index(d: BiDegree) -> dict[DualMonomial, int]:
     return {m: i for i, m in enumerate(bidegree_basis(d))}
 
@@ -558,20 +561,6 @@ def _tau_moves(
 _XiMemo = dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[tuple[int, ...], ...]]
 
 
-def _product_terms(m1: DualMonomial, m2: DualMonomial, xi: _XiMemo) -> Iterator[DualMonomial]:
-    """Each tau_eps xi^T that a tau placement and a Milnor matrix of (m1, m2)
-    reach.  Two placements may reach the same monomial, so a monomial is a
-    term of the product when it is yielded an odd number of times.  The
-    xi part of a placement is read from, or added to, the memo xi."""
-    s = m2.r
-    for eps, r in _tau_moves(m1.eps, m1.r, m2.eps):
-        ts = xi.get((r, s))
-        if ts is None:
-            ts = xi[r, s] = _xi_product(r, s)
-        for t in ts:
-            yield DualMonomial(eps, t)
-
-
 def _monomial_bits(index: dict[DualMonomial, int], monomials: Iterable[DualMonomial]) -> int:
     """The sum of the monomials, as bits over index."""
     bits = 0
@@ -603,9 +592,26 @@ def _product_bits(
     rights: tuple[DualMonomial, ...],
     xi: _XiMemo,
 ) -> int:
-    """The sum of the products of lefts by rights, as bits over index."""
-    terms = (m for m1 in lefts for m2 in rights for m in _product_terms(m1, m2, xi))
-    return _monomial_bits(index, terms)
+    """The sum of the products of lefts by rights, as bits over index.
+
+    Each pair (m1, m2) reaches tau_eps xi^T once per tau placement
+    (_tau_moves) and exponent T of that placement's xi part, read from, or
+    added to, the memo xi; a tau-free m2 has the one placement (m1.eps,
+    m1.r).  Two placements may reach the same monomial, so the bits are
+    XORed and a monomial reached an odd number of times is a term.
+    """
+    bits = 0
+    for m1 in lefts:
+        for m2 in rights:
+            s = m2.r
+            places = _tau_moves(m1.eps, m1.r, m2.eps) if m2.eps else (m1,)
+            for eps, r in places:
+                ts = xi.get((r, s))
+                if ts is None:
+                    ts = xi[r, s] = _xi_product(r, s)
+                for t in ts:
+                    bits ^= 1 << index[DualMonomial(eps, t)]
+    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -694,9 +700,13 @@ class MilnorAlgebra:
       left once the taus of a product are placed (_tau_moves); every
       product of this algebra reads it.
     - _rmul: (d1, |m2|, the bit of m2 in its basis) -> the unit block of
-      x -> x . m2 on the basis of d1 (right_unit_blocks); right_mult_matrix
-      and the resolver's matrix assembly add these up.
-    - _weights: stem -> the weights with a nonempty basis.
+      x -> x . m2 on the basis of d1, built by unit_block alone;
+      right_mult_matrix and the resolver's matrix assembly add these up,
+      and the resolver reads it by key.
+    - _dims: stem -> the (weight, dim) pairs, weight ascending, of the
+      nonempty bases of that stem (weight_dims, and weights through it);
+      the resolver lays out a free module at every weight of an internal
+      stem from it in one pass.
     - _sweep: every monomial of the window with its bidegree, from one
       enumerate_window_monomials sweep (window_sweep).
     """
@@ -707,7 +717,7 @@ class MilnorAlgebra:
         self.max_stem = max_stem
         self._rmul: dict[tuple[BiDegree, BiDegree, int], BitMatrix] = {}
         self._xi: _XiMemo = {}
-        self._weights: dict[int, tuple[int, ...]] = {}
+        self._dims: dict[int, tuple[tuple[int, int], ...]] = {}
         self._sweep: tuple[tuple[DualMonomial, BiDegree], ...] | None = None
 
     # -- window -------------------------------------------------------
@@ -728,11 +738,18 @@ class MilnorAlgebra:
     def weights(self, stem: int) -> tuple[int, ...]:
         """The weights w, ascending, with a nonempty basis at (stem, w), for
         any stem >= 0 (not only the window's)."""
-        ws = self._weights.get(stem)
-        if ws is None:
-            ws = tuple(w for w in range(stem // 2 + 1) if bidegree_basis(BiDegree(stem, w)))
-            self._weights[stem] = ws
-        return ws
+        return tuple(w for w, _ in self.weight_dims(stem))
+
+    def weight_dims(self, stem: int) -> tuple[tuple[int, int], ...]:
+        """The pairs (w, dim of the basis at (stem, w)), w ascending, with a
+        nonempty basis, for any stem >= 0 (not only the window's)."""
+        dims = self._dims.get(stem)
+        if dims is None:
+            dims = tuple(
+                (w, n) for w in range(stem // 2 + 1) if (n := bidegree_dim(BiDegree(stem, w)))
+            )
+            self._dims[stem] = dims
+        return dims
 
     def window_sweep(self) -> tuple[tuple[DualMonomial, BiDegree], ...]:
         """(monomial, bidegree) for every monomial of the window, in the
@@ -789,36 +806,32 @@ class MilnorAlgebra:
         bits = _product_bits(basis_index(d), a.dual_monomials(), b.dual_monomials(), self._xi)
         return SteenrodElement(d, bits)
 
-    def right_unit_blocks(self, d1: BiDegree, b: SteenrodElement) -> list[BitMatrix]:
-        """The unit blocks x -> x . m2 on basis functionals at the BiDegree
-        d1, one per monomial m2 of b, in basis order.
+    def unit_block(self, d1: BiDegree, d2: BiDegree, low: int) -> BitMatrix:
+        """The unit block x -> x . m2 on basis functionals at d1, where m2
+        is the monomial of d2 at the single bit low; built once and kept
+        in _rmul under (d1, d2, low)."""
+        key = (d1, d2, low)
+        unit = self._rmul.get(key)
+        if unit is None:
+            index = basis_index(self.require(d1 + d2))
+            m2 = (bidegree_basis(d2)[low.bit_length() - 1],)
+            rows = [_product_bits(index, (m1,), m2, self._xi) for m1 in bidegree_basis(d1)]
+            unit = self._rmul[key] = BitMatrix(len(index), rows)
+        return unit
 
-        Each is built once and kept; their XOR is x -> x . b.
+    def right_mult_matrix(self, d1: BiDegree, b: SteenrodElement) -> BitMatrix:
+        """Matrix of x -> x . b on basis functionals at d1.
+
+        The XOR of the unit blocks x -> x . m2 over the monomials m2 of b
+        (unit_block); a one-term b returns its unit block itself, and a sum
+        is added up afresh from them.
         """
-        d2 = b.degree
-        rmul = self._rmul
         units = []
         bits = b.bits
         while bits:
             low = bits & -bits
             bits ^= low
-            key = (d1, d2, low)
-            unit = rmul.get(key)
-            if unit is None:
-                index = basis_index(self.require(d1 + d2))
-                m2 = bidegree_basis(d2)[low.bit_length() - 1]
-                rows = [_product_bits(index, (m1,), (m2,), self._xi) for m1 in bidegree_basis(d1)]
-                unit = rmul[key] = BitMatrix(len(index), rows)
-            units.append(unit)
-        return units
-
-    def right_mult_matrix(self, d1: BiDegree, b: SteenrodElement) -> BitMatrix:
-        """Matrix of x -> x . b on basis functionals at d1.
-
-        The XOR of the unit blocks (right_unit_blocks); a one-term b returns
-        its unit block itself, and a sum is added up afresh from them.
-        """
-        units = self.right_unit_blocks(d1, b)
+            units.append(self.unit_block(d1, b.degree, low))
         if len(units) == 1:
             return units[0]
         rows = [0] * bidegree_dim(d1)

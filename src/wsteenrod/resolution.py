@@ -14,26 +14,26 @@ with the unit vectors of the module, against the image of the
 augmentation.  Generators are therefore exactly the Ext classes (no
 invertible entries ever appear, which the suite re-checks).
 
-Kernels and layouts, not matrices, are carried up.  The left kernel of
-d_{s+1} found at (s, d) is the kernel of d_{s+1} that cell (s + 1, d)
-needs: the generators born at (s + 1, d) are the last rows of the full
-matrix, and their images are independent modulo the rest, so they add no
-relation.  Cell (s + 1, d) also needs the layout of F_s(d) as its target:
-that is cell (s, d)'s source layout plus one unit block per generator born
-there, appended last.  The cover step carries both the same way.  A cell
-with no visited cell below it at d takes both afresh.  Above a cell that
-is skipped (see below), F_{s-1}(d) = 0, so the kernel is all of F_s(d)
-and its unit vectors are used as they are.  Only at the lower edge of the
-stem triangle, where F_{s-1}(d) may be nonzero, does a cell assemble d_s
-and take the kernel of its transpose (``gf2.kernel``).  So no matrix is
-assembled twice, and each cell runs one elimination of its own matrix.
-What is carried is kept per internal degree and dropped when it is done.
-
-Only cells (s, d) with F_s(d) != 0 are visited, and they are a minority
-of the triangle below (about a third for the sphere at stem 32).  That is
-exact: where F_s(d) = 0, d_s has no kernel at d, so no generator is born at
-(s + 1, d).  The cover step visits the bidegrees where F_0 or the module is
-nonzero.
+Layouts are swept, kernels carried, and no matrix is assembled twice.  At
+each internal stem t, one pass over the generators of F_{s+1}
+(``FreeModule.layouts``) lays F_{s+1}(t, w) out at every weight w at
+once, from the algebra's table of nonempty (weight, dim) pairs per stem:
+those are the source layouts of every cell (s, (t, w)).  The pass of the
+level below gave F_s(t, w), the cells' targets and, by where it is
+nonzero, the weights to visit; the cells of filtration s - 1 have since
+appended their newborn generators to it, one unit block each, last.  The
+left kernel of d_{s+1} found at (s, d) is the kernel of d_{s+1} that cell
+(s + 1, d) needs: the generators born at (s + 1, d) are the last rows of
+the full matrix, and their images are independent modulo the rest, so
+they add no relation.  Above a cell that is skipped (see below),
+F_{s-1}(d) = 0, so the kernel is all of F_s(d) and its unit vectors are
+used as they are.  Only at the lower edge of the stem triangle, where no
+cell of filtration s - 1 ran at t and F_{s-1}(d) may be nonzero, does a
+cell assemble d_s and take the kernel of its transpose (``gf2.kernel``);
+the lowest level there is swept afresh.  Each cell runs one elimination
+of its own matrix.  What is swept or carried is kept per internal degree
+and dropped when it is done.  ``Resolution.verify_exact`` reads its
+layouts and weights from the same sweep.
 
 Cells are processed while chart stem = internal stem - filtration stays
 at most max_stem + 1.  A kernel vector never has a unit coefficient on a
@@ -46,20 +46,20 @@ cover.
 
 Cells run one at a time, in a fixed order, so the resolution is
 deterministic.  Each generator's image is split into its target blocks once,
-on first use: the target's layout at the generator's bidegree is final by
-then, because the target generators there come from the cell one filtration
-lower at the same internal degree, which runs first.
+on first use, down to the table key of each unit block it needs: the
+target's layout at the generator's bidegree is final by then, because the
+target generators there come from the cell one filtration lower at the
+same internal degree, which runs first.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from time import perf_counter
 from typing import Callable, NamedTuple
 
 from .charts import ExtChart
 from .gf2 import BitMatrix, BitVector, extend_image, kernel as gf2_kernel, rank
-from .milnor import ZERO_DEGREE, BiDegree, MilnorAlgebra, SteenrodElement, bidegree_dim
+from .milnor import ZERO_DEGREE, BiDegree, MilnorAlgebra, bidegree_dim
 from .modules import GradedModule, InvariantViolation
 
 
@@ -80,6 +80,11 @@ class Generator(NamedTuple):
 
 # (generator, coefficient dim, bit offset) blocks of a free module at a bidegree
 Layout = list[tuple[Generator, int, int]]
+
+# the nonzero blocks of a generator's image in a free module: (target
+# generator index, coefficient bidegree, the single bit of each monomial of
+# the coefficient, ascending), the last two the keys of its unit blocks
+_Components = list[tuple[int, BiDegree, tuple[int, ...]]]
 
 
 class FreeModule:
@@ -120,6 +125,29 @@ class FreeModule:
     def dim(self, d: BiDegree) -> int:
         return sum(n for _, n, _ in self.layout(d))
 
+    def layouts(
+        self, t: int, weight_dims: Callable[[int], tuple[tuple[int, int], ...]]
+    ) -> dict[int, Layout]:
+        """The layout at (t, w) of every weight w where the module is
+        nonzero, by w, from one pass over the generators: a generator g
+        has a block at each (t, w) whose offset (t, w) - |g| has a nonempty
+        basis, which weight_dims(stem) lists as (weight, dim) pairs
+        (MilnorAlgebra.weight_dims).  Each layout is layout((t, w))."""
+        layouts: dict[int, Layout] = {}
+        for g in self.generators:
+            gt, gw = g.degree
+            if gt > t:
+                continue
+            for dw, n in weight_dims(t - gt):
+                w = gw + dw
+                layout = layouts.get(w)
+                if layout is None:
+                    layouts[w] = [(g, n, 0)]
+                else:
+                    _, m, offset = layout[-1]
+                    layout.append((g, n, offset + m))
+        return layouts
+
 
 class ModuleMap:
     """Bidegree-preserving map from a free module, one image per generator.
@@ -137,16 +165,16 @@ class ModuleMap:
         self.source = source
         self.target = target
         self.images: list[int] = []
-        # generator index -> the nonzero (target generator, coefficient) blocks
-        self._split: dict[int, list[tuple[int, SteenrodElement]]] = {}
+        # generator index -> the _Components of its image
+        self._split: dict[int, _Components] = {}
 
     def set_image(self, g: Generator, bits: int) -> None:
         """Give the source's newest generator g its image."""
         assert g.index == len(self.images), "images are set in generator order"
         self.images.append(bits)
 
-    def _components(self, g: Generator) -> list[tuple[int, SteenrodElement]]:
-        """The nonzero (target generator index, coefficient) blocks of image(g)."""
+    def _components(self, g: Generator) -> _Components:
+        """The nonzero blocks of image(g), split on first use."""
         comps = self._split.get(g.index)
         if comps is None:
             bits = self.images[g.index]
@@ -154,7 +182,12 @@ class ModuleMap:
             for h, n, offset in self.target.layout(g.degree):
                 comp = (bits >> offset) & ((1 << n) - 1)
                 if comp:
-                    comps.append((h.index, SteenrodElement(g.degree - h.degree, comp)))
+                    units = []
+                    while comp:
+                        low = comp & -comp
+                        units.append(low)
+                        comp ^= low
+                    comps.append((h.index, g.degree - h.degree, tuple(units)))
             self._split[g.index] = comps
         return comps
 
@@ -163,14 +196,19 @@ class ModuleMap:
     ) -> list[int]:
         """Rows x -> x . image(g) over the n coefficients at src_deg = d - |g|:
         the rows of each unit block x -> x . m, shifted to their target
-        block's offset and added in place."""
+        block's offset and added in place.  Blocks are read from the
+        algebra's table by key; a missing one is built by unit_block."""
         rows = [0] * n
-        unit_blocks = self.algebra.right_unit_blocks
-        for h_index, el in self._components(g):
+        algebra = self.algebra
+        blocks = algebra._rmul
+        for h_index, deg, units in self._components(g):
             shift = out_offsets.get(h_index)
             if shift is None:
                 continue
-            for unit in unit_blocks(src_deg, el):
+            for low in units:
+                unit = blocks.get((src_deg, deg, low))
+                if unit is None:
+                    unit = algebra.unit_block(src_deg, deg, low)
                 for i, r in enumerate(unit.rows):
                     rows[i] ^= r << shift
         return rows
@@ -255,8 +293,8 @@ class Resolution:
         for s in range(1, len(self.maps)):
             m = self.maps[s]
             for g in m.source.generators:
-                for h_index, el in m._components(g):
-                    if el.degree == ZERO_DEGREE:
+                for h_index, deg, _ in m._components(g):
+                    if deg == ZERO_DEGREE:
                         h = m.target.generators[h_index]
                         raise InvariantViolation(
                             f"unit coefficient in d at filtration {s}: {g} -> {h}"
@@ -270,53 +308,50 @@ class Resolution:
         at filtration s + 1 there; the remaining kernel is exactly spanned
         by the unit blocks of the newborn generators.  The augmentation is
         also checked surjective, so the complex is exact onto the module.
+        Internal stems run outermost, and at each one every free module is
+        laid out at all weights in one pass (``FreeModule.layouts``).
         """
         for t in range(self.max_stem + 1):
             for w in range(t // 2 + 1):
                 d = BiDegree(t, w)
                 if self.module.dim(d) and rank(self.maps[0].matrix(d)) != self.module.dim(d):
                     raise InvariantViolation(f"augmentation not surjective at {d}")
-        for s in range(len(self.maps) - 1):
-            born_at = Counter(g.degree for g in self.frees[s + 1].generators)
-            for t in range(s, self.max_stem + s + 1):
-                for w in _candidate_weights(self.frees[s], self.module, t, False):
+        weight_dims = self.algebra.weight_dims
+        top = len(self.maps) - 1
+        for t in range(self.max_stem + top):
+            # the filtrations s with s <= t <= max_stem + s
+            s_lo = max(0, t - self.max_stem)
+            below = self.frees[s_lo - 1].layouts(t, weight_dims) if s_lo else None
+            layouts = self.frees[s_lo].layouts(t, weight_dims)
+            for s in range(s_lo, min(t, top - 1) + 1):
+                above = self.frees[s + 1].layouts(t, weight_dims)
+                for w in sorted(layouts):
                     d = BiDegree(t, w)
                     # F_s(d) is the source of d_s and the target of d_{s+1}
-                    layout = self.frees[s].layout(d)
-                    n = sum(k for _, k, _ in layout)
-                    if n == 0:
-                        continue
-                    r_out = rank(self.maps[s].matrix(d, source_layout=layout))
+                    layout = layouts[w]
+                    target = None if below is None else below.get(w, [])
+                    r_out = rank(self.maps[s].matrix(d, source_layout=layout, target_layout=target))
                     # d_{s+1} over the augmentation ideal: no generator at d
-                    ideal = [e for e in self.frees[s + 1].layout(d) if e[0].degree != d]
+                    upper = above.get(w, [])
+                    ideal = [e for e in upper if e[0].degree != d]
                     r_in = rank(
                         self.maps[s + 1].matrix(d, source_layout=ideal, target_layout=layout)
                     )
-                    born = born_at[d]
-                    if r_out + r_in + born != n:
+                    born = len(upper) - len(ideal)
+                    if r_out + r_in + born != _dim(layout):
                         raise InvariantViolation(
                             f"homology off chart at s={s}, {d}: "
-                            f"{r_out}+{r_in}+{born} != {n}"
+                            f"{r_out}+{r_in}+{born} != {_dim(layout)}"
                         )
+                below, layouts = layouts, above
 
 
-def _candidate_weights(free: FreeModule, module: GradedModule, t: int, use_module: bool) -> list[int]:
-    """The weights w at internal stem t where free, or with use_module also
-    the module, is nonzero: the cells worth visiting at that stem.
-
-    free is nonzero at (t, w) exactly when some generator g has a nonempty
-    coefficient basis at (t, w) - |g|.
-    """
-    weights = module.algebra.weights
-    ws: set[int] = set()
-    for g in free.generators:
-        span = t - g.degree.stem
-        if span >= 0:
-            gw = g.degree.weight
-            ws.update(gw + w for w in weights(span))
-    if use_module:
-        ws.update(w for w in range(t // 2 + 1) if module.dim(BiDegree(t, w)))
-    return sorted(ws)
+def _dim(layout: Layout) -> int:
+    """The dimension a layout covers."""
+    if not layout:
+        return 0
+    _, n, offset = layout[-1]
+    return offset + n
 
 
 def minimal_resolution(
@@ -339,9 +374,11 @@ def minimal_resolution(
     at a cover step); ``kernel``, the total dimension of the vectors each
     cell extends the image by (the kernel of d_s, or the module's unit
     vectors at a cover step); ``generators``, those born at t, at most
-    ``kernel``; and ``assembly_s`` and ``elimination_s``, the seconds spent
-    assembling those matrices and eliminating (a boundary cell's fresh
-    kernel of d_s included).  Without it no clock is read.
+    ``kernel``; ``unit_blocks``, the unit blocks the algebra built during
+    t (the growth of its table, so on a fresh algebra the lines sum to the
+    table's size); and ``assembly_s`` and ``elimination_s``, the seconds
+    spent assembling those matrices and eliminating (a boundary cell's
+    fresh kernel of d_s included).  Without it no clock is read.
     """
     if max_stem < 0 or max_filt < 0:
         raise ValueError(f"negative window: max_stem {max_stem}, max_filt {max_filt}")
@@ -353,27 +390,40 @@ def minimal_resolution(
         )
     res = Resolution(algebra, module, max_stem, max_filt)
     clock = perf_counter if progress is not None else (lambda: 0.0)
+    weight_dims = algebra.weight_dims
 
-    def cover(s: int, d: BiDegree, below: tuple[list[int], Layout] | None) -> None:
+    def cover(
+        s: int,
+        d: BiDegree,
+        vectors: list[int] | None,
+        source_layout: Layout,
+        target_layout: Layout | None,
+    ) -> list[int]:
         """Give F_s one generator per vector the image of d_s at d does not
-        reach, and carry the kernel of d_s and the layout of F_s(d) up.
-        below is what the cell (s - 1, d) carried: the kernel of d_{s-1} and
-        the layout of F_{s-1}(d) (None: not carried, take both afresh)."""
+        reach; returns the kernel of d_s at d for the cell above.
+
+        source_layout is the layout of F_s(d), which the newborn generators
+        close, and target_layout that of F_{s-1}(d) (None at s = 0).
+        vectors is the kernel of d_{s-1} at d, or None at the lower edge,
+        where no cell of filtration s - 1 ran at this internal degree: it
+        is then taken afresh."""
         start = clock()
-        vectors, target_layout = (None, None) if below is None else below
-        source_layout = res.frees[s].layout(d)
         m = res.maps[s].matrix(d, source_layout=source_layout, target_layout=target_layout)
         assembled = clock()
         if s == 0:
             vectors = [1 << c for c in range(module.dim(d))]
         elif vectors is None:
-            if s < 2 or res.frees[s - 2].dim(d):
+            lower = res.frees[s - 2].layout(d) if s >= 2 else None
+            if s < 2 or lower:
                 # rows are the source basis, so the kernel of d_{s-1} is
                 # the left kernel of its matrix
-                vectors = gf2_kernel(res.maps[s - 1].matrix(d).transpose()).basis.rows
+                d_below = res.maps[s - 1].matrix(
+                    d, source_layout=target_layout, target_layout=lower
+                )
+                vectors = gf2_kernel(d_below.transpose()).basis.rows
             else:
                 # d_{s-1} maps into zero, so its kernel is all of F_{s-1}
-                vectors = [1 << i for i in range(res.frees[s - 1].dim(d))]
+                vectors = [1 << i for i in range(m.ncols)]
         new, ker = extend_image(m, vectors)
         tally["assembly_s"] += assembled - start
         tally["elimination_s"] += clock() - assembled
@@ -396,27 +446,52 @@ def minimal_resolution(
             res.maps[s].set_image(g, bits)
             source_layout.append((g, 1, offset))
             offset += 1
-        carried[s, d.weight] = ker, source_layout
+        return ker
 
+    blocks = algebra._rmul
     for t in range(0, max_stem + max_filt + 1):
-        # (s, w) -> the kernel basis of d_s at (t, w) and the layout of
-        # F_s(t, w), left by the cell below
-        carried: dict[tuple[int, int], tuple[list[int], Layout]] = {}
         tally = dict(
-            t=t, cells=0, rows=0, cols=0, kernel=0, generators=0, assembly_s=0.0, elimination_s=0.0
+            t=t, cells=0, rows=0, cols=0, kernel=0, generators=0, unit_blocks=0,
+            assembly_s=0.0, elimination_s=0.0,
         )
+        built = len(blocks)
+        # weight -> the layout of F_s(t, w), and the kernel of d_s at
+        # (t, w) where the cell (s, (t, w)) ran; None: no cell of
+        # filtration s has run at t
+        layouts: dict[int, Layout] | None = None
+        kernels: dict[int, list[int]] | None = None
         # new generators of F_0 where the module is not yet covered
         if t <= max_stem:
-            for w in _candidate_weights(res.frees[0], module, t, True):
-                cover(0, BiDegree(t, w), None)
+            layouts = res.frees[0].layouts(t, weight_dims)
+            weights = set(layouts)
+            weights.update(w for w in range(t // 2 + 1) if module.dim(BiDegree(t, w)))
+            kernels = {
+                w: cover(0, BiDegree(t, w), None, layouts.setdefault(w, []), None)
+                for w in sorted(weights)
+            }
         # kernels feeding new generators of F_{s+1}; a cell where F_s is
         # zero has no kernel, so it is not visited
         s_lo = max(0, t - (max_stem + 1))
         s_hi = min(max_filt - 1, t - 1)
         for s in range(s_lo, s_hi + 1):
-            for w in _candidate_weights(res.frees[s], module, t, False):
-                cover(s + 1, BiDegree(t, w), carried.pop((s, w), None))
+            if layouts is None:
+                layouts = res.frees[s].layouts(t, weight_dims)
+            above = res.frees[s + 1].layouts(t, weight_dims)
+            found = {}
+            for w in sorted(w for w, layout in layouts.items() if layout):
+                layout = layouts[w]
+                if kernels is None:
+                    vectors = None
+                elif w in kernels:
+                    vectors = kernels[w]
+                else:
+                    # no cell ran at (s, (t, w)): F_{s-1}(t, w) = 0, so the
+                    # kernel of d_s is all of F_s(t, w)
+                    vectors = [1 << i for i in range(_dim(layout))]
+                found[w] = cover(s + 1, BiDegree(t, w), vectors, above.setdefault(w, []), layout)
+            layouts, kernels = above, found
         if progress is not None:
+            tally["unit_blocks"] = len(blocks) - built
             progress(tally)
 
     return res, res.chart()

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from wsteenrod import resolution, verify
+from wsteenrod import cli, resolution, verify
 from wsteenrod.charts import chart_file_loads, compare_charts, polynomial_chart, w_class_degree
 from wsteenrod.cli import _ALGEBRA_SUBCOMMANDS, MAX_STEM, main
 from wsteenrod.gf2 import BitMatrix
@@ -539,6 +539,9 @@ def test_resolve_progress_changes_no_bytes(tmp_path, capsys, monkeypatch):
         "extend_image",
         lambda m, vs: cells.append(m) or extended.append(len(vs)) or eliminate(m, vs),
     )
+    algebras = []
+    new_algebra = cli.MilnorAlgebra
+    monkeypatch.setattr(cli, "MilnorAlgebra", lambda n: algebras.append(new_algebra(n)) or algebras[-1])
     code, flagged, err = run(capsys, *argv, "--progress")
     assert code == 0
     assert flagged == plain
@@ -557,6 +560,16 @@ def test_resolve_progress_changes_no_bytes(tmp_path, capsys, monkeypatch):
     assert all(0 <= line["generators"] <= line["kernel"] for line in lines)
     assert 2 * sum(line["kernel"] for line in lines) == sum(extended)
     assert all(line["assembly_s"] >= 0 and line["elimination_s"] >= 0 for line in lines)
+    assert all(list(line) == PROGRESS_KEYS for line in lines)
+    # the run's algebra is fresh, so the lines count every unit block it holds
+    assert all(line["unit_blocks"] >= 0 for line in lines)
+    assert sum(line["unit_blocks"] for line in lines) == len(algebras[-1]._rmul) > 0
+
+
+PROGRESS_KEYS = [
+    "t", "cells", "rows", "cols", "kernel", "generators", "unit_blocks", "assembly_s",
+    "elimination_s",
+]
 
 
 def test_verify_failed_check_lists_witnesses(tmp_path, capsys, monkeypatch):

@@ -459,6 +459,89 @@ def test_property_extend_image_is_one_cell(m, data):
     assert list(left_kernel) == list(ker.basis.rows)
 
 
+class RrefEchelon:
+    """The reduced row echelon insert that ``_Echelon`` replaced, kept as an
+    oracle: each new pivot is cleared from every stored row at once, so the
+    basis is reduced after every insert.  Bits at or above ncols are
+    carried but never become pivots, as in ``_Echelon``."""
+
+    def __init__(self, ncols):
+        self.rows = {}
+        self.pivot_mask = 0
+        self.low_mask = (1 << ncols) - 1
+
+    def insert(self, v):
+        carried = v & self.pivot_mask
+        while carried:
+            b = carried & -carried
+            v ^= self.rows[b]
+            carried ^= b
+        low = v & self.low_mask
+        if low:
+            b = low & -low
+            for k, r in self.rows.items():
+                if r & b:
+                    self.rows[k] = r ^ v
+            self.rows[b] = v
+            self.pivot_mask |= b
+        return v
+
+    def basis(self):
+        keys = sorted(self.rows)
+        return [self.rows[k] for k in keys], [k.bit_length() - 1 for k in keys]
+
+
+def rref_insert_cell(m, vectors):
+    """One cell on the oracle: the rows of m enter last-first tagged with
+    their unit coordinate above ncols, the vectors follow untagged.
+    Returns the basis after the rows, the relations (upper bits of the rows
+    that reduce to zero below ncols, in row order), every vector's full
+    remainder and the basis after the vectors."""
+    n = m.ncols
+    ech = RrefEchelon(n)
+    relations = []
+    for i in range(m.nrows - 1, -1, -1):
+        v = ech.insert(m.rows[i] | 1 << (n + i))
+        if not v & ech.low_mask:
+            relations.append(v >> n)
+    relations.reverse()
+    image = ech.basis()
+    return image, relations, [ech.insert(v) for v in vectors], ech.basis()
+
+
+@given(cell_matrices(), st.data())
+def test_property_semi_echelon_matches_rref_insert(m, data):
+    n = m.ncols
+    low = (1 << n) - 1
+    entries = st.integers(0, low)
+    vectors = data.draw(st.lists(entries, max_size=8))
+    b = BitVector(n, data.draw(entries))
+    (tagged, _), relations, remainders, final = rref_insert_cell(m, vectors)
+    # the same tagged rows and vectors through _Echelon: every remainder,
+    # tags included, and the reduced basis are the oracle's
+    semi = _Echelon(n)
+    for i in range(m.nrows - 1, -1, -1):
+        semi.insert(m.rows[i] | 1 << (n + i))
+    assert [semi.insert(v) for v in vectors] == remainders
+    assert semi.basis() == final
+    # and so is what every entry point returns
+    oracle = RrefEchelon(n)
+    for r in m.rows:
+        oracle.insert(r)
+    rows, pivots = oracle.basis()
+    assert rref(m) == (BitMatrix(n, rows + [0] * (m.nrows - len(rows))), tuple(pivots), len(rows))
+    image, ker = image_and_left_kernel(m)
+    assert image == Subspace(n, BitMatrix(n, [r & low for r in tagged]), tuple(pivots))
+    assert list(ker.basis.rows) == relations
+    assert extend_image(m, vectors) == ([r & low for r in remainders if r & low], relations)
+    # solve: rows enter in order, each tagged with its unit coordinate
+    oracle = RrefEchelon(n)
+    for i, r in enumerate(m.rows):
+        oracle.insert(r | 1 << (n + i))
+    rem = oracle.insert(b.bits)
+    assert solve(m, b) == (None if rem & low else BitVector(m.nrows, rem >> n))
+
+
 def test_extend_image_overflow():
     m = M([[1, 0], [1, 1]])
     assert extend_image(m, [1, 2, 3]) == ([], [])

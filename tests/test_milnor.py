@@ -345,6 +345,28 @@ def test_conjugate_matches_antipode_transpose():
             assert alg.conjugate(a) == conjugate_by_transpose(a), a
 
 
+def test_a_plain_tuple_bidegree_fails_whatever_the_caches_hold():
+    # a tuple hashes and compares equal to the BiDegree with its fields, so
+    # untyped basis caches answered one once the BiDegree had been asked
+    alg = MilnorAlgebra(20)
+    assert alg.dim(BiDegree(3, 1)) == 2
+    assert basis_index(BiDegree(3, 1))
+    for lookup in (alg.dim, bidegree_basis, basis_index):
+        with pytest.raises(AttributeError, match="chow"):
+            lookup((3, 1))
+    assert bidegree_basis.cache_parameters()["typed"]
+    assert basis_index.cache_parameters()["typed"]
+
+
+def test_weight_dims_list_the_nonempty_bases_of_a_stem():
+    alg = MilnorAlgebra(8)
+    for stem in range(12):
+        want = [(w, len(bidegree_basis(BiDegree(stem, w)))) for w in range(stem // 2 + 1)]
+        assert alg.weight_dims(stem) == tuple((w, n) for w, n in want if n)
+        assert alg.weights(stem) == tuple(w for w, n in want if n)
+    assert alg.weight_dims(0) == ((0, 1),)
+
+
 def test_pairing(alg16):
     p1 = alg16.pst(0, 1)
     assert alg16.pair(p1, dual_element([xi_monomial(1)])) == 1

@@ -273,6 +273,19 @@ def test_each_matrix_assembled_once(alg24, monkeypatch):
     assert carried
 
 
+def test_layouts_are_every_layout_of_an_internal_stem(alg24):
+    res, _ = minimal_resolution(TrivialModule(alg24), 16, 10)
+    # a generator past the stem asked for lays out nothing there
+    res.frees[3].add_generator(BiDegree(40, 3))
+    for free in res.frees:
+        for t in range(16 + 10 + 1):
+            layouts = free.layouts(t, alg24.weight_dims)
+            assert all(layouts.values())
+            assert set(layouts) <= set(range(t // 2 + 1))
+            for w in range(t // 2 + 1):
+                assert layouts.get(w, []) == free.layout(BiDegree(t, w)), (free.filtration, t, w)
+
+
 def _resolution_digest(res):
     """SHA-256 over every generator (index, stem, weight, filtration) and
     every generator image, filtration by filtration."""
@@ -312,3 +325,30 @@ def test_wbp_chart_bytes_larger_window():
     digest = hashlib.sha256(chart_file_dumps(chart).encode("utf-8")).hexdigest()
     assert digest == REFERENCE_SHA256["wbp-36"]
     assert _resolution_digest(res) == RESOLUTION_SHA256["wbp-36"]
+
+
+# the summed resolve --progress counts of the benchmark windows: the work
+# each cell loop does, which no host drift moves
+PROGRESS_SUMS = {
+    "sphere-32": dict(
+        cells=2818, rows=31218, cols=35756, kernel=16961, generators=452, unit_blocks=2043
+    ),
+    "wbp-36": dict(
+        cells=1354, rows=18507, cols=21496, kernel=10081, generators=255, unit_blocks=495
+    ),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(PROGRESS_SUMS))
+def test_progress_sums_of_the_benchmark_windows(workload):
+    module, max_stem, max_filt = {
+        "sphere-32": (TrivialModule, 32, 20),
+        "wbp-36": (lambda alg: QuotientModule(alg, range(1, 37)), 36, 36),
+    }[workload]
+    alg = MilnorAlgebra(max_stem + 2)
+    lines = []
+    minimal_resolution(module(alg), max_stem, max_filt, progress=lines.append)
+    sums = {key: sum(line[key] for line in lines) for key in PROGRESS_SUMS[workload]}
+    assert sums == PROGRESS_SUMS[workload]
+    # the algebra was fresh, so the lines account for every unit block it holds
+    assert sums["unit_blocks"] == len(alg._rmul)

@@ -704,9 +704,8 @@ class MilnorAlgebra:
       right_mult_matrix and the resolver's matrix assembly add these up,
       and the resolver reads it by key.
     - _dims: stem -> the (weight, dim) pairs, weight ascending, of the
-      nonempty bases of that stem (weight_dims, and weights through it);
-      the resolver lays out a free module at every weight of an internal
-      stem from it in one pass.
+      nonempty bases of that stem (weight_dims); the resolver lays out a
+      free module at every weight of an internal stem from it in one pass.
     - _sweep: every monomial of the window with its bidegree, from one
       enumerate_window_monomials sweep (window_sweep).
     """
@@ -732,13 +731,8 @@ class MilnorAlgebra:
         the window."""
         top = min(max_stem, self.max_stem)
         for s in range(top + 1):
-            for w in self.weights(s):
+            for w, _ in self.weight_dims(s):
                 yield BiDegree(s, w)
-
-    def weights(self, stem: int) -> tuple[int, ...]:
-        """The weights w, ascending, with a nonempty basis at (stem, w), for
-        any stem >= 0 (not only the window's)."""
-        return tuple(w for w, _ in self.weight_dims(stem))
 
     def weight_dims(self, stem: int) -> tuple[tuple[int, int], ...]:
         """The pairs (w, dim of the basis at (stem, w)), w ascending, with a

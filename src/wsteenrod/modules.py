@@ -223,42 +223,39 @@ class TensorModule(GradedModule):
         self.left = left
         self.right = right
         self.name = f"{left.name} (x) {right.name}"
-        self._blocks: dict[BiDegree, tuple[tuple[BiDegree, int, int, int], ...]] = {}
         self._lsupport = sorted(left.support())
 
     def blocks(self, d: BiDegree) -> tuple[tuple[BiDegree, int, int, int], ...]:
         """(dl, left dim, right dim, offset) for each left bidegree dl
         where both factors are nonzero."""
-        blocks = self._blocks.get(d)
-        if blocks is None:
-            out = []
-            offset = 0
-            for dl in self._lsupport:
-                dr = d - dl
-                if dr.stem < 0 or dr.weight < 0:
-                    continue
-                nr = self.right.dim(dr)
-                if nr == 0:
-                    continue
-                nl = self.left.dim(dl)
-                out.append((dl, nl, nr, offset))
-                offset += nl * nr
-            blocks = self._blocks[d] = tuple(out)
-        return blocks
+        out = []
+        offset = 0
+        for dl in self._lsupport:
+            dr = d - dl
+            if dr.stem < 0 or dr.weight < 0:
+                continue
+            nr = self.right.dim(dr)
+            if nr == 0:
+                continue
+            nl = self.left.dim(dl)
+            out.append((dl, nl, nr, offset))
+            offset += nl * nr
+        return tuple(out)
 
     def dim(self, d: BiDegree) -> int:
         return sum(nl * nr for _, nl, nr, _ in self.blocks(d))
 
     def op_matrix(self, a: SteenrodElement, d: BiDegree) -> BitMatrix:
         target = d + a.degree
-        places = {dl: (nr, offset) for dl, _, nr, offset in self.blocks(target)}
+        source, target_blocks = self.blocks(d), self.blocks(target)
+        places = {dl: (nr, offset) for dl, _, nr, offset in target_blocks}
         splits = []
         for d1 in self.algebra.bidegrees(a.degree.stem):
             comps = self.algebra.coproduct_components(a, d1)
             if comps:
                 splits.append((d1, comps))
-        rows = [0] * self.dim(d)
-        for dl, _, nr, offset in self.blocks(d):
+        rows = [0] * sum(nl * nr for _, nl, nr, _ in source)
+        for dl, _, nr, offset in source:
             for d1, comps in splits:
                 if dl + d1 not in places:
                     continue
@@ -273,7 +270,7 @@ class TensorModule(GradedModule):
                                 shift = toffset + k * tnr
                                 for p, rrow in enumerate(rrows, offset + i * nr):
                                     rows[p] ^= rrow << shift
-        return BitMatrix(self.dim(target), rows)
+        return BitMatrix(sum(nl * nr for _, nl, nr, _ in target_blocks), rows)
 
 
 def tensor_power(m: GradedModule, power: int) -> GradedModule:

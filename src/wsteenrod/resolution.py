@@ -25,15 +25,18 @@ appended their newborn generators to it, one unit block each, last.  The
 left kernel of d_{s+1} found at (s, d) is the kernel of d_{s+1} that cell
 (s + 1, d) needs: the generators born at (s + 1, d) are the last rows of
 the full matrix, and their images are independent modulo the rest, so
-they add no relation.  Above a cell that is skipped (see below),
-F_{s-1}(d) = 0, so the kernel is all of F_s(d) and its unit vectors are
-used as they are.  Only at the lower edge of the stem triangle, where no
-cell of filtration s - 1 ran at t and F_{s-1}(d) may be nonzero, does a
-cell assemble d_s and take the kernel of its transpose (``gf2.kernel``);
-the lowest level there is swept afresh.  Each cell runs one elimination
-of its own matrix.  What is swept or carried is kept per internal degree
-and dropped when it is done.  ``Resolution.verify_exact`` reads its
-layouts and weights from the same sweep.
+they add no relation.  Each level's kernels are kept in one dict by
+weight, which only two places fill besides the cells: the cover step of
+filtration 0, with the module's unit vectors, and the lower edge of the
+stem triangle, where no cell of filtration s - 1 ran at t.  There the
+lowest level is swept afresh and, before its cells run, d_s is assembled
+at each weight and the kernel of its transpose taken (``gf2.kernel``).  A
+weight missing from the dict has F_{s-1}(d) = 0, as no cell ran there (see
+below), so the kernel is all of F_s(d) and its unit vectors are used as
+they are.  Each cell runs one elimination of its own matrix.  What is swept
+or carried is kept per internal degree and dropped when it is done.
+``Resolution.verify_exact`` reads its layouts and weights from the same
+sweep.
 
 Cells are processed while chart stem = internal stem - filtration stays
 at most max_stem + 1.  A kernel vector never has a unit coefficient on a
@@ -214,38 +217,25 @@ class ModuleMap:
         return rows
 
     def matrix(
-        self,
-        d: BiDegree,
-        *,
-        source_layout: Layout | None = None,
-        target_layout: Layout | None = None,
+        self, d: BiDegree, *, source_layout: Layout, target_layout: Layout | None
     ) -> BitMatrix:
         """The matrix of the map at bidegree d, one block of rows per
-        generator of the source layout.
+        generator of source_layout, a layout of the source at d.
 
-        A caller that holds the layout of the source or of a free target at
-        d passes it, and it is not assembled again.  A source layout that
-        leaves generators out drops their rows.
+        target_layout is the layout of a free target at d, None for a
+        module target.  A source layout that leaves generators out drops
+        their rows.
         """
-        free_target = isinstance(self.target, FreeModule)
-        if free_target:
-            out_layout = self.target.layout(d) if target_layout is None else target_layout
-            out_offsets = {h.index: off for h, _, off in out_layout}
-            ncols = out_layout[-1][2] + out_layout[-1][1] if out_layout else 0
-        else:
-            ncols = self.target.dim(d)
-        if source_layout is None:
-            source_layout = self.source.layout(d)
         rows: list[int] = []
-        for g, n, _ in source_layout:
-            if free_target:
+        if isinstance(self.target, FreeModule):
+            out_offsets = {h.index: off for h, _, off in target_layout}
+            for g, n, _ in source_layout:
                 rows.extend(self._free_block(g, d - g.degree, n, out_offsets))
-            else:
-                block = self.target.generator_action_matrix(
-                    d - g.degree, g.degree, self.images[g.index]
-                )
-                rows.extend(block.rows)
-        return BitMatrix(ncols, rows)
+            return BitMatrix(_dim(target_layout), rows)
+        act = self.target.generator_action_matrix
+        for g, _, _ in source_layout:
+            rows.extend(act(d - g.degree, g.degree, self.images[g.index]).rows)
+        return BitMatrix(self.target.dim(d), rows)
 
 
 class Resolution:
@@ -281,9 +271,10 @@ class Resolution:
             upper = self.maps[s]
             lower = self.maps[s - 1]
             for g in upper.source.generators:
-                v = BitVector(upper.target.dim(g.degree), upper.images[g.index])
-                w = lower.matrix(g.degree).vec_mul(v)
-                if not w.is_zero():
+                d = g.degree
+                target = self.frees[s - 2].layout(d) if s > 1 else None
+                m = lower.matrix(d, source_layout=lower.source.layout(d), target_layout=target)
+                if not m.vec_mul(BitVector(m.nrows, upper.images[g.index])).is_zero():
                     raise InvariantViolation(
                         f"d.d != 0 at filtration {s}, generator {g}"
                     )
@@ -311,11 +302,10 @@ class Resolution:
         Internal stems run outermost, and at each one every free module is
         laid out at all weights in one pass (``FreeModule.layouts``).
         """
-        for t in range(self.max_stem + 1):
-            for w in range(t // 2 + 1):
-                d = BiDegree(t, w)
-                if self.module.dim(d) and rank(self.maps[0].matrix(d)) != self.module.dim(d):
-                    raise InvariantViolation(f"augmentation not surjective at {d}")
+        for d in self.module.support(self.max_stem):
+            m = self.maps[0].matrix(d, source_layout=self.frees[0].layout(d), target_layout=None)
+            if rank(m) != self.module.dim(d):
+                raise InvariantViolation(f"augmentation not surjective at {d}")
         weight_dims = self.algebra.weight_dims
         top = len(self.maps) - 1
         for t in range(self.max_stem + top):
@@ -377,8 +367,8 @@ def minimal_resolution(
     ``kernel``; ``unit_blocks``, the unit blocks the algebra built during
     t (the growth of its table, so on a fresh algebra the lines sum to the
     table's size); and ``assembly_s`` and ``elimination_s``, the seconds
-    spent assembling those matrices and eliminating (a boundary cell's
-    fresh kernel of d_s included).  Without it no clock is read.
+    spent assembling those matrices and eliminating (the lower edge's
+    fresh kernels of d_s included).  Without it no clock is read.
     """
     if max_stem < 0 or max_filt < 0:
         raise ValueError(f"negative window: max_stem {max_stem}, max_filt {max_filt}")
@@ -393,37 +383,19 @@ def minimal_resolution(
     weight_dims = algebra.weight_dims
 
     def cover(
-        s: int,
-        d: BiDegree,
-        vectors: list[int] | None,
-        source_layout: Layout,
+        s: int, d: BiDegree, vectors: list[int], source_layout: Layout,
         target_layout: Layout | None,
     ) -> list[int]:
         """Give F_s one generator per vector the image of d_s at d does not
         reach; returns the kernel of d_s at d for the cell above.
 
-        source_layout is the layout of F_s(d), which the newborn generators
-        close, and target_layout that of F_{s-1}(d) (None at s = 0).
-        vectors is the kernel of d_{s-1} at d, or None at the lower edge,
-        where no cell of filtration s - 1 ran at this internal degree: it
-        is then taken afresh."""
+        vectors span the kernel of d_{s-1} at d (at s = 0, the module's
+        unit vectors); source_layout is the layout of F_s(d), which the
+        newborn generators close, and target_layout that of F_{s-1}(d)
+        (None at s = 0)."""
         start = clock()
         m = res.maps[s].matrix(d, source_layout=source_layout, target_layout=target_layout)
         assembled = clock()
-        if s == 0:
-            vectors = [1 << c for c in range(module.dim(d))]
-        elif vectors is None:
-            lower = res.frees[s - 2].layout(d) if s >= 2 else None
-            if s < 2 or lower:
-                # rows are the source basis, so the kernel of d_{s-1} is
-                # the left kernel of its matrix
-                d_below = res.maps[s - 1].matrix(
-                    d, source_layout=target_layout, target_layout=lower
-                )
-                vectors = gf2_kernel(d_below.transpose()).basis.rows
-            else:
-                # d_{s-1} maps into zero, so its kernel is all of F_{s-1}
-                vectors = [1 << i for i in range(m.ncols)]
         new, ker = extend_image(m, vectors)
         tally["assembly_s"] += assembled - start
         tally["elimination_s"] += clock() - assembled
@@ -455,39 +427,41 @@ def minimal_resolution(
             assembly_s=0.0, elimination_s=0.0,
         )
         built = len(blocks)
-        # weight -> the layout of F_s(t, w), and the kernel of d_s at
-        # (t, w) where the cell (s, (t, w)) ran; None: no cell of
-        # filtration s has run at t
-        layouts: dict[int, Layout] | None = None
-        kernels: dict[int, list[int]] | None = None
-        # new generators of F_0 where the module is not yet covered
-        if t <= max_stem:
-            layouts = res.frees[0].layouts(t, weight_dims)
-            weights = set(layouts)
-            weights.update(w for w in range(t // 2 + 1) if module.dim(BiDegree(t, w)))
-            kernels = {
-                w: cover(0, BiDegree(t, w), None, layouts.setdefault(w, []), None)
-                for w in sorted(weights)
-            }
-        # kernels feeding new generators of F_{s+1}; a cell where F_s is
-        # zero has no kernel, so it is not visited
         s_lo = max(0, t - (max_stem + 1))
         s_hi = min(max_filt - 1, t - 1)
+        # weight -> the layout of F_s(t, w), and the kernel of d_s at (t, w)
+        layouts = res.frees[s_lo].layouts(t, weight_dims)
+        kernels: dict[int, list[int]] = {}
+        if t <= max_stem:
+            # new generators of F_0 where the module is not yet covered
+            weights = set(layouts)
+            weights.update(w for w in range(t // 2 + 1) if module.dim(BiDegree(t, w)))
+            for w in sorted(weights):
+                d = BiDegree(t, w)
+                units = [1 << c for c in range(module.dim(d))]
+                kernels[w] = cover(0, d, units, layouts.setdefault(w, []), None)
+        elif s_lo <= s_hi:
+            # the lower edge: no cell of filtration s_lo - 1 ran at t, so
+            # the kernels of d_{s_lo} are taken afresh; rows are the source
+            # basis, so each is the left kernel of the matrix
+            below = res.frees[s_lo - 1].layouts(t, weight_dims) if s_lo else {}
+            start = clock()
+            for w, layout in layouts.items():
+                target = below.get(w, []) if s_lo else None
+                d = BiDegree(t, w)
+                m = res.maps[s_lo].matrix(d, source_layout=layout, target_layout=target)
+                kernels[w] = gf2_kernel(m.transpose()).basis.rows
+            tally["elimination_s"] += clock() - start
+        # kernels feeding new generators of F_{s+1}; a cell where F_s is
+        # zero has no kernel, so it is not visited
         for s in range(s_lo, s_hi + 1):
-            if layouts is None:
-                layouts = res.frees[s].layouts(t, weight_dims)
             above = res.frees[s + 1].layouts(t, weight_dims)
             found = {}
             for w in sorted(w for w, layout in layouts.items() if layout):
                 layout = layouts[w]
-                if kernels is None:
-                    vectors = None
-                elif w in kernels:
-                    vectors = kernels[w]
-                else:
-                    # no cell ran at (s, (t, w)): F_{s-1}(t, w) = 0, so the
-                    # kernel of d_s is all of F_s(t, w)
-                    vectors = [1 << i for i in range(_dim(layout))]
+                # no kernel: no cell of filtration s - 1 ran at (t, w), so
+                # F_{s-1}(t, w) = 0 and the kernel of d_s is all of F_s(t, w)
+                vectors = kernels[w] if w in kernels else [1 << i for i in range(_dim(layout))]
                 found[w] = cover(s + 1, BiDegree(t, w), vectors, above.setdefault(w, []), layout)
             layouts, kernels = above, found
         if progress is not None:

@@ -195,8 +195,6 @@ DEFAULTED_PARAMETERS = {
     ("milnor", "steenrod_element", "degree"),
     ("milnor", "xi_monomial", "e"),
     ("modules", "GradedModule.support", "max_stem"),
-    ("resolution", "ModuleMap.matrix", "source_layout"),
-    ("resolution", "ModuleMap.matrix", "target_layout"),
     ("resolution", "minimal_resolution", "max_gens_per_bidegree"),
     ("resolution", "minimal_resolution", "progress"),
     ("verify", "VerificationReport.__init__", "verdict"),

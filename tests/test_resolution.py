@@ -169,12 +169,18 @@ def reference_resolution(module, max_stem, max_filt):
                 d = BiDegree(t, w)
                 units = [1 << c for c in range(module.dim(d))]
                 empty = frees[0].dim(d) == 0 and not units
-                add(0, d, maps[0].matrix(d), units, empty)
+                image = maps[0].matrix(d, source_layout=frees[0].layout(d), target_layout=None)
+                add(0, d, image, units, empty)
         for s in range(max(0, t - max_stem - 1), min(max_filt - 1, t - 1) + 1):
             for w in _span_weights(frees[s], module, t, False):
                 d = BiDegree(t, w)
-                ker = kernel(maps[s].matrix(d).transpose())
-                add(s + 1, d, maps[s + 1].matrix(d), ker.basis.rows, frees[s].dim(d) == 0)
+                target = frees[s - 1].layout(d) if s else None
+                boundary = maps[s].matrix(d, source_layout=frees[s].layout(d), target_layout=target)
+                ker = kernel(boundary.transpose())
+                image = maps[s + 1].matrix(
+                    d, source_layout=frees[s + 1].layout(d), target_layout=frees[s].layout(d)
+                )
+                add(s + 1, d, image, ker.basis.rows, frees[s].dim(d) == 0)
     return frees, maps, extended
 
 
@@ -256,7 +262,7 @@ def test_each_matrix_assembled_once(alg24, monkeypatch):
     carried = []
     original = ModuleMap.matrix
 
-    def recording(self, d, *, source_layout=None, target_layout=None):
+    def recording(self, d, *, source_layout, target_layout):
         seen.append((self.source.filtration, tuple(d)))
         # a layout handed in is the one the free module gives at d
         if source_layout is not None:
@@ -271,6 +277,31 @@ def test_each_matrix_assembled_once(alg24, monkeypatch):
     assert seen
     assert len(set(seen)) == len(seen)
     assert carried
+
+
+def _count_kernels(monkeypatch):
+    """The matrices passed to resolution.gf2_kernel from now on."""
+    calls = []
+    original = resolution.gf2_kernel
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(resolution, "gf2_kernel", counting)
+    return calls
+
+
+def test_lower_edge_takes_one_kernel_per_cell(alg24, monkeypatch):
+    # past max_stem the lowest filtration s_lo = t - max_stem - 1 has no
+    # cell below it at t, so each of its cells takes the kernel of d_{s_lo}
+    # afresh, also where F_{s_lo - 1} is zero there
+    calls = _count_kernels(monkeypatch)
+    res, _ = minimal_resolution(TrivialModule(alg24), 20, 12)
+    edge = sum(
+        len(res.frees[t - 21].layouts(t, alg24.weight_dims)) for t in range(21, 20 + 12 + 1)
+    )
+    assert len(calls) == edge == 59
 
 
 def test_layouts_are_every_layout_of_an_internal_stem(alg24):
@@ -327,8 +358,10 @@ def test_wbp_chart_bytes_larger_window():
     assert _resolution_digest(res) == RESOLUTION_SHA256["wbp-36"]
 
 
-# the summed resolve --progress counts of the benchmark windows: the work
-# each cell loop does, which no host drift moves
+# the summed resolve --progress counts of the benchmark windows, and the
+# resolution.gf2_kernel calls (one per lower-edge cell): the work each cell
+# loop does, which no host drift moves
+LOWER_EDGE_KERNELS = {"sphere-32": 135, "wbp-36": 73}
 PROGRESS_SUMS = {
     "sphere-32": dict(
         cells=2818, rows=31218, cols=35756, kernel=16961, generators=452, unit_blocks=2043
@@ -340,15 +373,17 @@ PROGRESS_SUMS = {
 
 
 @pytest.mark.parametrize("workload", sorted(PROGRESS_SUMS))
-def test_progress_sums_of_the_benchmark_windows(workload):
+def test_progress_sums_of_the_benchmark_windows(workload, monkeypatch):
     module, max_stem, max_filt = {
         "sphere-32": (TrivialModule, 32, 20),
         "wbp-36": (lambda alg: QuotientModule(alg, range(1, 37)), 36, 36),
     }[workload]
     alg = MilnorAlgebra(max_stem + 2)
     lines = []
+    kernels = _count_kernels(monkeypatch)
     minimal_resolution(module(alg), max_stem, max_filt, progress=lines.append)
     sums = {key: sum(line[key] for line in lines) for key in PROGRESS_SUMS[workload]}
     assert sums == PROGRESS_SUMS[workload]
+    assert len(kernels) == LOWER_EDGE_KERNELS[workload]
     # the algebra was fresh, so the lines account for every unit block it holds
     assert sums["unit_blocks"] == len(alg._rmul)
